@@ -4,6 +4,12 @@
 #   scripts/check.sh [build-dir]
 #
 # 1. Configure + build the default tree and run the full ctest suite.
+#    Then an OpenMP thread-count matrix: the zero-allocation gates (pencil
+#    FFT, short-range kernel) and the bit-for-bit determinism tests
+#    (checkpoint restart, fault-matrix recovery, catalog byte identity) run
+#    again at OMP_NUM_THREADS=1 and at nproc, and the short-range gate runs
+#    10 times at OMP_NUM_THREADS=8 (more threads than this host may have
+#    cores, so some get no leaf).
 # 2. Configure a second tree with -DHACC_SANITIZE=address, build only the
 #    I/O test binaries (io_test, gio_test), and run them — the checkpoint
 #    writer/reader funnels raw byte spans through threads, which is exactly
@@ -50,6 +56,23 @@ cmake --build "$BUILD" -j "$JOBS"
 
 echo "== tier-1: ctest =="
 ctest --test-dir "$BUILD" --output-on-failure -j 4
+
+echo "== omp matrix: allocation gates + determinism at 1 and ${JOBS} threads =="
+for threads in 1 "$JOBS"; do
+  echo "-- OMP_NUM_THREADS=${threads} --"
+  export OMP_NUM_THREADS="$threads"
+  "$BUILD/tests/fft_test" --gtest_filter='Pencil.SteadyStateTransformsDoNotAllocate'
+  "$BUILD/tests/tree_test" --gtest_filter='TreeForce.SteadyStateShortRangeIsAllocationFree'
+  "$BUILD/tests/core_test" --gtest_filter='Simulation.CheckpointRestartReproducesRun'
+  "$BUILD/tests/integration_test" \
+    --gtest_filter='FaultMatrix.KilledRankAndCorruptCheckpointRecoverBitForBit'
+  "$BUILD/tests/serve_test" \
+    --gtest_filter='InSituServe.HaloCatalogIsBitStableAcrossRankCounts:InSituServe.RepeatedRunsProduceByteIdenticalCatalogFiles'
+done
+unset OMP_NUM_THREADS
+echo "== omp matrix: short-range allocation gate x10 at 8 threads =="
+OMP_NUM_THREADS=8 "$BUILD/tests/tree_test" --gtest_repeat=10 \
+  --gtest_filter='TreeForce.SteadyStateShortRangeIsAllocationFree'
 
 echo "== asan: configure + build io_test gio_test (${ASAN_BUILD}) =="
 cmake -B "$ASAN_BUILD" -S . -DHACC_SANITIZE=address >/dev/null

@@ -27,6 +27,8 @@
 #include <string>
 #include <vector>
 
+#include "util/fnv1a.h"
+
 namespace hacc::comm {
 
 /// Thrown out of blocking receives when the machine is shutting down because
@@ -50,17 +52,10 @@ struct Message {
   std::vector<std::byte> payload;
 };
 
-/// 64-bit FNV-1a over a byte span: the end-to-end payload checksum. (Not
-/// cryptographic; catches the bit-flips and truncations fault injection
-/// models. The gio layer uses CRC64 for on-disk data.)
+/// The end-to-end payload checksum: 64-bit FNV-1a over the byte span.
 inline std::uint64_t payload_checksum(const std::byte* data,
                                       std::size_t n) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<std::uint64_t>(data[i]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return fnv1a(data, n);
 }
 
 /// Thread-safe mailbox with (context, source, tag) matching.

@@ -6,24 +6,12 @@
 #include <numeric>
 #include <vector>
 
+#include "util/fnv1a.h"
 #include "util/rng.h"
 
 namespace hacc::core {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-inline std::uint64_t fnv1a(std::uint64_t h, const void* data,
-                           std::size_t n) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 /// One component comparison under the audit tolerance.
 inline bool component_mismatch(float recomputed, float stored,
@@ -76,14 +64,14 @@ std::uint64_t particle_checksum(const tree::ParticleArray& particles,
       return particles.id[a] < particles.id[b];
     });
   }
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kFnv1aOffset;
   for (const std::size_t i : order) {
     const float payload[7] = {particles.x[i],  particles.y[i],
                               particles.z[i],  particles.vx[i],
                               particles.vy[i], particles.vz[i],
                               particles.mass[i]};
-    h = fnv1a(h, payload, sizeof(payload));
-    h = fnv1a(h, &particles.id[i], sizeof(particles.id[i]));
+    h = fnv1a(payload, sizeof(payload), h);
+    h = fnv1a(&particles.id[i], sizeof(particles.id[i]), h);
   }
   return h;
 }
@@ -108,41 +96,10 @@ DuplicateExecutionResult duplicate_execution_check(
   for (std::size_t s = 0; s < samples; ++s) {
     const std::uint32_t leaf =
         exhaustive ? leaves[s] : leaves[draw.index(leaves.size())];
-    list.clear();
     tree.gather_neighbors(leaf, kernel.rmax, list);
     ++out.sampled_leaves;
     check_leaf(tree.particles(), tree.nodes()[leaf], list, kernel,
                mass_scale, ax, ay, az, config, out);
-  }
-  return out;
-}
-
-DuplicateExecutionResult duplicate_execution_check(
-    const tree::MultiTree& forest, const tree::ShortRangeKernel& kernel,
-    std::span<const float> ax, std::span<const float> ay,
-    std::span<const float> az, float mass_scale, const AuditConfig& config,
-    std::uint64_t draw_key) {
-  DuplicateExecutionResult out;
-  // Flatten (tree, leaf) pairs so the draw is uniform over all leaves.
-  std::vector<std::pair<std::size_t, std::uint32_t>> pairs;
-  for (std::size_t t = 0; t < forest.trees().size(); ++t)
-    for (const std::uint32_t leaf : forest.trees()[t].leaves())
-      pairs.emplace_back(t, leaf);
-  if (pairs.empty() || config.sample_leaves <= 0) return out;
-  Philox::Stream draw(Philox(config.seed, draw_key));
-  tree::NeighborList list;
-  const bool exhaustive =
-      static_cast<std::size_t>(config.sample_leaves) >= pairs.size();
-  const std::size_t samples = std::min<std::size_t>(
-      static_cast<std::size_t>(config.sample_leaves), pairs.size());
-  for (std::size_t s = 0; s < samples; ++s) {
-    const auto [t, leaf] =
-        exhaustive ? pairs[s] : pairs[draw.index(pairs.size())];
-    list.clear();
-    forest.gather_neighbors(t, leaf, kernel.rmax, list);
-    ++out.sampled_leaves;
-    check_leaf(forest.particles(), forest.trees()[t].nodes()[leaf], list,
-               kernel, mass_scale, ax, ay, az, config, out);
   }
   return out;
 }

@@ -39,7 +39,6 @@
 #include <string>
 
 #include "tree/force_kernel.h"
-#include "tree/multi_tree.h"
 #include "tree/particles.h"
 #include "tree/rcb_tree.h"
 
@@ -108,14 +107,6 @@ struct DuplicateExecutionResult {
 /// number) varies the sample across calls while keeping it reproducible.
 DuplicateExecutionResult duplicate_execution_check(
     const tree::RcbTree& tree, const tree::ShortRangeKernel& kernel,
-    std::span<const float> ax, std::span<const float> ay,
-    std::span<const float> az, float mass_scale, const AuditConfig& config,
-    std::uint64_t draw_key);
-
-/// MultiTree overload: samples (tree, leaf) pairs across the forest; the
-/// neighbor gather searches all trees, exactly like the production walk.
-DuplicateExecutionResult duplicate_execution_check(
-    const tree::MultiTree& forest, const tree::ShortRangeKernel& kernel,
     std::span<const float> ax, std::span<const float> ay,
     std::span<const float> az, float mass_scale, const AuditConfig& config,
     std::uint64_t draw_key);

@@ -244,43 +244,6 @@ void Simulation::apply_short_kick(double coeff) {
   sr_ay_.assign(particles_.size(), 0.0f);
   sr_az_.assign(particles_.size(), 0.0f);
   if (config_.solver == ShortRangeSolver::kTreePP) {
-    if (config_.tree_splits > 0) {
-      // Multiple trees per rank (Sec. VI): parallel builds, same physics.
-      std::unique_ptr<tree::MultiTree> forest;
-      {
-        auto scope = timers_.scope(kPhaseTreeBuild);
-        forest = std::make_unique<tree::MultiTree>(
-            particles_, tree::MultiTreeConfig{
-                            config_.tree_splits,
-                            tree::RcbConfig{config_.leaf_size}});
-      }
-      auto scope = timers_.scope(kPhaseSrKernel);
-      stats_ = tree::compute_short_range_multi(*forest, kernel_, sr_ax_,
-                                               sr_ay_, sr_az_, mass_scale_,
-                                               kernel_variant_,
-                                               &sr_workspace_);
-      obs::add_counter(kCtrInteractions, stats_.interactions);
-      obs::add_counter(kCtrWalkVisits, stats_.walk_visits);
-      if (audit_.dup_pending) {
-        // Duplicate-execution audit while the forest is live: re-run
-        // sampled leaves through the scalar reference and compare against
-        // the accumulators before the kick consumes them.
-        audit_.dup_pending = false;
-        auto audit_scope = timers_.scope(kPhaseAudit);
-        const DuplicateExecutionResult dup = duplicate_execution_check(
-            *forest, kernel_, sr_ax_, sr_ay_, sr_az_, mass_scale_,
-            config_.audit, static_cast<std::uint64_t>(steps_taken_ + 1));
-        audit_.dup_mismatches += static_cast<double>(dup.mismatches);
-        audit_.dup_samples += static_cast<double>(dup.checked);
-      }
-      const auto c2 = static_cast<float>(coeff);
-      for (std::size_t i = 0; i < particles_.size(); ++i) {
-        particles_.vx[i] += c2 * sr_ax_[i];
-        particles_.vy[i] += c2 * sr_ay_[i];
-        particles_.vz[i] += c2 * sr_az_[i];
-      }
-      return;
-    }
     std::unique_ptr<tree::RcbTree> rcb;
     {
       auto scope = timers_.scope(kPhaseTreeBuild);

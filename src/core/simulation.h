@@ -45,7 +45,6 @@
 #include "p3m/chaining_mesh.h"
 #include "serve/insitu.h"
 #include "tree/force_matcher.h"
-#include "tree/multi_tree.h"
 #include "tree/rcb_tree.h"
 
 namespace hacc::core {
@@ -69,9 +68,6 @@ struct SimulationConfig {
   double overload = 4.0;   ///< particle replication depth [grid units]
   ShortRangeSolver solver = ShortRangeSolver::kTreePP;
   std::size_t leaf_size = 64;   ///< RCB fat-leaf size
-  /// Binary spatial splits for multiple trees per rank (paper Sec. VI
-  /// future work); 0 = one tree per rank.
-  int tree_splits = 0;
   /// Use the OpenMP-threaded forward CIC (paper Sec. VI future work).
   bool threaded_deposit = false;
   /// Checkpoint writer aggregation width M (gio fan-in); 0 = gio default.

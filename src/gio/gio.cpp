@@ -9,15 +9,13 @@
 #include <memory>
 
 #include "gio/crc64.h"
-#include "io/wire.h"
+#include "gio/wire.h"
 #include "util/error.h"
 #include "util/timer.h"
 
 namespace hacc::gio {
 
 namespace {
-
-namespace wire = hacc::io::wire;
 
 // "HACCGIO1" / "GIOFOOT1" as little-endian u64s.
 constexpr std::uint64_t kMagic = 0x314F494743434148ULL;

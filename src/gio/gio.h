@@ -10,7 +10,7 @@
 // streams instead of N tiny ones.
 //
 // On-disk layout (all header fields fixed-width little-endian, written
-// field by field — see io/wire.h):
+// field by field — see gio/wire.h):
 //
 //   [header blob]                    primary copy, CRC64 trailer
 //   [block 0 var 0][crc64]           data sub-block + 8-byte CRC trailer

@@ -17,7 +17,7 @@
 
 #include "util/error.h"
 
-namespace hacc::io::wire {
+namespace hacc::gio::wire {
 
 inline void put_u8(std::vector<std::byte>& out, std::uint8_t v) {
   out.push_back(static_cast<std::byte>(v));
@@ -102,4 +102,4 @@ class Cursor {
   std::size_t pos_ = 0;
 };
 
-}  // namespace hacc::io::wire
+}  // namespace hacc::gio::wire

@@ -43,14 +43,11 @@ struct SpectralConfig {
   double sigma = 0.8;  ///< Gaussian filter width (grid units)
   int ns = 3;          ///< sinc exponent in Eq. (5)
   GreenOrder green = GreenOrder::kOrder6;
+  /// The solve runs through the real-to-complex half-spectrum pipeline,
+  /// which needs the gradient kernel to vanish at the Nyquist frequency.
+  /// Every discrete choice (kOrder2, kSuperLanczos4) does; only the kExact
+  /// reference gradient on even grids violates it, at the Nyquist plane.
   GradientOrder gradient = GradientOrder::kSuperLanczos4;
-  /// Solve through the real-to-complex half-spectrum pipeline (the density
-  /// is real, so half the modes are redundant): ~2x fewer FFT flops and
-  /// transpose bytes. Requires the gradient kernel to vanish at the Nyquist
-  /// frequency, which holds for every discrete choice (kOrder2,
-  /// kSuperLanczos4); only the kExact reference gradient on even grids
-  /// violates it, at the Nyquist plane only.
-  bool use_r2c = true;
 };
 
 /// Signed integer mode for index m in an N-point transform: m in

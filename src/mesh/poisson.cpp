@@ -6,8 +6,6 @@
 
 namespace hacc::mesh {
 
-using fft::Complex;
-
 namespace {
 // Pre-interned phase names: solve() is called every long-range step, so the
 // timer scopes must not re-intern (hash + lock) per call.
@@ -58,21 +56,12 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
     interior_ = remap_->forward(world, interior_);
   }
 
-  // One forward FFT of the density: real-to-complex by default (the input
-  // is real, so the z half-spectrum carries all information), full complex
-  // as the cross-check reference.
-  const fft::Box3D sb =
-      config_.use_r2c ? fft_->spectral_box_r2c() : fft_->spectral_box();
+  // One real-to-complex forward FFT of the density: the input is real, so
+  // the z half-spectrum carries all information.
+  const fft::Box3D sb = fft_->spectral_box_r2c();
   {
     auto scope = timers_.scope(kPhaseFft);
-    if (config_.use_r2c) {
-      fft_->forward_r2c(std::span<const double>(interior_), spectrum_);
-    } else {
-      spectrum_.resize(interior_.size());
-      for (std::size_t i = 0; i < interior_.size(); ++i)
-        spectrum_[i] = Complex(interior_[i], 0.0);
-      fft_->forward(spectrum_);
-    }
+    fft_->forward_r2c(std::span<const double>(interior_), spectrum_);
   }
 
   // Compose filter x Green's function once.
@@ -109,18 +98,9 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
           grid.at(i, j, k) = block_data[idx++];
   };
 
-  // Inverse-transform `component_` into `real_out_` (r2c) or via the
-  // complex inverse plus real-part extraction (c2c reference).
   auto inverse_to_real = [&]() {
     auto scope = timers_.scope(kPhaseFft);
-    if (config_.use_r2c) {
-      fft_->inverse_c2r(component_, real_out_);
-    } else {
-      fft_->inverse(component_);
-      real_out_.resize(component_.size());
-      for (std::size_t i = 0; i < component_.size(); ++i)
-        real_out_[i] = component_[i].real();
-    }
+    fft_->inverse_c2r(component_, real_out_);
   };
 
   for (int axis = 0; axis < 3; ++axis) {

@@ -7,10 +7,11 @@
 // Pipeline per solve (double precision throughout — the spectral component
 // of HACC's mixed-precision scheme):
 //   1. remap the density contrast from the 3-D block layout to z-pencils,
-//   2. one forward pencil FFT,
+//   2. one forward real-to-complex pencil FFT (half spectrum),
 //   3. multiply by filter (Eq. 5) x sixth-order influence function,
 //   4. per axis: multiply by the Super-Lanczos gradient kernel, one inverse
-//      pencil FFT, remap back to blocks -> force component grid,
+//      complex-to-real pencil FFT, remap back to blocks -> force component
+//      grid,
 //   5. optionally one more inverse FFT for the potential itself.
 //
 // Force convention: the returned grids hold f_i = -d(phi)/dx_i, the

@@ -17,16 +17,10 @@
 namespace hacc::tree {
 
 RcbTree::RcbTree(ParticleArray& particles, RcbConfig config)
-    : RcbTree(particles, 0, static_cast<std::uint32_t>(particles.size()),
-              config) {}
-
-RcbTree::RcbTree(ParticleArray& particles, std::uint32_t first,
-                 std::uint32_t count, RcbConfig config)
     : particles_(&particles) {
   HACC_CHECK(particles.consistent());
-  HACC_CHECK(static_cast<std::size_t>(first) + count <= particles.size());
   HACC_CHECK_MSG(config.leaf_size >= 1, "leaf_size must be >= 1");
-  build(config, first, count);
+  build(config);
 }
 
 namespace {
@@ -52,6 +46,16 @@ void compute_box(const ParticleArray& p, std::uint32_t first,
 
 const float* coord_array(const ParticleArray& p, int dim) {
   return dim == 0 ? p.x.data() : dim == 1 ? p.y.data() : p.z.data();
+}
+
+/// Squared distance between two nodes' boxes (0 when they overlap).
+float box_distance2(const RcbNode& a, const RcbNode& b) noexcept {
+  float d2 = 0;
+  for (std::size_t d = 0; d < 3; ++d) {
+    const float gap = std::max({0.0f, a.lo[d] - b.hi[d], b.lo[d] - a.hi[d]});
+    d2 += gap * gap;
+  }
+  return d2;
 }
 
 }  // namespace
@@ -97,11 +101,8 @@ std::uint32_t three_phase_partition(
   return below;
 }
 
-void RcbTree::build(RcbConfig config, std::uint32_t first,
-                    std::uint32_t count) {
-  nodes_.clear();
-  leaves_.clear();
-  depth_ = 0;
+void RcbTree::build(RcbConfig config) {
+  const auto count = static_cast<std::uint32_t>(particles_->size());
   if (count == 0) return;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> swaps;
 
@@ -109,8 +110,8 @@ void RcbTree::build(RcbConfig config, std::uint32_t first,
     std::int32_t node;
     std::size_t depth;
   };
-  nodes_.push_back(RcbNode{{}, {}, first, count, -1, -1});
-  compute_box(*particles_, first, count, nodes_[0].lo, nodes_[0].hi);
+  nodes_.push_back(RcbNode{{}, {}, 0, count, -1, -1});
+  compute_box(*particles_, 0, count, nodes_[0].lo, nodes_[0].hi);
   std::stack<Work> work;
   work.push({0, 1});
 
@@ -166,32 +167,12 @@ void RcbTree::build(RcbConfig config, std::uint32_t first,
   }
 }
 
-float RcbTree::box_distance2(const RcbNode& node,
-                             const std::array<float, 3>& lo,
-                             const std::array<float, 3>& hi) noexcept {
-  float d2 = 0;
-  for (int d = 0; d < 3; ++d) {
-    const auto sd = static_cast<std::size_t>(d);
-    const float gap = std::max({0.0f, node.lo[sd] - hi[sd], lo[sd] - node.hi[sd]});
-    d2 += gap * gap;
-  }
-  return d2;
-}
-
 void RcbTree::gather_neighbors(std::uint32_t leaf_node, float rcut,
                                NeighborList& out,
                                std::size_t* visits) const {
-  const RcbNode& leaf = nodes_[leaf_node];
-  gather_neighbors_into(leaf.lo, leaf.hi, rcut, out, visits,
-                        /*append=*/false);
-}
-
-void RcbTree::gather_neighbors_into(const std::array<float, 3>& lo,
-                                    const std::array<float, 3>& hi,
-                                    float rcut, NeighborList& out,
-                                    std::size_t* visits, bool append) const {
-  if (!append) out.clear();
+  out.clear();
   if (nodes_.empty()) return;
+  const RcbNode& leaf = nodes_[leaf_node];
   const float rcut2 = rcut * rcut;
   const ParticleArray& p = *particles_;
   std::size_t visited = 0;
@@ -207,7 +188,7 @@ void RcbTree::gather_neighbors_into(const std::array<float, 3>& lo,
     const RcbNode& node = nodes_[static_cast<std::size_t>(stack.back())];
     stack.pop_back();
     ++visited;
-    if (box_distance2(node, lo, hi) > rcut2) continue;
+    if (box_distance2(node, leaf) > rcut2) continue;
     if (node.is_leaf()) {
       const std::size_t base = out.size();
       const std::size_t add = node.count;

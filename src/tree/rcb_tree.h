@@ -20,6 +20,7 @@
 // and avoid read-after-write hazards.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <utility>
@@ -83,25 +84,32 @@ struct InteractionStats {
 
 /// Reusable scratch for the short-range kernel phase. A caller that keeps
 /// one of these across steps makes the phase allocation-free in steady
-/// state: the flattened (tree, leaf) work vector and the per-thread
-/// neighbor lists retain their high-water capacity. Every per-thread list
-/// is re-reserved to the *global* high-water mark `list_reserve` before
-/// each evaluation, so OpenMP dynamic scheduling handing a fat leaf to a
-/// different thread than last step cannot trigger a regrow.
+/// state: the per-thread neighbor lists retain their high-water capacity.
+/// Every per-thread list, walk stack included, is re-reserved to the
+/// *global* high-water marks at the end of each evaluation, so neither
+/// OpenMP dynamic scheduling handing a fat leaf to a different thread nor
+/// a thread that got no leaf last time can trigger a regrow.
 struct ShortRangeWorkspace {
-  std::vector<std::pair<std::size_t, std::uint32_t>> work;
   std::vector<NeighborList> lists;  ///< one per OpenMP thread
   std::size_t list_reserve = 0;     ///< high-water neighbor-list capacity
+  std::size_t stack_reserve = 0;    ///< high-water walk-stack capacity
 
-  /// Grow to `nthreads` lists and pre-reserve each to the high-water mark.
+  /// Grow to `nthreads` lists, each reserved to the high-water marks.
   void prepare_lists(std::size_t nthreads) {
     if (lists.size() < nthreads) lists.resize(nthreads);
-    for (auto& l : lists) l.reserve(list_reserve);
+    for (auto& l : lists) {
+      l.reserve(list_reserve);
+      l.walk_stack.reserve(stack_reserve);
+    }
   }
-  /// Fold this evaluation's capacities into the high-water mark.
-  void record_high_water() noexcept {
-    for (const auto& l : lists)
-      if (l.capacity() > list_reserve) list_reserve = l.capacity();
+  /// Fold this evaluation's capacities into the high-water marks and
+  /// re-reserve every list to them now, inside the evaluation that grew.
+  void record_high_water() {
+    for (const auto& l : lists) {
+      list_reserve = std::max(list_reserve, l.capacity());
+      stack_reserve = std::max(stack_reserve, l.walk_stack.capacity());
+    }
+    prepare_lists(lists.size());
   }
 };
 
@@ -109,13 +117,6 @@ class RcbTree {
  public:
   /// Build over the particles, permuting the SoA in place.
   explicit RcbTree(ParticleArray& particles, RcbConfig config = {});
-
-  /// Build over the index sub-range [first, first+count) only (the rest of
-  /// the SoA is untouched). Node indices stay absolute, so several trees
-  /// can share one particle array — the paper's planned "multiple trees at
-  /// each rank" load-balancing improvement (Sec. VI); see MultiTree.
-  RcbTree(ParticleArray& particles, std::uint32_t first, std::uint32_t count,
-          RcbConfig config);
 
   const std::vector<RcbNode>& nodes() const noexcept { return nodes_; }
   const std::vector<std::uint32_t>& leaves() const noexcept { return leaves_; }
@@ -129,21 +130,8 @@ class RcbTree {
                         NeighborList& out,
                         std::size_t* visits = nullptr) const;
 
-  /// Gather every particle within `rcut` of the box [lo, hi] into `out`
-  /// (appending when `append` is set). Lets MultiTree search foreign trees
-  /// for a leaf that lives in another tree.
-  void gather_neighbors_into(const std::array<float, 3>& lo,
-                             const std::array<float, 3>& hi, float rcut,
-                             NeighborList& out, std::size_t* visits = nullptr,
-                             bool append = false) const;
-
-  /// Squared distance between a point and a node's box (0 inside).
-  static float box_distance2(const RcbNode& node,
-                             const std::array<float, 3>& lo,
-                             const std::array<float, 3>& hi) noexcept;
-
  private:
-  void build(RcbConfig config, std::uint32_t first, std::uint32_t count);
+  void build(RcbConfig config);
 
   ParticleArray* particles_;
   std::vector<RcbNode> nodes_;

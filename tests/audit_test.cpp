@@ -7,7 +7,7 @@
 //   * sampled duplicate execution never false-positives on clean state
 //     across 50 seeded draws for BOTH kernel variants, and catches a
 //     flipped mantissa or exponent bit of a stored force at both variants
-//     (single tree and MultiTree forest);
+//     (one fat leaf, and a sweep over a multi-leaf tree);
 //   * the health gate (audits included) costs exactly ONE allreduce;
 //   * end-to-end: a seeded bit flip at step N is detected within one audit
 //     cadence, rolled back in place (no machine relaunch), and the run
@@ -37,7 +37,6 @@
 #include "obs/counters.h"
 #include "obs/obs.h"
 #include "tree/force_kernel.h"
-#include "tree/multi_tree.h"
 #include "tree/rcb_tree.h"
 #include "util/rng.h"
 
@@ -124,6 +123,16 @@ TEST(ParticleChecksum, SensitiveToEverySingleBitOfEveryField) {
     }
   }
   EXPECT_EQ(particle_checksum(p), h0);  // restores were exact
+}
+
+TEST(ParticleChecksum, GoldenValueOfFixedArray) {
+  // Pins the hash bit for bit, so a change to the payload byte order or to
+  // the FNV-1a fold cannot pass silently.
+  ParticleArray p;
+  p.push_back(1.0f, 2.0f, 3.0f, 0.5f, -0.25f, 0.125f, 1.0f, 7, Role::kActive);
+  p.push_back(4.5f, 5.5f, 6.5f, -1.0f, 2.0f, -3.0f, 2.0f, 3, Role::kActive);
+  p.push_back(0.0f, 8.0f, 16.0f, 0.0f, 0.0f, 0.0f, 0.5f, 11, Role::kActive);
+  EXPECT_EQ(particle_checksum(p), 0x7d4477a3fe771f93ULL);
 }
 
 // ---- resident-memory fault hooks -------------------------------------------
@@ -269,32 +278,33 @@ TEST_P(DupExecVariant, CatchesFlippedMantissaAndExponentBits) {
   EXPECT_EQ(clean.mismatches, 0u) << clean.detail;
 }
 
-TEST_P(DupExecVariant, MultiTreeForestSamplingCatchesFlips) {
+TEST_P(DupExecVariant, MultiLeafSweepCatchesFlips) {
   ParticleArray p = random_particles(500, 10.0f, 23);
   ShortRangeKernel kernel;
   kernel.softening = 0.05f;
   kernel.fgrid = tree::default_fgrid_poly5();
-  tree::MultiTree forest(p, tree::MultiTreeConfig{/*splits=*/2,
-                                                  RcbConfig{32}});
+  RcbTree tree(p, RcbConfig{32});
+  ASSERT_GT(tree.leaves().size(), 4u);
   std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
-  compute_short_range_multi(forest, kernel, ax, ay, az, 1.0f, GetParam());
+  compute_short_range(tree, kernel, ax, ay, az, 1.0f, GetParam());
 
   AuditConfig config;
   config.sample_leaves = 4;
   const DuplicateExecutionResult clean =
-      duplicate_execution_check(forest, kernel, ax, ay, az, 1.0f, config, 3);
+      duplicate_execution_check(tree, kernel, ax, ay, az, 1.0f, config, 3);
   EXPECT_EQ(clean.mismatches, 0u) << clean.detail;
   EXPECT_EQ(clean.sampled_leaves, 4u);
 
-  // Flip the max component; oversample so the seeded draw (with
-  // replacement) deterministically covers every leaf.
+  // Flip the max component; a budget of one sample per leaf sweeps every
+  // leaf exhaustively, so the victim's leaf is always re-executed.
   std::size_t k = 0;
   for (std::size_t i = 0; i < p.size(); ++i)
     if (std::fabs(ay[i]) > std::fabs(ay[k])) k = i;
   flip_float_bit(ay[k], 20);
-  config.sample_leaves = 256;
+  config.sample_leaves = static_cast<int>(tree.leaves().size());
   const DuplicateExecutionResult r =
-      duplicate_execution_check(forest, kernel, ax, ay, az, 1.0f, config, 3);
+      duplicate_execution_check(tree, kernel, ax, ay, az, 1.0f, config, 3);
+  EXPECT_EQ(r.sampled_leaves, tree.leaves().size());
   EXPECT_GE(r.mismatches, 1u);
 }
 

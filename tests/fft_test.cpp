@@ -1,73 +1,20 @@
 // Tests for the FFT stack: 1-D mixed-radix + Bluestein, serial 3-D, and the
-// distributed slab and pencil transforms (validated against the serial one
-// over sweeps of grid sizes and process-grid shapes).
+// distributed pencil transform (validated against the serial one over
+// sweeps of grid sizes and process-grid shapes, 1 x P slab grids included).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <new>
 #include <numbers>
 #include <vector>
 
+#include "alloc_hook.h"
 #include "comm/comm.h"
 #include "fft/decomp.h"
 #include "fft/fft1d.h"
 #include "fft/fft3d_local.h"
 #include "fft/pencil.h"
-#include "fft/slab.h"
 #include "util/error.h"
 #include "util/rng.h"
-
-// ---- allocation counting ----------------------------------------------------
-//
-// Replacement global operator new/delete that count allocations while armed.
-// Used to prove the steady-state pencil transforms are allocation-free after
-// warm-up (the zero-allocation contract of the persistent FFT workspace).
-namespace alloc_hook {
-std::atomic<bool> armed{false};
-std::atomic<std::size_t> count{0};
-
-void note() {
-  if (armed.load(std::memory_order_relaxed))
-    count.fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace alloc_hook
-
-// GCC does not model user-replaced global operators and flags the
-// new-from-malloc / delete-to-free pairing, which is exactly the C++
-// replacement contract here.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  alloc_hook::note();
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  alloc_hook::note();
-  const auto a = static_cast<std::size_t>(align);
-  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace hacc::fft {
 namespace {
@@ -401,7 +348,10 @@ INSTANTIATE_TEST_SUITE_P(
                       PencilCase{9, 7, 11, 2, 3},
                       // non-cubic grids
                       PencilCase{16, 8, 4, 2, 2},
-                      PencilCase{5, 6, 7, 5, 3}));
+                      PencilCase{5, 6, 7, 5, 3},
+                      // 1 x P: the slab decomposition
+                      PencilCase{8, 12, 6, 1, 3},
+                      PencilCase{8, 8, 8, 1, 8}));
 
 TEST_P(PencilTest, ForwardMatchesSerial) {
   const auto c = GetParam();
@@ -610,65 +560,11 @@ TEST(Pencil, RejectsOversubscribedAxis) {
   });
 }
 
-// ---- slab ---------------------------------------------------------------------
-
-class SlabTest : public ::testing::TestWithParam<int> {};
-INSTANTIATE_TEST_SUITE_P(Ranks, SlabTest, ::testing::Values(1, 2, 3, 4, 8));
-
-TEST_P(SlabTest, ForwardMatchesSerial) {
-  const int p = GetParam();
-  const std::size_t nx = 8, ny = 12, nz = 6;
-  const auto field = global_field(nx, ny, nz, 77);
-  const auto expect = reference_spectrum(field, nx, ny, nz);
-  comm::Machine::run(p, [&](comm::Comm& world) {
-    SlabFft3D fft(world, nx, ny, nz);
-    const Box3D rb = fft.real_box();
-    std::vector<Complex> local(rb.volume());
-    std::size_t i = 0;
-    for (std::size_t x = rb.x.lo; x < rb.x.hi; ++x)
-      for (std::size_t y = 0; y < ny; ++y)
-        for (std::size_t z = 0; z < nz; ++z)
-          local[i++] = field[(x * ny + y) * nz + z];
-    fft.forward(local);
-    const Box3D sb = fft.spectral_box();
-    i = 0;
-    for (std::size_t x = 0; x < nx; ++x)
-      for (std::size_t y = sb.y.lo; y < sb.y.hi; ++y)
-        for (std::size_t z = 0; z < nz; ++z) {
-          EXPECT_LT(std::abs(local[i] - expect[(x * ny + y) * nz + z]), 1e-8);
-          ++i;
-        }
-  });
-}
-
-TEST_P(SlabTest, RoundTrip) {
-  const int p = GetParam();
-  const std::size_t n = 8;
-  const auto field = global_field(n, n, n, 31);
-  comm::Machine::run(p, [&](comm::Comm& world) {
-    SlabFft3D fft(world, n, n, n);
-    const Box3D rb = fft.real_box();
-    std::vector<Complex> local(rb.volume());
-    std::size_t i = 0;
-    for (std::size_t x = rb.x.lo; x < rb.x.hi; ++x)
-      for (std::size_t y = 0; y < n; ++y)
-        for (std::size_t z = 0; z < n; ++z)
-          local[i++] = field[(x * n + y) * n + z];
-    const auto orig = local;
-    fft.forward(local);
-    fft.inverse(local);
-    double m = 0;
-    for (std::size_t j = 0; j < local.size(); ++j)
-      m = std::max(m, std::abs(local[j] - orig[j]));
-    EXPECT_LT(m, 1e-10);
-  });
-}
-
-TEST(Slab, EnforcesRankLimit) {
-  // The slab decomposition is subject to N_rank <= N_fft (paper Sec. IV-A);
-  // the pencil FFT exists precisely to lift this.
+TEST(Pencil, SlabGridEnforcesRankLimit) {
+  // A 1 x P grid is the slab decomposition, subject to N_rank <= N_fft
+  // (paper Sec. IV-A); a 2-D grid is what lifts this.
   comm::Machine::run(9, [](comm::Comm& world) {
-    EXPECT_THROW(SlabFft3D(world, 8, 8, 8), Error);
+    EXPECT_THROW(PencilFft3D(world, 8, 8, 8, 1, 9), Error);
   });
 }
 

@@ -116,6 +116,32 @@ TEST(Gio, RoundTripsVariablesAndMeta) {
   fs::remove(path);
 }
 
+TEST(Gio, HeaderStartsWithLittleEndianMagicVersionAndSentinel) {
+  // The fixed header is written field by field (gio/wire.h), never as a
+  // struct dump: "HACCGIO1" as a little-endian u64, then version 1, then
+  // the endian sentinel, with no padding between them.
+  const std::string path = temp_path("hacc_gio_header.gio");
+  comm::Machine::run(1, [&](comm::Comm& c) {
+    float v = 1.0f;
+    std::vector<WriteVar> wv{{"x", VarType::kFloat32, &v}};
+    write(c, path, GlobalMeta{}, 1, wv);
+  });
+  std::ifstream f(path, std::ios::binary);
+  unsigned char head[16];
+  f.read(reinterpret_cast<char*>(head), sizeof(head));
+  ASSERT_TRUE(f);
+  auto le = [&](int at, int bytes) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i)
+      v |= static_cast<std::uint64_t>(head[at + i]) << (8 * i);
+    return v;
+  };
+  EXPECT_EQ(le(0, 8), 0x314F494743434148ULL);
+  EXPECT_EQ(le(8, 4), 1u);
+  EXPECT_EQ(le(12, 4), 0x01020304u);
+  fs::remove(path);
+}
+
 TEST(Gio, MissingVariableAndMissingFileThrow) {
   const std::string path = temp_path("hacc_gio_missing.gio");
   comm::Machine::run(1, [&](comm::Comm& c) {

@@ -1,137 +1,20 @@
-// Tests for snapshot I/O (round trip, corruption detection) and density
-// imaging (projection weights, scaling, file formats).
+// Tests for density imaging (projection weights, scaling, file formats).
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
 #include <filesystem>
-#include <fstream>
+#include <string>
+#include <vector>
 
 #include "io/image.h"
-#include "io/snapshot.h"
-#include "util/rng.h"
 
 namespace hacc::io {
 namespace {
 
 namespace fs = std::filesystem;
 
-tree::ParticleArray sample_particles(std::size_t n) {
-  tree::ParticleArray p;
-  Philox rng(11);
-  Philox::Stream s(rng);
-  for (std::size_t i = 0; i < n; ++i) {
-    p.push_back(static_cast<float>(s.uniform(0, 16)),
-                static_cast<float>(s.uniform(0, 16)),
-                static_cast<float>(s.uniform(0, 16)),
-                static_cast<float>(s.gaussian()),
-                static_cast<float>(s.gaussian()),
-                static_cast<float>(s.gaussian()), 1.5f, i,
-                i % 3 == 0 ? tree::Role::kPassive : tree::Role::kActive);
-  }
-  return p;
-}
-
 std::string temp_path(const char* name) {
   return (fs::temp_directory_path() / name).string();
-}
-
-TEST(Snapshot, RoundTripsAllFields) {
-  const std::string path = temp_path("hacc_snap_rt.bin");
-  auto p = sample_particles(500);
-  SnapshotHeader h;
-  h.scale_factor = 0.25;
-  h.box_mpch = 64.0;
-  h.grid = 32;
-  write_snapshot(path, p, h);
-
-  tree::ParticleArray q;
-  const SnapshotHeader r = read_snapshot(path, q);
-  EXPECT_EQ(r.count, 500u);
-  EXPECT_DOUBLE_EQ(r.scale_factor, 0.25);
-  EXPECT_DOUBLE_EQ(r.box_mpch, 64.0);
-  EXPECT_EQ(r.grid, 32u);
-  ASSERT_EQ(q.size(), p.size());
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    EXPECT_EQ(q.x[i], p.x[i]);
-    EXPECT_EQ(q.vz[i], p.vz[i]);
-    EXPECT_EQ(q.mass[i], p.mass[i]);
-    EXPECT_EQ(q.id[i], p.id[i]);
-    EXPECT_EQ(q.role[i], p.role[i]);
-  }
-  fs::remove(path);
-}
-
-TEST(Snapshot, EmptySnapshotOk) {
-  const std::string path = temp_path("hacc_snap_empty.bin");
-  tree::ParticleArray p;
-  write_snapshot(path, p, SnapshotHeader{});
-  tree::ParticleArray q;
-  q.push_back(1, 2, 3, 4, 5, 6, 7, 8);  // must be cleared by the read
-  EXPECT_EQ(read_snapshot(path, q).count, 0u);
-  EXPECT_TRUE(q.empty());
-  fs::remove(path);
-}
-
-TEST(Snapshot, DetectsCorruption) {
-  const std::string path = temp_path("hacc_snap_corrupt.bin");
-  auto p = sample_particles(100);
-  write_snapshot(path, p, SnapshotHeader{});
-  // Flip a byte in the middle of the payload.
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(200);
-    char c;
-    f.seekg(200);
-    f.get(c);
-    f.seekp(200);
-    f.put(static_cast<char>(c ^ 0x5a));
-  }
-  tree::ParticleArray q;
-  EXPECT_THROW(read_snapshot(path, q), Error);
-  fs::remove(path);
-}
-
-TEST(Snapshot, RejectsBadMagic) {
-  const std::string path = temp_path("hacc_snap_magic.bin");
-  {
-    std::ofstream f(path, std::ios::binary);
-    f << "this is not a snapshot at all, not even close to one......";
-  }
-  tree::ParticleArray q;
-  EXPECT_THROW(read_snapshot(path, q), Error);
-  fs::remove(path);
-}
-
-TEST(Snapshot, HeaderIsFixedWidthLittleEndianAndWriteIsAtomic) {
-  const std::string path = temp_path("hacc_snap_wire.bin");
-  auto p = sample_particles(3);
-  SnapshotHeader h;
-  h.scale_factor = 1.0;
-  write_snapshot(path, p, h);
-  // Atomic publish: the staging file must be gone.
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-  // The header is defined little-endian field by field (44 bytes), not a
-  // struct dump: magic, then version 2 immediately after (no padding).
-  std::ifstream f(path, std::ios::binary);
-  unsigned char head[12];
-  f.read(reinterpret_cast<char*>(head), sizeof(head));
-  std::uint64_t magic = 0;
-  for (int i = 0; i < 8; ++i)
-    magic |= static_cast<std::uint64_t>(head[i]) << (8 * i);
-  EXPECT_EQ(magic, SnapshotHeader{}.magic);
-  std::uint32_t version = 0;
-  for (int i = 0; i < 4; ++i)
-    version |= static_cast<std::uint32_t>(head[8 + i]) << (8 * i);
-  EXPECT_EQ(version, 2u);
-  const std::size_t payload = 3 * (7 * 4 + 8 + 1);
-  EXPECT_EQ(fs::file_size(path), 44 + payload + 8);
-  fs::remove(path);
-}
-
-TEST(Fnv, KnownVector) {
-  // FNV-1a of "a" from the reference implementation.
-  EXPECT_EQ(fnv1a("a", 1), 0xaf63dc4c8601ec8cULL);
-  EXPECT_NE(fnv1a("ab", 2), fnv1a("ba", 2));
 }
 
 // ---- imaging ----------------------------------------------------------------

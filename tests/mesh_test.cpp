@@ -1,13 +1,16 @@
 // Tests for the PM mesh layer: block decomposition, ghost exchanges, CIC,
 // the remap, the spectral kernels, and the full Poisson solve (validated
-// against analytic single modes and against the single-rank solve).
+// against analytic single modes, the single-rank solve, and an independent
+// full-complex solve).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <mutex>
 #include <numbers>
 
 #include "comm/comm.h"
+#include "fft/pencil.h"
 #include "mesh/cic.h"
 #include "mesh/grid.h"
 #include "mesh/kernels.h"
@@ -158,6 +161,25 @@ TEST(Cic, MidCellParticleSplitsEvenly) {
         for (std::ptrdiff_t dk = 0; dk <= 1; ++dk)
           EXPECT_NEAR(g.at(2 + di, 3 + dj, 6 + dk), 1.0, 1e-12);
   });
+}
+
+TEST(ThreadedCic, MatchesSerialDeposit) {
+  const std::size_t n = 16;
+  BlockDecomp3D d({n, n, n}, comm::Cart3D({1, 1, 1}));
+  Philox rng(11);
+  Philox::Stream s(rng);
+  std::vector<float> xs, ys, zs;
+  for (int i = 0; i < 5000; ++i) {
+    xs.push_back(static_cast<float>(s.uniform(0, n)));
+    ys.push_back(static_cast<float>(s.uniform(0, n)));
+    zs.push_back(static_cast<float>(s.uniform(0, n)));
+  }
+  DistGrid serial(d, 0, 2), threaded(d, 0, 2);
+  cic_deposit(serial, xs, ys, zs, 1.5f);
+  cic_deposit_threaded(threaded, xs, ys, zs, 1.5f);
+  for (std::size_t i = 0; i < serial.data().size(); ++i)
+    EXPECT_NEAR(threaded.data()[i], serial.data()[i],
+                1e-9 * (std::abs(serial.data()[i]) + 1.0));
 }
 
 class CicRanks : public ::testing::TestWithParam<int> {};
@@ -585,10 +607,60 @@ TEST_P(PoissonRanks, MultiRankMatchesSingleRank) {
   });
 }
 
+/// Independent full-complex (c2c) reference for a default-configured
+/// PoissonSolver, built from the c2c pencil transform and the kernels.h
+/// multipliers on `nranks` ranks: returns the three force components and
+/// the potential as global row-major n^3 arrays.
+std::array<std::vector<double>, 4> c2c_reference_solve(
+    const std::vector<double>& delta_global, std::size_t n, int nranks) {
+  const SpectralConfig cfg;
+  std::array<std::vector<double>, 4> out;
+  for (auto& v : out) v.assign(n * n * n, 0.0);
+  comm::Machine::run(nranks, [&](comm::Comm& c) {
+    auto fft = fft::PencilFft3D::balanced(c, n, n, n);
+    const fft::Box3D rb = fft.real_box();
+    std::vector<fft::Complex> spectrum;
+    for (std::size_t x = rb.x.lo; x < rb.x.hi; ++x)
+      for (std::size_t y = rb.y.lo; y < rb.y.hi; ++y)
+        for (std::size_t z = rb.z.lo; z < rb.z.hi; ++z)
+          spectrum.emplace_back(delta_global[(x * n + y) * n + z], 0.0);
+    fft.forward(spectrum);
+    const fft::Box3D sb = fft.spectral_box();
+    auto for_each_mode = [&](auto&& fn) {
+      std::size_t idx = 0;
+      for (std::size_t mx = sb.x.lo; mx < sb.x.hi; ++mx)
+        for (std::size_t my = sb.y.lo; my < sb.y.hi; ++my)
+          for (std::size_t mz = sb.z.lo; mz < sb.z.hi; ++mz)
+            fn(idx++, std::array<double, 3>{wavenumber(mx, n),
+                                            wavenumber(my, n),
+                                            wavenumber(mz, n)});
+    };
+    for_each_mode([&](std::size_t i, const std::array<double, 3>& k) {
+      spectrum[i] *= greens_function(k, cfg.green) *
+                     spectral_filter(k, cfg.sigma, cfg.ns);
+    });
+    for (std::size_t component = 0; component < 4; ++component) {
+      std::vector<fft::Complex> field = spectrum;
+      if (component < 3) {  // f = -grad(phi)
+        for_each_mode([&](std::size_t i, const std::array<double, 3>& k) {
+          field[i] *= -gradient_multiplier(k[component], cfg.gradient);
+        });
+      }
+      fft.inverse(field);
+      std::size_t idx = 0;
+      for (std::size_t x = rb.x.lo; x < rb.x.hi; ++x)
+        for (std::size_t y = rb.y.lo; y < rb.y.hi; ++y)
+          for (std::size_t z = rb.z.lo; z < rb.z.hi; ++z)
+            out[component][(x * n + y) * n + z] = field[idx++].real();
+    }
+  });
+  return out;
+}
+
 TEST_P(PoissonRanks, R2CSolveMatchesC2C) {
-  // The default r2c half-spectrum pipeline must reproduce the full complex
-  // solve to round-off: the two paths share kernels and differ only in the
-  // transform. ISSUE acceptance: <= 1e-10 relative.
+  // The solver's r2c half-spectrum pipeline must reproduce the full complex
+  // solve to round-off: the two share kernels and differ only in the
+  // transform. Acceptance: <= 1e-10 relative.
   const int nranks = GetParam();
   const std::size_t n = 12;
   std::vector<double> delta_global(n * n * n);
@@ -602,13 +674,10 @@ TEST_P(PoissonRanks, R2CSolveMatchesC2C) {
     mean /= static_cast<double>(delta_global.size());
     for (auto& v : delta_global) v -= mean;
   }
+  const auto ref = c2c_reference_solve(delta_global, n, nranks);
   BlockDecomp3D d = BlockDecomp3D::balanced({n, n, n}, nranks);
   comm::Machine::run(nranks, [&](comm::Comm& c) {
-    SpectralConfig cfg_r2c;  // defaults: use_r2c = true
-    SpectralConfig cfg_c2c;
-    cfg_c2c.use_r2c = false;
-    PoissonSolver solver_r2c(c, d, cfg_r2c);
-    PoissonSolver solver_c2c(c, d, cfg_c2c);
+    PoissonSolver solver(c, d);
     DistGrid delta(d, c.rank(), 1);
     const auto& b = delta.interior();
     for (std::size_t x = b.x.lo; x < b.x.hi; ++x)
@@ -618,30 +687,24 @@ TEST_P(PoissonRanks, R2CSolveMatchesC2C) {
                    static_cast<std::ptrdiff_t>(y - b.y.lo),
                    static_cast<std::ptrdiff_t>(z - b.z.lo)) =
               delta_global[(x * n + y) * n + z];
-    std::array<DistGrid, 3> fr{DistGrid(d, c.rank(), 1),
-                               DistGrid(d, c.rank(), 1),
-                               DistGrid(d, c.rank(), 1)};
-    std::array<DistGrid, 3> fc{DistGrid(d, c.rank(), 1),
-                               DistGrid(d, c.rank(), 1),
-                               DistGrid(d, c.rank(), 1)};
-    DistGrid phi_r(d, c.rank(), 1), phi_c(d, c.rank(), 1);
-    solver_r2c.solve(c, delta, fr, &phi_r);
-    solver_c2c.solve(c, delta, fc, &phi_c);
-    const auto ex = static_cast<std::ptrdiff_t>(b.x.extent());
-    const auto ey = static_cast<std::ptrdiff_t>(b.y.extent());
-    const auto ez = static_cast<std::ptrdiff_t>(b.z.extent());
-    for (std::ptrdiff_t i = 0; i < ex; ++i)
-      for (std::ptrdiff_t j = 0; j < ey; ++j)
-        for (std::ptrdiff_t k = 0; k < ez; ++k) {
-          for (int axis = 0; axis < 3; ++axis) {
-            const double ref = fc[static_cast<std::size_t>(axis)].at(i, j, k);
-            EXPECT_NEAR(fr[static_cast<std::size_t>(axis)].at(i, j, k), ref,
-                        1e-10 * (std::abs(ref) + 1.0))
-                << "axis=" << axis;
+    std::array<DistGrid, 3> f{DistGrid(d, c.rank(), 1),
+                              DistGrid(d, c.rank(), 1),
+                              DistGrid(d, c.rank(), 1)};
+    DistGrid phi(d, c.rank(), 1);
+    solver.solve(c, delta, f, &phi);
+    const std::array<const DistGrid*, 4> got{&f[0], &f[1], &f[2], &phi};
+    for (std::size_t x = b.x.lo; x < b.x.hi; ++x)
+      for (std::size_t y = b.y.lo; y < b.y.hi; ++y)
+        for (std::size_t z = b.z.lo; z < b.z.hi; ++z)
+          for (std::size_t component = 0; component < 4; ++component) {
+            const double r = ref[component][(x * n + y) * n + z];
+            EXPECT_NEAR(got[component]->at(
+                            static_cast<std::ptrdiff_t>(x - b.x.lo),
+                            static_cast<std::ptrdiff_t>(y - b.y.lo),
+                            static_cast<std::ptrdiff_t>(z - b.z.lo)),
+                        r, 1e-10 * (std::abs(r) + 1.0))
+                << "component=" << component;
           }
-          EXPECT_NEAR(phi_r.at(i, j, k), phi_c.at(i, j, k),
-                      1e-10 * (std::abs(phi_c.at(i, j, k)) + 1.0));
-        }
   });
 }
 

@@ -4,66 +4,17 @@
 // criteria (ledger phase coverage, merged trace validity).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <new>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-// ---- allocation counting ----------------------------------------------------
-//
-// Replacement global operator new/delete that count allocations while armed.
-// Used to prove the disabled/unbound observability paths never allocate —
-// the "<2% overhead when off" contract is enforced structurally: no
-// allocation, no lock, just a thread-local load and a branch.
-namespace alloc_hook {
-std::atomic<bool> armed{false};
-std::atomic<std::size_t> count{0};
-
-void note() {
-  if (armed.load(std::memory_order_relaxed))
-    count.fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace alloc_hook
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t size) {
-  alloc_hook::note();
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  alloc_hook::note();
-  const auto a = static_cast<std::size_t>(align);
-  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
+#include "alloc_hook.h"
 #include "comm/comm.h"
 #include "core/simulation.h"
 #include "obs/costmap.h"

@@ -1,6 +1,7 @@
 // Tests for the short-range sector: SoA particles, the force kernel, the RCB
-// tree (invariants + force correctness vs direct summation), and the
-// numerical force matcher.
+// tree (invariants + force correctness vs direct summation), the numerical
+// force matcher, and the short-range steady-state allocation gate (this
+// binary replaces the global allocator to count, see alloc_hook.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <set>
 #include <vector>
 
+#include "alloc_hook.h"
 #include "tree/direct.h"
 #include "tree/force_kernel.h"
 #include "tree/interaction_batch.h"
@@ -262,6 +264,16 @@ TEST(RcbTree, EmptyParticlesGiveEmptyTree) {
   EXPECT_TRUE(tree.leaves().empty());
 }
 
+TEST(ThreePhasePartition, SplitsByCoordinate) {
+  ParticleArray p = random_particles(200, 8.0f, 3);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> swaps;
+  const std::uint32_t below =
+      three_phase_partition(p, 0, 200, /*dim=*/1, 4.0f, swaps);
+  for (std::uint32_t i = 0; i < below; ++i) EXPECT_LT(p.y[i], 4.0f);
+  for (std::uint32_t i = below; i < 200; ++i) EXPECT_GE(p.y[i], 4.0f);
+  EXPECT_TRUE(p.consistent());
+}
+
 TEST(RcbTree, GatherNeighborsFindsExactlyTheBallPlusLeaf) {
   ParticleArray p = random_particles(800, 20.0f, 13);
   RcbTree tree(p, RcbConfig{16});
@@ -370,6 +382,65 @@ TEST(TreeForce, FatterLeavesMoreInteractionsFewerWalkVisits) {
   const auto s_fat = compute_short_range(fat_leaves, kernel, ax, ay, az);
   EXPECT_GT(s_fat.interactions, s_small.interactions);
   EXPECT_LT(s_fat.walk_visits, s_small.walk_visits);
+}
+
+TEST(TreeForce, VariantsAgreeAndStatsAreIdentical) {
+  // Batched and scalar dispatch must feed the kernel the exact same
+  // interaction set (identical InteractionStats — padding is invisible)
+  // and agree on forces to float-summation-order rounding.
+  ParticleArray p = random_particles(3000, 12.0f, 21);
+  RcbTree tree(p, RcbConfig{64});
+  ShortRangeKernel kernel;
+  kernel.fgrid = default_fgrid_poly5();
+  std::vector<float> sx(p.size()), sy(p.size()), sz(p.size());
+  std::vector<float> bx(p.size()), by(p.size()), bz(p.size());
+  const auto stats_s = compute_short_range(tree, kernel, sx, sy, sz, 0.73f,
+                                           KernelVariant::kScalar);
+  const auto stats_b = compute_short_range(tree, kernel, bx, by, bz, 0.73f,
+                                           KernelVariant::kBatched);
+  EXPECT_EQ(stats_s.leaves, stats_b.leaves);
+  EXPECT_EQ(stats_s.particles, stats_b.particles);
+  EXPECT_EQ(stats_s.interactions, stats_b.interactions);
+  EXPECT_EQ(stats_s.walk_visits, stats_b.walk_visits);
+  double max_rel = 0;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    const double mag =
+        std::sqrt(static_cast<double>(sx[i]) * sx[i] +
+                  static_cast<double>(sy[i]) * sy[i] +
+                  static_cast<double>(sz[i]) * sz[i]);
+    const double dx = static_cast<double>(bx[i]) - sx[i];
+    const double dy = static_cast<double>(by[i]) - sy[i];
+    const double dz = static_cast<double>(bz[i]) - sz[i];
+    const double diff = std::sqrt(dx * dx + dy * dy + dz * dz);
+    if (mag > 1e-20) max_rel = std::max(max_rel, diff / mag);
+  }
+  EXPECT_LE(max_rel, 1e-5);
+}
+
+TEST(TreeForce, SteadyStateShortRangeIsAllocationFree) {
+  // With a persistent workspace, the short-range phase allocates nothing
+  // after one warm-up call, at any OpenMP thread count: every per-thread
+  // neighbor list and walk stack is reserved to the high-water marks,
+  // including those of threads that got no leaf during warm-up. The
+  // clustered set gives leaves very different neighbor counts, so dynamic
+  // scheduling moves fat lists between threads from call to call.
+  ParticleArray p = random_particles(4000, 14.0f, 22, /*clustered=*/true);
+  RcbTree tree(p, RcbConfig{48});
+  ShortRangeKernel kernel;
+  kernel.fgrid = default_fgrid_poly5();
+  std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
+  ShortRangeWorkspace ws;
+  for (const auto variant : {KernelVariant::kBatched, KernelVariant::kScalar}) {
+    // Warm-up populates the workspace (and the OpenMP team, first time).
+    compute_short_range(tree, kernel, ax, ay, az, 1.0f, variant, &ws);
+    alloc_hook::count.store(0);
+    alloc_hook::armed.store(true);
+    compute_short_range(tree, kernel, ax, ay, az, 1.0f, variant, &ws);
+    alloc_hook::armed.store(false);
+    EXPECT_EQ(alloc_hook::count.load(), 0u)
+        << "steady-state allocation in variant "
+        << kernel_variant_name(variant);
+  }
 }
 
 // ---- force matcher -----------------------------------------------------------------

@@ -1,4 +1,5 @@
-// Unit tests for src/util: RNG, statistics/fitting, tables, timers, memory.
+// Unit tests for src/util: RNG, hashing, statistics/fitting, tables, timers,
+// memory.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +9,7 @@
 
 #include "util/aligned.h"
 #include "util/error.h"
+#include "util/fnv1a.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -240,6 +242,16 @@ TEST(TimerRegistry, ScopeAccumulates) {
   }
   EXPECT_GT(reg.total("phase"), 0.0);
   EXPECT_EQ(reg.count("phase"), 1u);
+}
+
+// ---- FNV-1a -----------------------------------------------------------------
+
+TEST(Fnv, KnownVector) {
+  // FNV-1a of "a" from the reference implementation.
+  EXPECT_EQ(fnv1a("a", 1), 0xaf63dc4c8601ec8cULL);
+  EXPECT_NE(fnv1a("ab", 2), fnv1a("ba", 2));
+  // Chaining hashes the concatenation.
+  EXPECT_EQ(fnv1a("b", 1, fnv1a("a", 1)), fnv1a("ab", 2));
 }
 
 // ---- error ----------------------------------------------------------------
