@@ -16,9 +16,16 @@
 #    where ASan earns its keep.
 # 3. Configure a third tree with -DHACC_SANITIZE=thread and run obs_test and
 #    comm_test — the tracer ring, the counter atomics and the comm telemetry
-#    thread-locals are all shared across SimMPI rank threads and OpenMP
-#    workers, so TSan gates every data-race regression in the observability
-#    layer.
+#    thread-locals are all shared across SimMPI rank threads, so TSan gates
+#    every data-race regression in the observability layer.
+#    Every TSan invocation in this script runs at OMP_NUM_THREADS=1. libgomp
+#    is not built with TSan, so TSan cannot see an OpenMP team's fork/join
+#    synchronization and reports every multi-thread team as races (on a
+#    4-core host, TSan obs_test exits 66 with hundreds of such reports at
+#    4 threads and is clean at 1). At one thread the TSan steps still race
+#    the SimMPI rank threads, scrapers and servers against each other; what
+#    they leave unchecked is races inside OpenMP teams. The ctest run and
+#    the OpenMP matrix above run at the default and at nproc threads.
 # 4. Fault matrix: the fault-injection and detection suites (rank kills,
 #    dropped/corrupted messages, crafted deadlocks, supervised recovery)
 #    under BOTH sanitizers — faults exercise the abort/unwind paths that
@@ -36,9 +43,8 @@
 #    eviction vs outstanding shared_ptr readers).
 # 7. Observatory: the live /metrics endpoint smoke (normal build), the
 #    metrics/cost-map/watchdog suites plus the HTTP endpoint under TSan
-#    (scrape threads read histogram/counter atomics while rank threads and
-#    OpenMP kernel workers write them), and trace_summary.py against empty
-#    and partial traces.
+#    (scrape threads read histogram/counter atomics while rank threads
+#    write them), and trace_summary.py against empty and partial traces.
 # 8. Campaign: the multi-run orchestrator's journal/kill-replay/isolation
 #    tests under both sanitizers, plus campaign_summary.py against a real
 #    (and then deliberately torn) journal.
@@ -89,9 +95,9 @@ cmake -B "$TSAN_BUILD" -S . -DHACC_SANITIZE=thread >/dev/null
 cmake --build "$TSAN_BUILD" -j "$JOBS" --target obs_test comm_test
 
 echo "== tsan: obs_test =="
-"$TSAN_BUILD/tests/obs_test"
+OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/obs_test"
 echo "== tsan: comm_test =="
-"$TSAN_BUILD/tests/comm_test"
+OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/comm_test"
 
 # Fault matrix: injection/detection/recovery suites under both sanitizers.
 FAULT_FILTER='FaultInjection.*:Detection.*:GioVerify.*:FaultMatrix.*:Supervisor.*:CheckpointSet.*:*HealthCheck*'
@@ -105,15 +111,15 @@ echo "== fault matrix: asan =="
 "$ASAN_BUILD/tests/integration_test" --gtest_filter="$FAULT_FILTER"
 
 echo "== fault matrix: tsan =="
-"$TSAN_BUILD/tests/comm_test" --gtest_filter="$FAULT_FILTER"
-"$TSAN_BUILD/tests/core_test" --gtest_filter="$FAULT_FILTER"
-"$TSAN_BUILD/tests/integration_test" --gtest_filter="$FAULT_FILTER"
+OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/comm_test" --gtest_filter="$FAULT_FILTER"
+OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/core_test" --gtest_filter="$FAULT_FILTER"
+OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/integration_test" --gtest_filter="$FAULT_FILTER"
 
 # Fused overload exchange under TSan: refresh() packs on the caller thread
 # but neighbor_alltoallv crosses SimMPI rank threads, so the OverloadRanks
 # suite is the race gate for the single-exchange refresh path.
 echo "== tsan: fused overload exchange =="
-"$TSAN_BUILD/tests/core_test" --gtest_filter='*Overload*'
+OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/core_test" --gtest_filter='*Overload*'
 
 # Chaos campaign: elastic shrink + a seeded campaign subset. Fixed seeds
 # (HACC_CHAOS_SEED base, 5 campaigns) keep the sanitizer passes deterministic
@@ -125,7 +131,7 @@ cmake --build "$TSAN_BUILD" -j "$JOBS" --target chaos_test
 echo "== chaos: asan =="
 HACC_CHAOS_CAMPAIGNS=5 HACC_CHAOS_SEED=20120 "$ASAN_BUILD/tests/chaos_test"
 echo "== chaos: tsan =="
-HACC_CHAOS_CAMPAIGNS=5 HACC_CHAOS_SEED=20125 "$TSAN_BUILD/tests/chaos_test"
+OMP_NUM_THREADS=1 HACC_CHAOS_CAMPAIGNS=5 HACC_CHAOS_SEED=20125 "$TSAN_BUILD/tests/chaos_test"
 
 # Serve subsystem: the block cache and query server are the repo's most
 # thread-dense user-facing code paths.
@@ -136,19 +142,18 @@ cmake --build "$TSAN_BUILD" -j "$JOBS" --target serve_test
 echo "== serve: asan (full suite) =="
 "$ASAN_BUILD/tests/serve_test"
 echo "== serve: tsan (cache hammer + threaded query service) =="
-"$TSAN_BUILD/tests/serve_test" \
+OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/serve_test" \
   --gtest_filter='BlockCache.*:InSituServe.RunStreamsCatalogsAndAnswersQueries:InSituServe.DamagedCatalogRefusesThatQueryOnly'
 
 # Observatory: metrics endpoint smoke in the normal build, then the whole
 # metrics/cost-attribution/watchdog surface under TSan — the scraper threads
-# read the same atomics the rank threads and OpenMP kernel workers write,
-# and the cost map's mutex is taken from inside the parallel region.
+# read the same atomics the rank threads write.
 echo "== observatory: metrics endpoint smoke =="
 "$BUILD/tests/serve_test" --gtest_filter='MetricsEndpoint.*'
 echo "== observatory: tsan (metrics + costmap + watchdog + endpoint) =="
-"$TSAN_BUILD/tests/obs_test" \
+OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/obs_test" \
   --gtest_filter='Metrics.*:CostMap.*:Watchdog.*:Reduce.CostMapReduceNamesStragglerRank:SimulationObservatory.*'
-"$TSAN_BUILD/tests/serve_test" --gtest_filter='MetricsEndpoint.*'
+OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/serve_test" --gtest_filter='MetricsEndpoint.*'
 
 # The trace summarizer must stay graceful on the traces a dead run leaves
 # behind: empty arrays, truncated JSON, events missing fields.
@@ -171,8 +176,7 @@ fi
 # — the memory-fault hooks literally flip bits in live arrays, so any
 # indexing slip in the injection or repair path is a guaranteed ASan find.
 # TSan covers the unit surface plus one end-to-end rollback: the audits
-# accumulate across OpenMP force workers and fold into the health gate's
-# allreduce from every rank thread.
+# fold into the health gate's allreduce from every rank thread.
 echo "== sdc: build (asan + tsan audit_test) =="
 cmake --build "$ASAN_BUILD" -j "$JOBS" --target audit_test
 cmake --build "$TSAN_BUILD" -j "$JOBS" --target audit_test
@@ -180,7 +184,7 @@ cmake --build "$TSAN_BUILD" -j "$JOBS" --target audit_test
 echo "== sdc: asan (full audit suite) =="
 "$ASAN_BUILD/tests/audit_test"
 echo "== sdc: tsan (audit units + one in-place rollback campaign) =="
-"$TSAN_BUILD/tests/audit_test" \
+OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/audit_test" \
   --gtest_filter='ParticleChecksum.*:MemoryFaults.*:AuditCost.*:SdcRollback.ParticleFlipDetectedAndRolledBackInPlaceBitForBit'
 
 # Campaign orchestrator: the multi-run scheduler under both sanitizers. The
@@ -198,7 +202,7 @@ cmake --build "$TSAN_BUILD" -j "$JOBS" --target campaign_test
 echo "== campaign: asan (journal + kill/replay + isolation) =="
 "$ASAN_BUILD/tests/campaign_test" --gtest_filter="$CAMPAIGN_FILTER"
 echo "== campaign: tsan (journal + kill/replay + isolation) =="
-"$TSAN_BUILD/tests/campaign_test" --gtest_filter="$CAMPAIGN_FILTER"
+OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/campaign_test" --gtest_filter="$CAMPAIGN_FILTER"
 
 # campaign_summary.py must render a real journal — produced here by the
 # throughput bench with KEEP=1 — and stay graceful on the torn tail a killed

@@ -18,21 +18,21 @@ using cosmology::Cosmology;
 
 namespace {
 
-// Pre-interned phase ids: scope() on a string re-probes the intern table;
-// these run every (sub)step.
-const NameId kPhaseStep = intern_name(TimerRegistry::kRootPhase);
-const NameId kPhaseInit = intern_name("init");
-const NameId kPhaseCic = intern_name("cic");
-const NameId kPhaseGridExchange = intern_name("grid-exchange");
-const NameId kPhasePoisson = intern_name("poisson");
-const NameId kPhaseLrKick = intern_name("lr-kick");
-const NameId kPhaseTreeBuild = intern_name("tree-build");
-const NameId kPhaseSrKernel = intern_name("sr-kernel");
-const NameId kPhaseStream = intern_name("stream");
-const NameId kPhaseRefresh = intern_name("refresh");
-const NameId kPhaseCheckpoint = intern_name("checkpoint");
-const NameId kPhaseInsitu = intern_name("insitu");
-const NameId kPhaseAudit = intern_name("audit");
+// Pre-interned phase ids: phase_ids() interns three names; these run every
+// (sub)step.
+const obs::PhaseIds kPhaseStep = obs::phase_ids(TimerRegistry::kRootPhase);
+const obs::PhaseIds kPhaseInit = obs::phase_ids("init");
+const obs::PhaseIds kPhaseCic = obs::phase_ids("cic");
+const obs::PhaseIds kPhaseGridExchange = obs::phase_ids("grid-exchange");
+const obs::PhaseIds kPhasePoisson = obs::phase_ids("poisson");
+const obs::PhaseIds kPhaseLrKick = obs::phase_ids("lr-kick");
+const obs::PhaseIds kPhaseTreeBuild = obs::phase_ids("tree-build");
+const obs::PhaseIds kPhaseSrKernel = obs::phase_ids("sr-kernel");
+const obs::PhaseIds kPhaseStream = obs::phase_ids("stream");
+const obs::PhaseIds kPhaseRefresh = obs::phase_ids("refresh");
+const obs::PhaseIds kPhaseCheckpoint = obs::phase_ids("checkpoint");
+const obs::PhaseIds kPhaseInsitu = obs::phase_ids("insitu");
+const obs::PhaseIds kPhaseAudit = obs::phase_ids("audit");
 
 const NameId kCtrInteractions = obs::counter_id("tree.pp_interactions");
 const NameId kCtrWalkVisits = obs::counter_id("tree.walk_visits");
@@ -132,7 +132,7 @@ Simulation::Simulation(comm::Comm& world, const Cosmology& cosmo,
 
 void Simulation::initialize() {
   obs::Binding binding(&tracer_, &counters_);
-  auto scope = timers_.scope(kPhaseInit);
+  obs::PhaseScope scope(&counters_, kPhaseInit);
   cosmology::IcConfig ic = config_.ic;
   ic.particles_per_dim = config_.particles_per_dim;
   ic.box_mpch = config_.box_mpch;
@@ -151,7 +151,7 @@ void Simulation::initialize() {
 mesh::DistGrid Simulation::density_contrast() {
   mesh::DistGrid rho(decomp_, world_.rank(), grid_ghost_);
   {
-    auto scope = timers_.scope(kPhaseCic);
+    obs::PhaseScope scope(&counters_, kPhaseCic);
     // Deposit *active* particles only (passives are someone else's mass).
     std::vector<float> xs, ys, zs;
     xs.reserve(particles_.size());
@@ -170,7 +170,7 @@ mesh::DistGrid Simulation::density_contrast() {
     }
   }
   {
-    auto scope = timers_.scope(kPhaseGridExchange);
+    obs::PhaseScope scope(&counters_, kPhaseGridExchange);
     rho.fold_ghosts(world_);
   }
   // Grid-resident fault injection fires here — after the fold, before the
@@ -209,15 +209,15 @@ void Simulation::long_range_kick(double a0, double a1) {
       mesh::DistGrid(decomp_, world_.rank(), grid_ghost_),
       mesh::DistGrid(decomp_, world_.rank(), grid_ghost_)};
   {
-    auto scope = timers_.scope(kPhasePoisson);
+    obs::PhaseScope scope(&counters_, kPhasePoisson);
     poisson_->solve(world_, delta, force);
   }
   {
-    auto scope = timers_.scope(kPhaseGridExchange);
+    obs::PhaseScope scope(&counters_, kPhaseGridExchange);
     for (auto& f : force) f.fill_ghosts(world_);
   }
   // Kick every local particle (active and passive).
-  auto scope = timers_.scope(kPhaseLrKick);
+  obs::PhaseScope scope(&counters_, kPhaseLrKick);
   const double factor = 1.5 * cosmo_.omega_m * cosmo_.kick_factor(a0, a1);
   std::vector<float> gx(particles_.size()), gy(particles_.size()),
       gz(particles_.size());
@@ -246,11 +246,11 @@ void Simulation::apply_short_kick(double coeff) {
   if (config_.solver == ShortRangeSolver::kTreePP) {
     std::unique_ptr<tree::RcbTree> rcb;
     {
-      auto scope = timers_.scope(kPhaseTreeBuild);
+      obs::PhaseScope scope(&counters_, kPhaseTreeBuild);
       rcb = std::make_unique<tree::RcbTree>(
           particles_, tree::RcbConfig{config_.leaf_size});
     }
-    auto scope = timers_.scope(kPhaseSrKernel);
+    obs::PhaseScope scope(&counters_, kPhaseSrKernel);
     stats_ = tree::compute_short_range(*rcb, kernel_, sr_ax_, sr_ay_, sr_az_,
                                        mass_scale_, kernel_variant_,
                                        &sr_workspace_);
@@ -258,7 +258,7 @@ void Simulation::apply_short_kick(double coeff) {
     obs::add_counter(kCtrWalkVisits, stats_.walk_visits);
     if (audit_.dup_pending) {
       audit_.dup_pending = false;
-      auto audit_scope = timers_.scope(kPhaseAudit);
+      obs::PhaseScope audit_scope(&counters_, kPhaseAudit);
       const DuplicateExecutionResult dup = duplicate_execution_check(
           *rcb, kernel_, sr_ax_, sr_ay_, sr_az_, mass_scale_, config_.audit,
           static_cast<std::uint64_t>(steps_taken_ + 1));
@@ -266,7 +266,7 @@ void Simulation::apply_short_kick(double coeff) {
       audit_.dup_samples += static_cast<double>(dup.checked);
     }
   } else {
-    auto scope = timers_.scope(kPhaseSrKernel);
+    obs::PhaseScope scope(&counters_, kPhaseSrKernel);
     stats_ = p3m::compute_short_range_p3m(particles_, kernel_, sr_ax_, sr_ay_,
                                           sr_az_, mass_scale_, {},
                                           kernel_variant_);
@@ -282,7 +282,7 @@ void Simulation::apply_short_kick(double coeff) {
 }
 
 void Simulation::drift(double factor) {
-  auto scope = timers_.scope(kPhaseStream);
+  obs::PhaseScope scope(&counters_, kPhaseStream);
   const auto f = static_cast<float>(factor);
   for (std::size_t i = 0; i < particles_.size(); ++i) {
     particles_.x[i] += f * particles_.vx[i];
@@ -315,7 +315,7 @@ void Simulation::step() {
   const std::uint64_t wall_t0 = util::now_ns();
   {
     obs::Binding binding(&tracer_, &counters_, cost);
-    auto step_scope = timers_.scope(kPhaseStep);
+    obs::PhaseScope step_scope(&counters_, kPhaseStep);
     // SDC window: fire any due resident-memory faults, then verify the
     // state is bit-identical to the end of the previous step.
     audit_begin_step();
@@ -330,7 +330,7 @@ void Simulation::step() {
     short_range_subcycles(a0, a1);  // (M_sr(t/n_c))^{n_c}
     long_range_kick(am, a1);        // M_lr(t/2)
     {
-      auto scope = timers_.scope(kPhaseRefresh);
+      obs::PhaseScope scope(&counters_, kPhaseRefresh);
       domain_->refresh(world_, particles_);
     }
     a_ = a1;
@@ -343,10 +343,9 @@ void Simulation::step() {
     // Open the next invariance window over the post-refresh state.
     audit_end_step();
   }
-  // Outside the step scope so the published "step" total includes the step
-  // that just ended; both sinks are atomics, safe against a live scrape.
+  // Both sinks are atomics, safe against a live scrape.
   histograms_.record(kHistStepWall, util::now_ns() - wall_t0);
-  publish_metric_gauges();
+  if (cost != nullptr) publish_cost_gauges();
 }
 
 void Simulation::apply_particle_memory_faults() {
@@ -377,7 +376,7 @@ void Simulation::audit_begin_step() {
   apply_particle_memory_faults();
   const AuditConfig& audit = config_.audit;
   if (audit.cadence > 0 && audit.checksum && audit_.stash_valid) {
-    auto scope = timers_.scope(kPhaseAudit);
+    obs::PhaseScope scope(&counters_, kPhaseAudit);
     // The inter-step window is idle: nothing legitimately mutates particle
     // state between the end-of-step stash and here, so any difference is
     // resident-memory corruption.
@@ -394,7 +393,7 @@ void Simulation::audit_begin_step() {
 void Simulation::audit_end_step() {
   const AuditConfig& audit = config_.audit;
   if (audit.cadence > 0 && audit.checksum) {
-    auto scope = timers_.scope(kPhaseAudit);
+    obs::PhaseScope scope(&counters_, kPhaseAudit);
     audit_.stash = particle_checksum(particles_, config_.canonical_order);
     audit_.stash_valid = true;
   }
@@ -405,60 +404,56 @@ void Simulation::reset_audit_window() {
   prev_audit_kinetic_ = 0;
 }
 
-void Simulation::publish_metric_gauges() {
-  // Phase totals as counters: a /metrics scrape must never read the
-  // race-unsafe TimerRegistry, so each step republishes the totals into
-  // atomic counter slots under phase.<name>.ns (the exporter folds them
-  // into one hacc_phase_ns_total family labeled by phase).
-  constexpr NameId kUnmapped = ~NameId{0};
-  auto publish = [&](NameId phase, double seconds, const char* prefix) {
-    if (phase_metric_ids_.size() <= phase)
-      phase_metric_ids_.resize(static_cast<std::size_t>(phase) + 1, kUnmapped);
-    if (phase_metric_ids_[phase] == kUnmapped)
-      phase_metric_ids_[phase] = obs::counter_id(
-          std::string("phase.") + prefix + std::string(name_of(phase)) + ".ns");
-    counters_.set(phase_metric_ids_[phase],
-                  static_cast<std::uint64_t>(seconds * 1e9));
-  };
-  for (const auto& t : timers_.totals()) publish(t.id, t.seconds, "");
-  for (const auto& t : poisson_->timers().totals())
-    publish(t.id, t.seconds, "poisson.");
+void Simulation::publish_cost_gauges() {
+  const obs::CostMap::Summary s = cost_map_.summarize();
+  counters_.set(kGaugeCostKernelNs, s.kernel_ns);
+  counters_.set(kGaugeCostLeaves, s.leaves);
+  counters_.set(kGaugeCostLeafImbalance,
+                static_cast<std::uint64_t>(s.leaf_imbalance * 1e6));
+  counters_.set(kGaugeCostNsPerInteraction,
+                static_cast<std::uint64_t>(s.ns_per_interaction * 1e6));
+  counters_.set(kGaugeCostTopDecile,
+                static_cast<std::uint64_t>(s.top_decile_share * 1e6));
+}
 
-  if (config_.cost_attribution) {
-    const obs::CostMap::Summary s = cost_map_.summarize();
-    counters_.set(kGaugeCostKernelNs, s.kernel_ns);
-    counters_.set(kGaugeCostLeaves, s.leaves);
-    counters_.set(kGaugeCostLeafImbalance,
-                  static_cast<std::uint64_t>(s.leaf_imbalance * 1e6));
-    counters_.set(kGaugeCostNsPerInteraction,
-                  static_cast<std::uint64_t>(s.ns_per_interaction * 1e6));
-    counters_.set(kGaugeCostTopDecile,
-                  static_cast<std::uint64_t>(s.top_decile_share * 1e6));
+Simulation::ActiveSnapshot Simulation::active_snapshot() const {
+  ActiveSnapshot snap;
+  for (std::size_t i = 0; i < particles_.size(); ++i) {
+    if (particles_.role[i] == tree::Role::kActive)
+      snap.actives.append_from(particles_, i);
   }
+  snap.meta.scale_factor = a_;
+  snap.meta.box_mpch = config_.box_mpch;
+  snap.meta.grid = config_.grid;
+  snap.gio.aggregators = config_.io_aggregators;
+  snap.gio.verify_after_write = config_.checkpoint_verify;
+  return snap;
+}
+
+TimerRegistry Simulation::timers() const {
+  // A phase's ns and calls slots land in the same entry.
+  TimerRegistry reg;
+  for (const obs::Counters::Sample& s : counters_.snapshot()) {
+    const obs::PhaseSlot slot = obs::phase_slot(s.id);
+    if (slot.kind == obs::PhaseSlot::kNs)
+      reg.add(slot.phase, static_cast<double>(s.value) * 1e-9, 0);
+    else if (slot.kind == obs::PhaseSlot::kCalls)
+      reg.add(slot.phase, 0.0, s.value);
+  }
+  return reg;
 }
 
 serve::InSituReport Simulation::run_insitu() {
   obs::Binding binding(&tracer_, &counters_);
-  auto scope = timers_.scope(kPhaseInsitu);
+  obs::PhaseScope scope(&counters_, kPhaseInsitu);
   // Products see actives only — passives are replicas of someone else's
   // mass and would double-count.
-  tree::ParticleArray actives;
-  for (std::size_t i = 0; i < particles_.size(); ++i) {
-    if (particles_.role[i] == tree::Role::kActive)
-      actives.append_from(particles_, i);
-  }
+  const ActiveSnapshot snap = active_snapshot();
   std::vector<cosmology::PowerBin> spectrum;
   if (config_.insitu.spectrum)
     spectrum = power_spectrum(config_.insitu.spectrum_bins);
-  gio::GlobalMeta meta;
-  meta.scale_factor = a_;
-  meta.box_mpch = config_.box_mpch;
-  meta.grid = config_.grid;
-  gio::GioConfig gcfg;
-  gcfg.aggregators = config_.io_aggregators;
-  gcfg.verify_after_write = config_.checkpoint_verify;
-  return serve::write_catalogs(world_, config_.insitu, steps_taken_, meta,
-                               actives, spectrum, gcfg);
+  return serve::write_catalogs(world_, config_.insitu, steps_taken_,
+                               snap.meta, snap.actives, spectrum, snap.gio);
 }
 
 void Simulation::run() {
@@ -471,10 +466,9 @@ void Simulation::run() {
     // every completed step's record on disk.
     if (world_.rank() == 0 && !ledger_.streaming())
       ledger_.stream_to(config_.ledger_path);
-    // Reset the delta baselines so constructor/initialize() phases and
+    // Reset the delta baseline so constructor/initialize() phases and
     // counters do not leak into the first step's record.
-    (void)ledger_phase_deltas();
-    (void)ledger_counter_samples();
+    (void)ledger_samples();
   }
   for (int s = 0; s < config_.steps; ++s) {
     step();
@@ -484,33 +478,12 @@ void Simulation::run() {
   if (trace_on) obs::write_merged_trace(world_, tracer_, config_.trace_path);
 }
 
-std::vector<std::pair<NameId, double>> Simulation::ledger_phase_deltas() {
-  std::vector<std::pair<NameId, double>> out;
-  auto emit = [&](NameId id, double total_now) {
-    if (prev_phase_seconds_.size() <= id)
-      prev_phase_seconds_.resize(static_cast<std::size_t>(id) + 1, 0.0);
-    const double delta = total_now - prev_phase_seconds_[id];
-    prev_phase_seconds_[id] = total_now;
-    if (delta > 0) out.emplace_back(id, delta);
-  };
-  for (const auto& t : timers_.totals()) emit(t.id, t.seconds);
-  // The Poisson solver's internal registry uses bare names ("remap", "fft",
-  // "kernel"); re-key them under a "poisson." prefix so the ledger keeps
-  // solver-internal and driver phases apart.
-  for (const auto& t : poisson_->timers().totals()) {
-    const std::string prefixed = "poisson." + std::string(name_of(t.id));
-    emit(intern_name(prefixed), t.seconds);
-  }
-  return out;
-}
-
-std::vector<std::pair<NameId, double>> Simulation::ledger_counter_samples() {
+std::vector<std::pair<NameId, double>> Simulation::ledger_samples() {
   counters_.set(kGaugePeakRss, obs::peak_rss_bytes());
   std::vector<std::pair<NameId, double>> out;
   for (const auto& s : counters_.snapshot()) {
-    // phase.<x>.ns slots are republished timer totals for the live scrape;
-    // the ledger already carries the same data in its phases map.
-    if (name_of(s.id).rfind("phase.", 0) == 0) continue;
+    const obs::PhaseSlot::Kind slot = obs::phase_slot(s.id).kind;
+    if (slot == obs::PhaseSlot::kCalls) continue;  // not a ledger column
     if (obs::kind_of(s.id) == obs::CounterKind::kGauge) {
       out.emplace_back(s.id, static_cast<double>(s.value));
       continue;
@@ -519,7 +492,10 @@ std::vector<std::pair<NameId, double>> Simulation::ledger_counter_samples() {
       prev_counters_.resize(static_cast<std::size_t>(s.id) + 1, 0);
     const std::uint64_t delta = s.value - prev_counters_[s.id];
     prev_counters_[s.id] = s.value;
-    if (delta != 0) out.emplace_back(s.id, static_cast<double>(delta));
+    if (delta == 0) continue;
+    // Phase time travels in seconds, every other counter as its count.
+    const double scale = slot == obs::PhaseSlot::kNs ? 1e-9 : 1.0;
+    out.emplace_back(s.id, static_cast<double>(delta) * scale);
   }
   return out;
 }
@@ -527,14 +503,11 @@ std::vector<std::pair<NameId, double>> Simulation::ledger_counter_samples() {
 void Simulation::record_step_ledger() {
   // Deliberately *not* bound to the counters: the ledger's own reductions
   // would otherwise pollute the next step's comm deltas.
-  const auto phase_samples = ledger_phase_deltas();
-  const auto counter_samples = ledger_counter_samples();
+  const auto samples = ledger_samples();
   const std::array<double, 3> momentum = total_momentum();
   if (!momentum0_) momentum0_ = momentum;
-  const auto phases = obs::reduce_samples(
-      world_, std::span<const std::pair<NameId, double>>(phase_samples));
-  const auto counters = obs::reduce_samples(
-      world_, std::span<const std::pair<NameId, double>>(counter_samples));
+  const auto rows = obs::reduce_samples(
+      world_, std::span<const std::pair<NameId, double>>(samples));
   // Cost attribution is reduced collectively too (even though only the
   // root keeps the record) — every rank must participate.
   obs::CostMapRecord cost_rec;
@@ -553,18 +526,18 @@ void Simulation::record_step_ledger() {
     drift = std::max(drift, std::abs(momentum[static_cast<std::size_t>(d)] -
                                      (*momentum0_)[static_cast<std::size_t>(d)]));
   rec.momentum_drift = drift;
-  for (const auto& r : phases) {
+  for (const auto& r : rows) {
     const obs::PhaseStat ps{r.min, r.mean, r.max, r.imbalance()};
-    if (r.name == kPhaseStep)
+    const obs::PhaseSlot slot = obs::phase_slot(r.name);
+    if (r.name == kPhaseStep.ns) {
       rec.wall = ps;
-    else
-      rec.phases.emplace(std::string(name_of(r.name)), ps);
-  }
-  for (const auto& r : counters) {
-    const obs::PhaseStat ps{r.min, r.mean, r.max, r.imbalance()};
-    if (r.name == kGaugePeakRss)
-      rec.peak_rss_bytes = static_cast<std::uint64_t>(r.max);
-    rec.counters.emplace(std::string(name_of(r.name)), ps);
+    } else if (slot.kind == obs::PhaseSlot::kNs) {
+      rec.phases.emplace(std::string(slot.phase), ps);
+    } else {
+      if (r.name == kGaugePeakRss)
+        rec.peak_rss_bytes = static_cast<std::uint64_t>(r.max);
+      rec.counters.emplace(std::string(name_of(r.name)), ps);
+    }
   }
   const double np_total =
       std::pow(static_cast<double>(config_.particles_per_dim), 3);
@@ -594,58 +567,20 @@ std::vector<cosmology::PowerBin> Simulation::power_spectrum(
 }
 
 tree::ParticleArray Simulation::gather_active() {
-  // Serialize actives and funnel them to rank 0.
-  struct Packed {
-    float x, y, z, vx, vy, vz, mass;
-    std::uint64_t id;
-  };
-  std::vector<Packed> mine;
-  for (std::size_t i = 0; i < particles_.size(); ++i) {
-    if (particles_.role[i] != tree::Role::kActive) continue;
-    mine.push_back(Packed{particles_.x[i], particles_.y[i], particles_.z[i],
-                          particles_.vx[i], particles_.vy[i],
-                          particles_.vz[i], particles_.mass[i],
-                          particles_.id[i]});
-  }
-  tree::ParticleArray out;
-  constexpr int kTagGatherActive = -400;
-  if (world_.rank() == 0) {
-    auto append = [&out](const std::vector<Packed>& v) {
-      for (const auto& q : v)
-        out.push_back(q.x, q.y, q.z, q.vx, q.vy, q.vz, q.mass, q.id,
-                      tree::Role::kActive);
-    };
-    append(mine);
-    for (int r = 1; r < world_.size(); ++r)
-      append(world_.recv_vector<Packed>(r, kTagGatherActive));
-  } else {
-    world_.send(0, kTagGatherActive, std::span<const Packed>(mine));
-  }
-  return out;
+  return gio::gather_actives(world_, particles_);
 }
 
 void Simulation::write_checkpoint(const std::string& path) {
   obs::Binding binding(&tracer_, &counters_);
-  auto scope = timers_.scope(kPhaseCheckpoint);
+  obs::PhaseScope scope(&counters_, kPhaseCheckpoint);
   // Strip passives: they are someone else's actives and get rebuilt.
-  tree::ParticleArray actives;
-  for (std::size_t i = 0; i < particles_.size(); ++i) {
-    if (particles_.role[i] == tree::Role::kActive)
-      actives.append_from(particles_, i);
-  }
-  gio::GlobalMeta meta;
-  meta.scale_factor = a_;
-  meta.box_mpch = config_.box_mpch;
-  meta.grid = config_.grid;
-  gio::GioConfig gcfg;
-  gcfg.aggregators = config_.io_aggregators;
-  gcfg.verify_after_write = config_.checkpoint_verify;
-  gio::write_particles(world_, path, meta, actives, gcfg);
+  const ActiveSnapshot snap = active_snapshot();
+  gio::write_particles(world_, path, snap.meta, snap.actives, snap.gio);
 }
 
 void Simulation::read_checkpoint(const std::string& path) {
   obs::Binding binding(&tracer_, &counters_);
-  auto scope = timers_.scope(kPhaseCheckpoint);
+  obs::PhaseScope scope(&counters_, kPhaseCheckpoint);
   const gio::ReadReport report =
       gio::read_particles(world_, path, particles_);
   if (!report.corrupt.empty()) {

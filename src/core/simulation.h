@@ -35,6 +35,7 @@
 #include "cosmology/background.h"
 #include "cosmology/initial_conditions.h"
 #include "cosmology/power_spectrum.h"
+#include "gio/gio.h"
 #include "mesh/poisson.h"
 #include "obs/costmap.h"
 #include "obs/counters.h"
@@ -46,6 +47,7 @@
 #include "serve/insitu.h"
 #include "tree/force_matcher.h"
 #include "tree/rcb_tree.h"
+#include "util/timer.h"
 
 namespace hacc::core {
 
@@ -172,10 +174,10 @@ class Simulation {
   /// may invoke it directly for an on-demand catalog.
   serve::InSituReport run_insitu();
 
-  /// Per-phase wall-clock accumulators ("kernel", "walk+build", "fft",
-  /// "cic", "refresh", ...).
-  const TimerRegistry& timers() const noexcept { return timers_; }
-  TimerRegistry& mutable_timers() noexcept { return timers_; }
+  /// Per-phase totals since construction ("step", "cic", "poisson",
+  /// "poisson.fft", "sr-kernel", "refresh", ...): a snapshot filled from
+  /// the phase.<x>.ns / phase.<x>.calls slots of counters().
+  TimerRegistry timers() const;
 
   /// Interaction statistics of the last short-range evaluation.
   const tree::InteractionStats& last_stats() const noexcept { return stats_; }
@@ -313,16 +315,21 @@ class Simulation {
            step % config_.audit.cadence == 0;
   }
 
-  /// Per-phase seconds since the previous call (sim + "poisson."-prefixed
-  /// solver phases); advances the baseline.
-  std::vector<std::pair<NameId, double>> ledger_phase_deltas();
-  /// Counter deltas (gauges: absolute values) since the previous call;
-  /// advances the baseline.
-  std::vector<std::pair<NameId, double>> ledger_counter_samples();
-  /// Publish per-phase timer totals (as phase.<name>.ns counters) and cost
-  /// summary gauges into counters_, so a live /metrics scrape sees them
-  /// without touching the race-unsafe TimerRegistry.
-  void publish_metric_gauges();
+  /// counters_ since the previous call, as the ledger's samples: counter
+  /// deltas (phase.<x>.ns deltas in seconds; call counts left out) and
+  /// gauges' absolute values. Advances the baseline.
+  std::vector<std::pair<NameId, double>> ledger_samples();
+  /// Publish the cost-map summary gauges into counters_ for a live scrape.
+  void publish_cost_gauges();
+
+  /// This rank's actives (replicas stripped) with the gio metadata and
+  /// writer config that checkpoints and in-situ catalogs are written with.
+  struct ActiveSnapshot {
+    tree::ParticleArray actives;
+    gio::GlobalMeta meta;
+    gio::GioConfig gio;
+  };
+  ActiveSnapshot active_snapshot() const;
 
   comm::Comm world_;
   cosmology::Cosmology cosmo_;
@@ -336,7 +343,6 @@ class Simulation {
   float mass_scale_ = 1.0f;
   double a_ = 0.0;
   int steps_taken_ = 0;
-  TimerRegistry timers_;
   tree::InteractionStats stats_;
   // Scratch short-range force accumulators.
   std::vector<float> sr_ax_, sr_ay_, sr_az_;
@@ -344,8 +350,9 @@ class Simulation {
   // the persistent workspace that keeps the kernel phase allocation-free.
   tree::KernelVariant kernel_variant_ = tree::KernelVariant::kBatched;
   tree::ShortRangeWorkspace sr_workspace_;
-  // Observability: per-rank sinks, the run ledger, and the delta baselines
-  // record_step_ledger() differences against.
+  // Observability: per-rank sinks (phase times live in counters_), the run
+  // ledger, and the counter baseline record_step_ledger() differences
+  // against.
   obs::Tracer tracer_;
   obs::Counters counters_;
   obs::Ledger ledger_;
@@ -353,9 +360,7 @@ class Simulation {
   obs::HistogramSet histograms_;
   obs::Watchdog watchdog_;
   std::optional<std::array<double, 3>> momentum0_;
-  std::vector<double> prev_phase_seconds_;     // indexed by NameId
-  std::vector<std::uint64_t> prev_counters_;   // indexed by NameId
-  std::vector<NameId> phase_metric_ids_;       // phase id -> phase.<x>.ns id
+  std::vector<std::uint64_t> prev_counters_;  // indexed by NameId
   // ---- SDC audit state ----
   // Local findings accumulate here between audited gates; health_check()
   // folds them into its allreduce and clears them once a gate on the audit

@@ -31,12 +31,27 @@ static_assert(static_cast<std::uint8_t>(tree::Role::kActive) == 0 &&
 
 constexpr const char* kFloatVars[7] = {"x", "y", "z", "vx", "vy", "vz", "mass"};
 
-/// Wire format for the redistribution exchange (trivially copyable).
+/// Wire format for the redistribution exchange and the root gather
+/// (trivially copyable).
 struct PackedParticle {
   float x, y, z, vx, vy, vz, mass;
   std::uint32_t role;
   std::uint64_t id;
 };
+
+PackedParticle pack(const tree::ParticleArray& p, std::size_t i) {
+  return PackedParticle{p.x[i], p.y[i], p.z[i], p.vx[i], p.vy[i], p.vz[i],
+                        p.mass[i], static_cast<std::uint32_t>(p.role[i]),
+                        p.id[i]};
+}
+
+/// Append the unpacked particles to `out`.
+void unpack(std::span<const PackedParticle> in, tree::ParticleArray& out) {
+  out.reserve(out.size() + in.size());
+  for (const auto& q : in)
+    out.push_back(q.x, q.y, q.z, q.vx, q.vy, q.vz, q.mass, q.id,
+                  static_cast<tree::Role>(q.role));
+}
 
 }  // namespace
 
@@ -135,9 +150,7 @@ void redistribute_by_domain(comm::Comm& comm,
     const int owner = decomp.owner_of(wrap_cell(p.x[i], 0),
                                       wrap_cell(p.y[i], 1),
                                       wrap_cell(p.z[i], 2));
-    outbound[static_cast<std::size_t>(owner)].push_back(PackedParticle{
-        p.x[i], p.y[i], p.z[i], p.vx[i], p.vy[i], p.vz[i], p.mass[i],
-        static_cast<std::uint32_t>(p.role[i]), p.id[i]});
+    outbound[static_cast<std::size_t>(owner)].push_back(pack(p, i));
   }
   std::vector<PackedParticle> send;
   std::vector<std::size_t> counts(static_cast<std::size_t>(nranks));
@@ -152,10 +165,18 @@ void redistribute_by_domain(comm::Comm& comm,
                                        std::span<const std::size_t>(counts),
                                        rcounts);
   p.clear();
-  p.reserve(incoming.size());
-  for (const auto& q : incoming)
-    p.push_back(q.x, q.y, q.z, q.vx, q.vy, q.vz, q.mass, q.id,
-                static_cast<tree::Role>(q.role));
+  unpack(incoming, p);
+}
+
+tree::ParticleArray gather_actives(comm::Comm& comm,
+                                   const tree::ParticleArray& particles) {
+  std::vector<PackedParticle> mine;
+  for (std::size_t i = 0; i < particles.size(); ++i)
+    if (particles.role[i] == tree::Role::kActive)
+      mine.push_back(pack(particles, i));
+  tree::ParticleArray out;
+  unpack(comm.gatherv(std::span<const PackedParticle>(mine), 0), out);
+  return out;
 }
 
 }  // namespace hacc::gio

@@ -2,7 +2,8 @@
 // domain-decomposition redistribution that makes checkpoints
 // rank-count-elastic: a file written on N ranks is read block-partitioned
 // on any M ranks, then every particle is routed to the rank that owns its
-// domain cell with one alltoallv.
+// domain cell with one alltoallv. The root gather the in-situ pipeline and
+// Simulation::gather_active() share rides the same particle wire format.
 #pragma once
 
 #include <string>
@@ -34,5 +35,11 @@ ReadReport read_particles(comm::Comm& comm, const std::string& path,
 void redistribute_by_domain(comm::Comm& comm,
                             const mesh::BlockDecomp3D& decomp,
                             tree::ParticleArray& particles);
+
+/// Gather every ACTIVE particle of `particles` to rank 0 with one gatherv:
+/// rank order, each rank's actives in local order. Empty on other ranks.
+/// Collective.
+tree::ParticleArray gather_actives(comm::Comm& comm,
+                                   const tree::ParticleArray& particles);
 
 }  // namespace hacc::gio

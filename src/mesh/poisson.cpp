@@ -2,16 +2,16 @@
 
 #include <vector>
 
-#include "util/names.h"
+#include "obs/obs.h"
 
 namespace hacc::mesh {
 
 namespace {
-// Pre-interned phase names: solve() is called every long-range step, so the
-// timer scopes must not re-intern (hash + lock) per call.
-const NameId kPhaseRemap = intern_name("remap");
-const NameId kPhaseFft = intern_name("fft");
-const NameId kPhaseKernel = intern_name("kernel");
+// Pre-interned phase ids: solve() is called every long-range step, so the
+// phase scopes must not re-intern (hash + lock) per call.
+const obs::PhaseIds kPhaseRemap = obs::phase_ids("poisson.remap");
+const obs::PhaseIds kPhaseFft = obs::phase_ids("poisson.fft");
+const obs::PhaseIds kPhaseKernel = obs::phase_ids("poisson.kernel");
 }  // namespace
 
 PoissonSolver::PoissonSolver(comm::Comm& world, const BlockDecomp3D& decomp,
@@ -43,7 +43,7 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
   // Pack the interior (strip ghosts) and remap to the z-pencil layout. The
   // pencil field stays real all the way into the FFT (r2c path).
   {
-    auto scope = timers_.scope(kPhaseRemap);
+    obs::PhaseScope scope(kPhaseRemap);
     const auto ex = static_cast<std::ptrdiff_t>(box.x.extent());
     const auto ey = static_cast<std::ptrdiff_t>(box.y.extent());
     const auto ez = static_cast<std::ptrdiff_t>(box.z.extent());
@@ -60,13 +60,13 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
   // the z half-spectrum carries all information.
   const fft::Box3D sb = fft_->spectral_box_r2c();
   {
-    auto scope = timers_.scope(kPhaseFft);
+    obs::PhaseScope scope(kPhaseFft);
     fft_->forward_r2c(std::span<const double>(interior_), spectrum_);
   }
 
   // Compose filter x Green's function once.
   {
-    auto scope = timers_.scope(kPhaseKernel);
+    obs::PhaseScope scope(kPhaseKernel);
     std::size_t idx = 0;
     for (std::size_t mx = sb.x.lo; mx < sb.x.hi; ++mx) {
       const double kx = wavenumber(mx, dims[0]);
@@ -99,13 +99,13 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
   };
 
   auto inverse_to_real = [&]() {
-    auto scope = timers_.scope(kPhaseFft);
+    obs::PhaseScope scope(kPhaseFft);
     fft_->inverse_c2r(component_, real_out_);
   };
 
   for (int axis = 0; axis < 3; ++axis) {
     {
-      auto scope = timers_.scope(kPhaseKernel);
+      obs::PhaseScope scope(kPhaseKernel);
       component_.resize(spectrum_.size());
       std::size_t idx = 0;
       for (std::size_t mx = sb.x.lo; mx < sb.x.hi; ++mx) {
@@ -125,7 +125,7 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
     }
     inverse_to_real();
     {
-      auto scope = timers_.scope(kPhaseRemap);
+      obs::PhaseScope scope(kPhaseRemap);
       store_to_grid(remap_->backward(world, real_out_),
                     forces[static_cast<std::size_t>(axis)]);
     }
@@ -134,7 +134,7 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
   if (phi != nullptr) {
     component_ = spectrum_;
     inverse_to_real();
-    auto scope = timers_.scope(kPhaseRemap);
+    obs::PhaseScope scope(kPhaseRemap);
     store_to_grid(remap_->backward(world, real_out_), *phi);
   }
 }

@@ -17,6 +17,11 @@
 // Force convention: the returned grids hold f_i = -d(phi)/dx_i, the
 // gravitational acceleration per unit (4 pi G rho_bar a^2 ...) prefactor;
 // physical prefactors are folded into the time-stepper's kick factors.
+//
+// Timing: the solver owns no telemetry sink. solve() times its phases
+// "poisson.remap", "poisson.fft" and "poisson.kernel" with obs::PhaseScope
+// into whatever obs::Counters (and Tracer) the calling thread has bound —
+// Simulation::step() binds its rank's — and records nothing when unbound.
 #pragma once
 
 #include <array>
@@ -28,7 +33,6 @@
 #include "mesh/grid.h"
 #include "mesh/kernels.h"
 #include "mesh/remap.h"
-#include "util/timer.h"
 
 namespace hacc::mesh {
 
@@ -51,15 +55,11 @@ class PoissonSolver {
   void solve(comm::Comm& world, const DistGrid& delta,
              std::array<DistGrid, 3>& forces, DistGrid* phi = nullptr);
 
-  /// Phase timings ("fft", "kernel", "remap") accumulated across solves.
-  const TimerRegistry& timers() const noexcept { return timers_; }
-
  private:
   BlockDecomp3D decomp_;
   SpectralConfig config_;
   std::unique_ptr<fft::PencilFft3D> fft_;
   std::unique_ptr<Redistributor> remap_;
-  TimerRegistry timers_;
   // Persistent solve workspace: reused across solves so the spectral path
   // performs no steady-state allocations beyond the remap exchanges.
   std::vector<double> interior_, real_out_;

@@ -1,10 +1,16 @@
 #include "obs/counters.h"
 
 #include <mutex>
+#include <string>
 
 namespace hacc::obs {
 
 namespace {
+
+// The phase timer's slot spelling: phase.<x>.ns and phase.<x>.calls.
+constexpr std::string_view kPhasePrefix = "phase.";
+constexpr std::string_view kNsSuffix = ".ns";
+constexpr std::string_view kCallsSuffix = ".calls";
 
 struct KindTable {
   std::mutex mu;
@@ -44,6 +50,25 @@ CounterKind kind_of(NameId id) {
   std::lock_guard<std::mutex> lock(t.mu);
   return id < t.kinds.size() ? static_cast<CounterKind>(t.kinds[id])
                              : CounterKind::kCounter;
+}
+
+PhaseIds phase_ids(std::string_view name) {
+  const std::string slot = std::string(kPhasePrefix) + std::string(name);
+  return PhaseIds{intern_name(name),
+                  counter_id(slot + std::string(kNsSuffix)),
+                  counter_id(slot + std::string(kCallsSuffix))};
+}
+
+PhaseSlot phase_slot(NameId id) {
+  const std::string_view name = name_of(id);
+  if (!name.starts_with(kPhasePrefix)) return {};
+  const std::string_view rest = name.substr(kPhasePrefix.size());
+  if (rest.size() > kNsSuffix.size() && rest.ends_with(kNsSuffix))
+    return {PhaseSlot::kNs, rest.substr(0, rest.size() - kNsSuffix.size())};
+  if (rest.size() > kCallsSuffix.size() && rest.ends_with(kCallsSuffix))
+    return {PhaseSlot::kCalls,
+            rest.substr(0, rest.size() - kCallsSuffix.size())};
+  return {};
 }
 
 std::vector<Counters::Sample> Counters::snapshot() const {

@@ -15,6 +15,7 @@
 //   refresh.migrated + refresh.active / refresh.passive (gauges)
 //   gio.bytes_written, gio.bytes_read
 //   mem.peak_rss_bytes (gauge)
+//   phase.<x>.ns / phase.<x>.calls (obs::PhaseScope; see phase_ids)
 #pragma once
 
 #include <array>
@@ -41,6 +42,28 @@ NameId gauge_id(std::string_view name);
 NameId histogram_id(std::string_view name);
 /// The registered kind of an id (kCounter for plain interned names).
 CounterKind kind_of(NameId id);
+
+/// A timed phase <x>: the span name plus its two monotonic counter slots,
+/// "phase.<x>.ns" (elapsed nanoseconds) and "phase.<x>.calls" (closed
+/// scopes). obs::PhaseScope writes them; the Prometheus exporter, the run
+/// ledger and Simulation::timers() read them back through phase_slot().
+struct PhaseIds {
+  NameId name = 0;
+  NameId ns = 0;
+  NameId calls = 0;
+};
+/// Intern phase `name` and its slots; idempotent. Allocates on first
+/// sighting only — hot call sites keep the result in a namespace constant.
+PhaseIds phase_ids(std::string_view name);
+
+/// What a counter slot is to the phase timer. `phase` (the <x> of the
+/// slot's name) is empty for kNone and views interned storage otherwise.
+struct PhaseSlot {
+  enum Kind : std::uint8_t { kNone, kNs, kCalls };
+  Kind kind = kNone;
+  std::string_view phase;
+};
+PhaseSlot phase_slot(NameId id);
 
 class Counters {
  public:

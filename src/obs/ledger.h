@@ -43,8 +43,8 @@ struct StepRecord {
   std::array<double, 3> momentum{};  ///< global active momentum sum
   /// max component deviation from the first recorded step's momentum.
   double momentum_drift = 0;
-  /// Per-phase seconds this step (timer deltas), keyed by phase name;
-  /// PoissonSolver-internal phases appear prefixed ("poisson.fft", ...).
+  /// Per-phase seconds this step (phase.<x>.ns deltas), keyed <x>; the
+  /// Poisson solver's phases are "poisson.remap/fft/kernel".
   std::map<std::string, PhaseStat> phases;
   /// Counter deltas this step (gauges carry absolute values).
   std::map<std::string, PhaseStat> counters;

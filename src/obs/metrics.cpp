@@ -101,20 +101,17 @@ void add_scalar(std::map<std::string, Family>& families,
   const std::string_view name = name_of(id);
   const CounterKind kind = kind_of(id);
 
-  // phase.<X>.ns (and phase.poisson.<X>.ns) -> one hacc_phase_ns_total
-  // family with the phase as a label, so dashboards can sum/stack phases
-  // without knowing the taxonomy in advance.
-  constexpr std::string_view kPhasePrefix = "phase.";
-  constexpr std::string_view kNsSuffix = ".ns";
-  if (name.size() > kPhasePrefix.size() + kNsSuffix.size() &&
-      name.substr(0, kPhasePrefix.size()) == kPhasePrefix &&
-      name.substr(name.size() - kNsSuffix.size()) == kNsSuffix) {
-    const std::string_view phase = name.substr(
-        kPhasePrefix.size(), name.size() - kPhasePrefix.size() - kNsSuffix.size());
+  // phase.<X>.ns -> one hacc_phase_ns_total family with the phase as a
+  // label, so dashboards can sum/stack phases without knowing the taxonomy
+  // in advance. The phase's call count stays out of the exposition.
+  const PhaseSlot slot = phase_slot(id);
+  if (slot.kind == PhaseSlot::kCalls) return;
+  if (slot.kind == PhaseSlot::kNs) {
     Family& fam = families["hacc_phase_ns_total"];
     fam.type = "counter";
     fam.series.push_back(Series{
-        "{phase=\"" + std::string(phase) + "\"," + rank_label + "}", fmt_u64(raw)});
+        "{phase=\"" + std::string(slot.phase) + "\"," + rank_label + "}",
+        fmt_u64(raw)});
     return;
   }
 

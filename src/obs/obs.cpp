@@ -10,11 +10,6 @@ namespace {
 thread_local Tracer* g_tracer = nullptr;
 thread_local Counters* g_counters = nullptr;
 thread_local CostMap* g_cost = nullptr;
-
-void hook_complete(void* ctx, NameId name, std::uint64_t t0_ns,
-                   std::uint64_t dur_ns) {
-  static_cast<Tracer*>(ctx)->complete(name, t0_ns, dur_ns);
-}
 }  // namespace
 
 Tracer* tracer() noexcept { return g_tracer; }
@@ -28,17 +23,9 @@ Binding::Binding(Tracer* tracer, Counters* counters, CostMap* cost_map) noexcept
   g_tracer = tracer;
   g_counters = counters;
   g_cost = cost_map;
-  if (tracer != nullptr) {
-    hook_.complete = &hook_complete;
-    hook_.ctx = tracer;
-    prev_hook_ = util::set_trace_hook(&hook_);
-  } else {
-    prev_hook_ = util::set_trace_hook(nullptr);
-  }
 }
 
 Binding::~Binding() {
-  util::set_trace_hook(prev_hook_);
   g_tracer = prev_tracer_;
   g_counters = prev_counters_;
   g_cost = prev_cost_;

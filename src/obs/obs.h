@@ -4,11 +4,12 @@
 // The obs sinks are *owned* by whoever observes (Simulation owns one
 // tracer + counter set per rank; tests own their own) and *found* by
 // instrumented code through thread-locals: comm::Comm, the FFT, the tree
-// kernels etc. call obs::add_counter()/TraceScope, which resolve to the
-// sinks bound to the calling thread, or to nothing — allocation-free and
-// branch-cheap — when no Binding is live. This keeps the comm and solver
-// layers free of any plumbing through constructors, and makes every
-// library usable untraced (tests, benches) at zero cost.
+// kernels, the Poisson solver etc. call obs::add_counter()/TraceScope/
+// PhaseScope, which resolve to the sinks bound to the calling thread, or to
+// nothing — allocation-free and branch-cheap — when no Binding is live.
+// This keeps the comm and solver layers free of any plumbing through
+// constructors, and makes every library usable untraced (tests, benches)
+// at zero cost.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +28,7 @@ Counters* counters() noexcept;
 CostMap* cost_map() noexcept;
 
 /// RAII: binds `tracer`/`counters`/`cost_map` (any may be null) to the
-/// calling thread and installs the util::TraceHook so TimerRegistry scopes
-/// feed the tracer; restores the previous binding on destruction. Bindings
+/// calling thread; restores the previous binding on destruction. Bindings
 /// nest. Note the binding is per-thread: OpenMP workers spawned inside a
 /// bound region do NOT inherit it — kernels that attribute cost capture
 /// obs::cost_map() on the rank thread before entering the parallel region.
@@ -44,8 +44,6 @@ class Binding {
   Tracer* prev_tracer_;
   Counters* prev_counters_;
   CostMap* prev_cost_;
-  const util::TraceHook* prev_hook_;
-  util::TraceHook hook_{};
 };
 
 /// Trace-only RAII span through the thread-bound tracer; a no-op (and
@@ -68,6 +66,35 @@ class TraceScope {
  private:
   Tracer* t_;
   NameId name_;
+  std::uint64_t t0_ns_;
+};
+
+/// The one phase timer. On close it adds the elapsed nanoseconds and one
+/// call to the phase's counters (phase.<x>.ns / phase.<x>.calls, see
+/// phase_ids) in `sink`, and emits a span named <x> to the thread-bound
+/// tracer. The one-argument form times into the thread-bound Counters. A
+/// null sink or an unbound/disabled tracer is skipped; never allocates.
+class PhaseScope {
+ public:
+  PhaseScope(Counters* sink, const PhaseIds& ids) noexcept
+      : sink_(sink), t_(tracer()), ids_(ids), t0_ns_(util::now_ns()) {}
+  explicit PhaseScope(const PhaseIds& ids) noexcept
+      : PhaseScope(counters(), ids) {}
+  ~PhaseScope() {
+    const std::uint64_t dur_ns = util::now_ns() - t0_ns_;
+    if (sink_ != nullptr) {
+      sink_->add(ids_.ns, dur_ns);
+      sink_->add(ids_.calls, 1);
+    }
+    if (t_ != nullptr) t_->complete(ids_.name, t0_ns_, dur_ns);
+  }
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+
+ private:
+  Counters* sink_;
+  Tracer* t_;
+  PhaseIds ids_;
   std::uint64_t t0_ns_;
 };
 

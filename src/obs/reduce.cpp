@@ -70,13 +70,6 @@ std::vector<Reduced> reduce_samples(
   return out;
 }
 
-std::vector<Reduced> reduce_timers(comm::Comm& comm,
-                                   const TimerRegistry& timers, int root) {
-  std::vector<std::pair<NameId, double>> samples;
-  for (const auto& t : timers.totals()) samples.emplace_back(t.id, t.seconds);
-  return reduce_samples(comm, samples, root);
-}
-
 std::vector<Reduced> reduce_counters(comm::Comm& comm,
                                      const Counters& counters, int root) {
   std::vector<std::pair<NameId, double>> samples;

@@ -1,4 +1,4 @@
-// Cross-rank reduction of timers and counters, and merged trace export.
+// Cross-rank reduction of phase times and counters, and merged trace export.
 //
 // The paper's evaluation tables are *reduced* quantities: per-phase time is
 // only meaningful as min/mean/max over ranks, and the gap between max and
@@ -19,7 +19,6 @@
 #include "comm/comm.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
-#include "util/timer.h"
 
 namespace hacc::obs {
 
@@ -39,10 +38,6 @@ struct Reduced {
 std::vector<Reduced> reduce_samples(
     comm::Comm& comm, std::span<const std::pair<NameId, double>> samples,
     int root = 0);
-
-/// Reduce a timer registry's per-phase seconds; collective.
-std::vector<Reduced> reduce_timers(comm::Comm& comm,
-                                   const TimerRegistry& timers, int root = 0);
 
 /// Reduce a counter snapshot (values as doubles); collective.
 std::vector<Reduced> reduce_counters(comm::Comm& comm,

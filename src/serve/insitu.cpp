@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "gio/particle_io.h"
 #include "obs/obs.h"
 #include "util/error.h"
 #include "util/timer.h"
@@ -22,28 +23,6 @@ std::string catalog_path(const std::string& dir, int step,
   char name[64];
   std::snprintf(name, sizeof(name), "catalog_%06d.%s.gio", step, product);
   return dir + "/" + name;
-}
-
-/// Gather every rank's actives to rank 0 (empty elsewhere) in one gatherv.
-tree::ParticleArray gather_to_root(comm::Comm& comm,
-                                   const tree::ParticleArray& local) {
-  struct Packed {
-    float x, y, z, vx, vy, vz, mass;
-    std::uint64_t id;
-  };
-  std::vector<Packed> mine;
-  mine.reserve(local.size());
-  for (std::size_t i = 0; i < local.size(); ++i)
-    mine.push_back(Packed{local.x[i], local.y[i], local.z[i], local.vx[i],
-                          local.vy[i], local.vz[i], local.mass[i],
-                          local.id[i]});
-  const auto all = comm.gatherv(std::span<const Packed>(mine), 0);
-  tree::ParticleArray out;
-  out.reserve(all.size());
-  for (const auto& q : all)
-    out.push_back(q.x, q.y, q.z, q.vx, q.vy, q.vz, q.mass, q.id,
-                  tree::Role::kActive);
-  return out;
 }
 
 double wrap(double v, double box) noexcept {
@@ -80,7 +59,7 @@ InSituReport write_catalogs(comm::Comm& comm, const InSituConfig& cfg,
   if (cfg.halos) {
     // Single-rank FOF over the gathered snapshot, in canonical id order so
     // membership sums — and the bytes below — are rank-count-invariant.
-    tree::ParticleArray snap = gather_to_root(comm, local_actives);
+    tree::ParticleArray snap = gio::gather_actives(comm, local_actives);
     std::uint64_t total = snap.size();
     total = comm.bcast_value(total, 0);
     std::vector<cosmology::Halo> halos;

@@ -1,7 +1,7 @@
 // Process-global name interning.
 //
-// Phase and counter names are hot-path keys: TimerRegistry scopes open and
-// close at sub-cycle frequency and comm counters bump on every message, so
+// Phase and counter names are hot-path keys: obs::PhaseScope opens and
+// closes at sub-cycle frequency and comm counters bump on every message, so
 // keys must be integers, not strings. intern_name() maps a string to a
 // dense process-wide NameId exactly once; every later lookup of the same
 // spelling is a map probe with no allocation, and call sites that care

@@ -5,8 +5,6 @@
 namespace hacc::util {
 
 namespace {
-thread_local const TraceHook* g_hook = nullptr;
-
 std::chrono::steady_clock::time_point process_epoch() noexcept {
   static const auto epoch = std::chrono::steady_clock::now();
   return epoch;
@@ -16,14 +14,6 @@ std::chrono::steady_clock::time_point process_epoch() noexcept {
 // on any thread is just a clock read and a subtraction.
 const auto g_epoch_init = process_epoch();
 }  // namespace
-
-const TraceHook* trace_hook() noexcept { return g_hook; }
-
-const TraceHook* set_trace_hook(const TraceHook* hook) noexcept {
-  const TraceHook* prev = g_hook;
-  g_hook = hook;
-  return prev;
-}
 
 std::uint64_t now_ns() noexcept {
   return static_cast<std::uint64_t>(

@@ -1,34 +1,10 @@
-// The thread-local trace hook that lets util-layer code (TimerRegistry)
-// emit trace events into the obs-layer tracer without depending on it.
-//
-// obs::Binding installs a TraceHook on the calling thread; every
-// TimerRegistry::Scope then reports its (name, begin, duration) through the
-// hook as it closes. When no hook is installed (the default) the cost is a
-// single thread-local load and branch, and no allocation ever happens —
-// that is the "tracing disabled" fast path asserted by obs_test.
+// The process-wide monotonic clock every telemetry timestamp is read from
+// (obs::Tracer spans, obs::PhaseScope durations, comm wait times).
 #pragma once
 
 #include <cstdint>
 
-#include "util/names.h"
-
 namespace hacc::util {
-
-/// A borrowed (never owned) sink for completed trace spans.
-struct TraceHook {
-  /// Called as complete(ctx, name, begin_ns, duration_ns); must be
-  /// callable from any thread the hook is installed on.
-  void (*complete)(void* ctx, NameId name, std::uint64_t t0_ns,
-                   std::uint64_t dur_ns);
-  void* ctx;
-};
-
-/// The calling thread's hook, or nullptr.
-const TraceHook* trace_hook() noexcept;
-
-/// Install `hook` (may be nullptr) on the calling thread; returns the
-/// previous hook so callers can restore it RAII-style.
-const TraceHook* set_trace_hook(const TraceHook* hook) noexcept;
 
 /// Monotonic nanoseconds since a process-wide epoch (steady clock). All
 /// ranks of the SimMPI machine share the epoch, so trace timestamps are

@@ -4,10 +4,10 @@
 
 namespace hacc {
 
-void TimerRegistry::add(NameId id, double seconds) {
+void TimerRegistry::add(NameId id, double seconds, std::size_t calls) {
   if (id >= entries_.size()) entries_.resize(id + 1);
   Entry& e = entries_[id];
-  e.count += 1;
+  e.count += calls;
   e.seconds += seconds;
 }
 
@@ -23,17 +23,6 @@ double TimerRegistry::grand_total() const {
   double t = 0;
   for (const Entry& e : entries_) t += e.seconds;
   return t;
-}
-
-std::vector<TimerRegistry::Total> TimerRegistry::totals() const {
-  std::vector<Total> out;
-  out.reserve(entries_.size());
-  for (std::size_t id = 0; id < entries_.size(); ++id) {
-    const Entry& e = entries_[id];
-    if (e.count == 0) continue;
-    out.push_back(Total{static_cast<NameId>(id), e.count, e.seconds});
-  }
-  return out;
 }
 
 std::vector<TimerRegistry::Row> TimerRegistry::report() const {
@@ -53,7 +42,5 @@ std::vector<TimerRegistry::Row> TimerRegistry::report() const {
             [](const Row& a, const Row& b) { return a.seconds > b.seconds; });
   return rows;
 }
-
-void TimerRegistry::clear() { entries_.clear(); }
 
 }  // namespace hacc

@@ -1,18 +1,12 @@
-// Hierarchical timing.
+// Timing.
 //
 // HACC's performance story is told in time-per-substep-per-particle and in
 // the per-phase breakdown (80% force kernel / 10% tree walk / 5% FFT / 5%
-// rest at the 16/4 operating point, paper Sec. III). TimerRegistry
-// accumulates named phases so the driver and benches can report exactly
-// those breakdowns.
-//
-// Phase names are interned (util/names.h): a Scope carries a 4-byte NameId,
-// not a std::string, so opening/closing scopes at sub-cycle frequency never
-// allocates. Hot call sites cache the id in a static; string overloads
-// intern on the fly (a map probe after the first sighting). Every closing
-// Scope also reports through the thread's util::TraceHook when one is
-// installed, which is how the obs tracer sees TimerRegistry phases without
-// any extra instrumentation.
+// rest at the 16/4 operating point, paper Sec. III). Phases are timed by
+// obs::PhaseScope straight into a rank's obs::Counters; TimerRegistry is
+// the report-side view of those totals (Simulation::timers() fills one
+// from the counters), keyed by interned phase name (util/names.h). Nothing
+// writes a TimerRegistry on a hot path.
 #pragma once
 
 #include <chrono>
@@ -21,7 +15,6 @@
 #include <vector>
 
 #include "util/names.h"
-#include "util/telemetry.h"
 
 namespace hacc {
 
@@ -40,44 +33,18 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Accumulates (count, total seconds) per named phase.
-///
-/// Not thread-safe: each rank (and the Poisson solver) owns its own
-/// registry; cross-rank aggregation is obs::reduce_timers.
+/// Accumulates (count, total seconds) per named phase. Not thread-safe.
 class TimerRegistry {
  public:
   /// The conventional root phase: when a phase with this name has been
   /// recorded, report() computes fraction-of-wall against it (see below).
   static constexpr std::string_view kRootPhase = "step";
 
-  /// RAII scope: accumulates into the phase on destruction and reports the
-  /// span through the thread's TraceHook (if any). Allocation-free.
-  class Scope {
-   public:
-    Scope(TimerRegistry& reg, NameId id)
-        : reg_(&reg), id_(id), t0_ns_(util::now_ns()) {}
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-    ~Scope() {
-      const std::uint64_t t1 = util::now_ns();
-      reg_->add(id_, static_cast<double>(t1 - t0_ns_) * 1e-9);
-      if (const util::TraceHook* h = util::trace_hook())
-        h->complete(h->ctx, id_, t0_ns_, t1 - t0_ns_);
-    }
-
-   private:
-    TimerRegistry* reg_;
-    NameId id_;
-    std::uint64_t t0_ns_;
-  };
-
-  void add(NameId id, double seconds);
-  void add(std::string_view name, double seconds) {
-    add(intern_name(name), seconds);
+  /// Add `seconds` and `calls` closed scopes to the phase.
+  void add(NameId id, double seconds, std::size_t calls = 1);
+  void add(std::string_view name, double seconds, std::size_t calls = 1) {
+    add(intern_name(name), seconds, calls);
   }
-
-  Scope scope(NameId id) { return Scope(*this, id); }
-  Scope scope(std::string_view name) { return Scope(*this, intern_name(name)); }
 
   double total(NameId id) const;
   double total(std::string_view name) const { return total(intern_name(name)); }
@@ -106,24 +73,12 @@ class TimerRegistry {
   };
   std::vector<Row> report() const;
 
-  /// Every phase with a nonzero count, unsorted (for snapshot/delta logic).
-  struct Total {
-    NameId id;
-    std::size_t count;
-    double seconds;
-  };
-  std::vector<Total> totals() const;
-
-  void clear();
-
  private:
   struct Entry {
     std::size_t count = 0;
     double seconds = 0;
   };
-  // Indexed by NameId (dense, process-global); grows on first sighting of
-  // an id, after which add() is a bounds check and two stores.
-  std::vector<Entry> entries_;
+  std::vector<Entry> entries_;  // indexed by NameId (dense, process-global)
 };
 
 }  // namespace hacc

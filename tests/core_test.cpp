@@ -17,6 +17,8 @@
 #include "comm/comm.h"
 #include "comm/telemetry.h"
 #include "obs/counters.h"
+#include "obs/ledger.h"
+#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "core/domain.h"
 #include "core/simulation.h"
@@ -589,12 +591,39 @@ TEST(Simulation, TimersCoverTheExpectedPhases) {
     Simulation sim(c, cosmo, cfg);
     sim.initialize();
     sim.step();
-    const auto& t = sim.timers();
+    sim.record_step_ledger();
+    const TimerRegistry t = sim.timers();
     for (const char* phase : {"poisson", "sr-kernel", "tree-build", "stream",
                               "refresh", "cic", "lr-kick"}) {
       EXPECT_GT(t.count(phase), 0u) << phase;
     }
+    EXPECT_EQ(t.count("poisson"), 2u);  // one solve per half kick
     EXPECT_GT(sim.last_stats().interactions, 0u);
+
+    // The ledger, timers() and /metrics are views of one sink: on one rank
+    // (the first record also carries "init") they agree to the nanosecond.
+    ASSERT_EQ(sim.ledger().records().size(), 1u);
+    const obs::StepRecord& rec = sim.ledger().records().back();
+    EXPECT_NEAR(rec.wall.mean, t.total("step"), 1e-9);
+    EXPECT_GT(rec.phases.count("poisson.fft"), 0u);
+    const obs::MetricsSource src{0, &sim.counters(), nullptr, ""};
+    const std::string text =
+        obs::export_prometheus(std::span<const obs::MetricsSource>(&src, 1));
+    auto exported_ns = [&](const std::string& phase) {
+      const std::string key =
+          "hacc_phase_ns_total{phase=\"" + phase + "\",rank=\"0\"} ";
+      const std::size_t at = text.find(key);
+      return at == std::string::npos
+                 ? -1.0
+                 : std::stod(text.substr(at + key.size()));
+    };
+    EXPECT_NEAR(exported_ns("step"), t.total("step") * 1e9, 1.0);
+    for (const auto& [phase, stat] : rec.phases) {
+      EXPECT_NEAR(stat.mean, t.total(phase), 1e-9) << phase;
+      EXPECT_NEAR(exported_ns(phase), t.total(phase) * 1e9, 1.0) << phase;
+    }
+    for (const auto& [name, stat] : rec.counters)
+      EXPECT_NE(name.rfind("phase.", 0), 0u) << name;
   });
 }
 

@@ -16,6 +16,7 @@
 #include "mesh/kernels.h"
 #include "mesh/poisson.h"
 #include "mesh/remap.h"
+#include "obs/obs.h"
 #include "util/rng.h"
 
 namespace hacc::mesh {
@@ -733,6 +734,52 @@ TEST(Poisson, ForceSumsToZero) {
       const double total =
           c.allreduce_value(grid.interior_sum(), comm::ReduceOp::kSum);
       EXPECT_NEAR(total, 0.0, 1e-8);
+    }
+  });
+}
+
+TEST(Poisson, SolveTimesItsPhasesIntoTheBoundSinks) {
+  // The solver owns no sink: under a Binding, one solve adds its three
+  // phases (ns + calls) to the bound Counters and emits spans of the same
+  // names on the bound, enabled Tracer. Unbound, it records nothing.
+  const std::size_t n = 8;
+  BlockDecomp3D d = BlockDecomp3D::balanced({n, n, n}, 2);
+  comm::Machine::run(2, [&](comm::Comm& c) {
+    PoissonSolver solver(c, d);
+    DistGrid delta(d, c.rank(), 1);
+    delta.fill(0.0);
+    delta.at(0, 0, 0) = 1.0;
+    std::array<DistGrid, 3> f{DistGrid(d, c.rank(), 1),
+                              DistGrid(d, c.rank(), 1),
+                              DistGrid(d, c.rank(), 1)};
+    obs::Tracer tracer;
+    tracer.set_enabled(true);
+    obs::Counters counters;
+    {
+      obs::Binding binding(&tracer, &counters);
+      solver.solve(c, delta, f);
+    }
+    solver.solve(c, delta, f);  // unbound: not recorded anywhere
+
+    const auto events = tracer.snapshot();
+    // Per solve: one forward pass, then per axis one spectral multiply,
+    // one inverse FFT and one remap back to blocks.
+    for (const char* phase : {"poisson.remap", "poisson.fft",
+                              "poisson.kernel"}) {
+      const obs::PhaseIds ids = obs::phase_ids(phase);
+      EXPECT_GT(counters.value(ids.ns), 0u) << phase;
+      EXPECT_EQ(counters.value(ids.calls), 4u) << phase;
+      std::size_t spans = 0;
+      for (const auto& e : events)
+        if (e.name == ids.name && e.type == obs::Tracer::Type::kComplete)
+          ++spans;
+      EXPECT_EQ(spans, 4u) << phase;
+    }
+    for (const auto& e : events) {
+      const std::string_view name = name_of(e.name);
+      EXPECT_NE(name, "remap");
+      EXPECT_NE(name, "fft");
+      EXPECT_NE(name, "kernel");
     }
   });
 }

@@ -4,6 +4,7 @@
 // criteria (ledger phase coverage, merged trace validity).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -31,7 +32,6 @@
 #include "tree/rcb_tree.h"
 #include "util/names.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 namespace hacc::obs {
 namespace {
@@ -317,43 +317,75 @@ TEST(Binding, NestsAndRestores) {
   EXPECT_EQ(tracer(), nullptr);
 }
 
-TEST(Binding, TimerScopesFeedTheBoundTracer) {
+TEST(Binding, PhaseScopesFeedTheBoundTracer) {
   Tracer t;
   t.set_enabled(true);
-  TimerRegistry reg;
-  const NameId phase = intern_name("obs-test.hook-phase");
+  Counters c;
+  const PhaseIds phase = phase_ids("obs-test.hook-phase");
   {
     Binding binding(&t, nullptr);
-    auto scope = reg.scope(phase);
+    PhaseScope scope(&c, phase);
   }
   const auto events = t.snapshot();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].name, phase);
+  EXPECT_EQ(events[0].name, phase.name);
   EXPECT_EQ(events[0].type, Tracer::Type::kComplete);
-  EXPECT_GT(reg.total(phase), 0.0);
+  EXPECT_GT(c.value(phase.ns), 0u);
+  EXPECT_EQ(events[0].dur_ns, c.value(phase.ns));  // one clock, two views
 
   // Outside the binding the same scope records time but no events.
-  { auto scope = reg.scope(phase); }
+  { PhaseScope scope(&c, phase); }
   EXPECT_EQ(t.snapshot().size(), 1u);
+  EXPECT_EQ(c.value(phase.calls), 2u);
+}
+
+TEST(PhaseScope, AccumulatesNsAndCalls) {
+  Counters c;
+  const PhaseIds phase = phase_ids("obs-test.accumulate");
+  {
+    PhaseScope scope(&c, phase);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GE(c.value(phase.ns), 2'000'000u);
+  EXPECT_EQ(c.value(phase.calls), 1u);
+
+  // The one-argument form times into the thread-bound Counters, and into
+  // nothing when none is bound.
+  { PhaseScope unbound(phase); }
+  EXPECT_EQ(c.value(phase.calls), 1u);
+  {
+    Binding binding(nullptr, &c);
+    PhaseScope bound(phase);
+  }
+  EXPECT_EQ(c.value(phase.calls), 2u);
+
+  // The slot spelling round-trips through phase_slot().
+  EXPECT_EQ(name_of(phase.ns), "phase.obs-test.accumulate.ns");
+  EXPECT_EQ(phase_slot(phase.ns).kind, PhaseSlot::kNs);
+  EXPECT_EQ(phase_slot(phase.ns).phase, "obs-test.accumulate");
+  EXPECT_EQ(phase_slot(phase.calls).kind, PhaseSlot::kCalls);
+  EXPECT_EQ(phase_slot(phase.calls).phase, "obs-test.accumulate");
+  EXPECT_EQ(phase_slot(phase.name).kind, PhaseSlot::kNone);
+  EXPECT_EQ(phase_slot(counter_id("phase..ns")).kind, PhaseSlot::kNone);
 }
 
 TEST(Observability, DisabledPathsAllocateNothing) {
   const NameId phase = intern_name("obs-test.noalloc");
   const NameId ctr = counter_id("obs-test.noalloc.ctr");
+  const PhaseIds timed = phase_ids("obs-test.noalloc");
   Tracer t;  // disabled
   Counters c;
-  TimerRegistry reg;
-  { auto warm = reg.scope(phase); }  // grow the registry's entry table once
   c.add(ctr, 1);
 
-  // Unbound: TraceScope / add_counter / timer scopes must be free.
+  // Unbound: TraceScope / add_counter / phase scopes must be free.
   alloc_hook::count.store(0);
   alloc_hook::armed.store(true);
   for (int i = 0; i < 1000; ++i) {
     TraceScope trace(phase);
     add_counter(ctr, 7);
     set_gauge(ctr, 7);
-    auto scope = reg.scope(phase);
+    PhaseScope scope(&c, timed);
+    PhaseScope unbound(timed);
   }
   alloc_hook::armed.store(false);
   EXPECT_EQ(alloc_hook::count.load(), 0u);
@@ -366,7 +398,7 @@ TEST(Observability, DisabledPathsAllocateNothing) {
   for (int i = 0; i < 1000; ++i) {
     TraceScope trace(phase);
     add_counter(ctr, 7);
-    auto scope = reg.scope(phase);
+    PhaseScope scope(timed);
   }
   alloc_hook::armed.store(false);
   EXPECT_EQ(alloc_hook::count.load(), 0u);
@@ -379,9 +411,11 @@ TEST(Observability, DisabledPathsAllocateNothing) {
   for (int i = 0; i < 1000; ++i) {
     TraceScope trace(phase);
     add_counter(ctr, 7);
+    PhaseScope scope(timed);
   }
   alloc_hook::armed.store(false);
   EXPECT_EQ(alloc_hook::count.load(), 0u);
+  EXPECT_EQ(c.value(timed.calls), 3000u);  // the explicit sink + two bound loops
 }
 
 TEST(Observability, PeakRssIsReported) {
@@ -423,14 +457,14 @@ TEST(Reduce, CounterReduceAcrossFourRanksIsExact) {
   });
 }
 
-TEST(Reduce, TimerReduceSortsByDescendingMean) {
+TEST(Reduce, SamplesReduceSortsByDescendingMean) {
   const NameId big = intern_name("obs-test.reduce.big");
   const NameId small = intern_name("obs-test.reduce.small");
   comm::Machine::run(3, [&](comm::Comm& c) {
-    TimerRegistry reg;
-    reg.add(big, 10.0 + c.rank());
-    reg.add(small, 0.5);
-    const auto rows = reduce_timers(c, reg);
+    const std::vector<std::pair<NameId, double>> samples{
+        {small, 0.5}, {big, 10.0 + c.rank()}};
+    const auto rows = reduce_samples(
+        c, std::span<const std::pair<NameId, double>>(samples));
     if (c.rank() != 0) return;
     ASSERT_EQ(rows.size(), 2u);
     EXPECT_EQ(rows[0].name, big);
