@@ -5,11 +5,12 @@
 #
 # 1. Configure + build the default tree and run the full ctest suite.
 #    Then an OpenMP thread-count matrix: the zero-allocation gates (pencil
-#    FFT, short-range kernel) and the bit-for-bit determinism tests
-#    (checkpoint restart, fault-matrix recovery, catalog byte identity) run
-#    again at OMP_NUM_THREADS=1 and at nproc, and the short-range gate runs
-#    10 times at OMP_NUM_THREADS=8 (more threads than this host may have
-#    cores, so some get no leaf).
+#    FFT, short-range kernel), the one-PM-solve-per-warm-step count and the
+#    bit-for-bit determinism tests (checkpoint restart, fault-matrix
+#    recovery, rollback of a flip in the stored long-range acceleration,
+#    catalog byte identity) run again at OMP_NUM_THREADS=1 and at nproc,
+#    and the short-range gate runs 10 times at OMP_NUM_THREADS=8 (more
+#    threads than this host may have cores, so some get no leaf).
 # 2. Configure a second tree with -DHACC_SANITIZE=address, build only the
 #    I/O test binaries (io_test, gio_test), and run them — the checkpoint
 #    writer/reader funnels raw byte spans through threads, which is exactly
@@ -69,7 +70,10 @@ for threads in 1 "$JOBS"; do
   export OMP_NUM_THREADS="$threads"
   "$BUILD/tests/fft_test" --gtest_filter='Pencil.SteadyStateTransformsDoNotAllocate'
   "$BUILD/tests/tree_test" --gtest_filter='TreeForce.SteadyStateShortRangeIsAllocationFree'
-  "$BUILD/tests/core_test" --gtest_filter='Simulation.CheckpointRestartReproducesRun'
+  "$BUILD/tests/core_test" \
+    --gtest_filter='Simulation.CheckpointRestartReproducesRun:Simulation.OneLongRangeSolvePerWarmStep'
+  "$BUILD/tests/audit_test" \
+    --gtest_filter='SdcRollback.AccelerationFlipDetectedAndRolledBackBitForBit'
   "$BUILD/tests/integration_test" \
     --gtest_filter='FaultMatrix.KilledRankAndCorruptCheckpointRecoverBitForBit'
   "$BUILD/tests/serve_test" \
@@ -115,10 +119,11 @@ OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/comm_test" --gtest_filter="$FAULT_FILTER"
 OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/core_test" --gtest_filter="$FAULT_FILTER"
 OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/integration_test" --gtest_filter="$FAULT_FILTER"
 
-# Fused overload exchange under TSan: refresh() packs on the caller thread
-# but neighbor_alltoallv crosses SimMPI rank threads, so the OverloadRanks
-# suite is the race gate for the single-exchange refresh path.
-echo "== tsan: fused overload exchange =="
+# Overload exchanges under TSan: migrate() and replicate() pack on the
+# caller thread but neighbor_alltoallv crosses SimMPI rank threads, so the
+# OverloadRanks suite (migrate/replicate exchange counts included) is the
+# race gate for both particle exchanges.
+echo "== tsan: overload migrate + replicate exchanges =="
 OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/core_test" --gtest_filter='*Overload*'
 
 # Chaos campaign: elastic shrink + a seeded campaign subset. Fixed seeds

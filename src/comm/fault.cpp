@@ -59,6 +59,7 @@ FaultPlan FaultPlan::clone_fresh() const {
     c.op = s.op;
     c.nbits = s.nbits;
     c.bit = s.bit;
+    c.element = s.element;
     c.mem_seed = s.mem_seed;
     c.max_fires = s.max_fires;
     // fires/seen stay zero: the clone has never fired.
@@ -132,6 +133,15 @@ FaultPlan& FaultPlan::pin_bit(int bit) {
                       specs_.back().kind == fault::Kind::kFlipGridMemory),
                  "pin_bit() needs a preceding memory-flip spec");
   specs_.back().bit = bit;
+  return *this;
+}
+
+FaultPlan& FaultPlan::pin_element(std::uint64_t element) {
+  HACC_CHECK_MSG(!specs_.empty() &&
+                     (specs_.back().kind == fault::Kind::kFlipParticleMemory ||
+                      specs_.back().kind == fault::Kind::kFlipGridMemory),
+                 "pin_element() needs a preceding memory-flip spec");
+  specs_.back().element = static_cast<std::int64_t>(element);
   return *this;
 }
 
@@ -216,8 +226,11 @@ std::vector<MemoryFlip> take_memory_flips(MemoryTarget target,
       const auto u = rng.uniform2(static_cast<std::uint64_t>(i));
       MemoryFlip flip;
       flip.element =
-          static_cast<std::uint64_t>(u[0] * static_cast<double>(elements)) %
-          elements;
+          s.element >= 0
+              ? static_cast<std::uint64_t>(s.element) % elements
+              : static_cast<std::uint64_t>(u[0] *
+                                           static_cast<double>(elements)) %
+                    elements;
       flip.bit = s.bit >= 0
                      ? s.bit
                      : bit_lo + static_cast<int>(

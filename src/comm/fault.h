@@ -63,10 +63,12 @@ struct Spec {
   int nth = 0;          ///< fire on the nth (0-based) matching event
   double stall_seconds = 0;
   telemetry::Op op = telemetry::Op::kBarrier;  ///< kFailCollective class
-  // kFlip*Memory: how many bits to corrupt, which bit (-1 = draw from the
-  // seeded stream), and the Philox seed that makes the damage reproducible.
+  // kFlip*Memory: how many bits to corrupt, which bit and which logical
+  // element (-1 = draw from the seeded stream), and the Philox seed that
+  // makes the damage reproducible.
   int nbits = 1;
   int bit = -1;
+  std::int64_t element = -1;
   std::uint64_t mem_seed = 0x5DC;
   int max_fires = 1;    ///< one-shot by default; <0 = unlimited
   std::atomic<int> fires{0};  ///< times this spec has fired (survives runs)
@@ -142,6 +144,10 @@ class FaultPlan {
   /// Pin the most recently added kFlip*Memory spec to one exact bit index
   /// instead of a seeded draw (property tests target specific bit classes).
   FaultPlan& pin_bit(int bit);
+  /// Pin the most recently added kFlip*Memory spec to one logical element
+  /// (taken modulo the target's element count) instead of a seeded draw,
+  /// so a test can aim at one field of one particle.
+  FaultPlan& pin_element(std::uint64_t element);
 
   std::deque<fault::Spec>& specs() noexcept { return specs_; }
   const std::deque<fault::Spec>& specs() const noexcept { return specs_; }

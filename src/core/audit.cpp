@@ -49,12 +49,11 @@ void check_leaf(const tree::ParticleArray& p, const tree::RcbNode& node,
   }
 }
 
-}  // namespace
-
-std::uint64_t particle_checksum(const tree::ParticleArray& particles,
-                                bool assume_id_sorted) {
-  // Canonical order: actives sorted by id (unique among actives), so the
-  // hash is invariant under the permutations refresh/restore perform.
+/// Indices of the actives in canonical order: ascending id (unique among
+/// actives), so a hash over them is invariant under the permutations
+/// refresh/restore perform.
+std::vector<std::size_t> active_order(const tree::ParticleArray& particles,
+                                      bool assume_id_sorted) {
   std::vector<std::size_t> order;
   order.reserve(particles.size());
   for (std::size_t i = 0; i < particles.size(); ++i)
@@ -64,14 +63,31 @@ std::uint64_t particle_checksum(const tree::ParticleArray& particles,
       return particles.id[a] < particles.id[b];
     });
   }
+  return order;
+}
+
+}  // namespace
+
+std::uint64_t particle_checksum(const tree::ParticleArray& particles,
+                                bool assume_id_sorted) {
   std::uint64_t h = kFnv1aOffset;
-  for (const std::size_t i : order) {
+  for (const std::size_t i : active_order(particles, assume_id_sorted)) {
     const float payload[7] = {particles.x[i],  particles.y[i],
                               particles.z[i],  particles.vx[i],
                               particles.vy[i], particles.vz[i],
                               particles.mass[i]};
     h = fnv1a(payload, sizeof(payload), h);
     h = fnv1a(&particles.id[i], sizeof(particles.id[i]), h);
+  }
+  return h;
+}
+
+std::uint64_t acceleration_checksum(const tree::ParticleArray& particles,
+                                    std::uint64_t h, bool assume_id_sorted) {
+  for (const std::size_t i : active_order(particles, assume_id_sorted)) {
+    const float accel[3] = {particles.ax[i], particles.ay[i],
+                            particles.az[i]};
+    h = fnv1a(accel, sizeof(accel), h);
   }
   return h;
 }

@@ -9,11 +9,12 @@
 // This module supplies the *detection* half of the SDC defense:
 //
 //   * payload-invariance checksum — a canonical-order FNV-1a over each
-//     rank's active particle payloads, stashed at the end of every step
-//     (after the overload exchange) and recomputed at the start of the
-//     next, before any physics touches the state. The inter-step window is
-//     idle by construction, so any difference is memory corruption — every
-//     bit of every field is covered, exactly.
+//     rank's active particle payloads, with their long-range acceleration
+//     chained on, stashed at the end of every step (after the overload
+//     exchange) and recomputed at the start of the next, before any physics
+//     touches the state. The inter-step window is idle by construction, so
+//     any difference is memory corruption — every bit of every resident
+//     field is covered, exactly.
 //   * CIC mass conservation — the deposit is a partition of unity, so the
 //     global grid sum must equal the global active count to within float
 //     deposit rounding. Catches grid-resident corruption the particle
@@ -90,6 +91,14 @@ struct AuditConfig {
 /// (SimulationConfig::canonical_order keeps it so at every refresh).
 std::uint64_t particle_checksum(const tree::ParticleArray& particles,
                                 bool assume_id_sorted = false);
+
+/// FNV-1a over the actives' long-range acceleration (ax, ay, az), in the
+/// same canonical order as particle_checksum, folded onto `h`. Chained onto
+/// particle_checksum it brings the acceleration a simulation keeps across
+/// the step boundary into the SDC window.
+std::uint64_t acceleration_checksum(const tree::ParticleArray& particles,
+                                    std::uint64_t h,
+                                    bool assume_id_sorted = false);
 
 /// Outcome of one sampled duplicate-execution audit.
 struct DuplicateExecutionResult {

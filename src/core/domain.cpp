@@ -10,7 +10,8 @@ namespace hacc::core {
 
 namespace {
 
-const NameId kTrcRefresh = intern_name("refresh");
+const NameId kTrcMigrate = intern_name("refresh.migrate");
+const NameId kTrcReplicate = intern_name("refresh.replicate");
 const NameId kCtrMigrated = obs::counter_id("refresh.migrated");
 const NameId kCtrRefreshed = obs::counter_id("refresh.particles");
 const NameId kGaugeActive = obs::gauge_id("refresh.active");
@@ -32,15 +33,14 @@ OverloadDomain::OverloadDomain(const mesh::BlockDecomp3D& decomp, int rank,
         overload_ <= static_cast<double>(n / static_cast<std::size_t>(p)),
         "overload depth exceeds the smallest domain extent");
   }
-  build_images(rank_, my_images_);
+  build_images();
   build_stencil();
 }
 
-void OverloadDomain::build_images(int owner,
-                                  std::array<Image, 26>& out) const {
+void OverloadDomain::build_images() {
   const auto& dims = decomp_.grid_dims();
   const auto& topo = decomp_.topology();
-  const auto coords = topo.coords(owner);
+  const auto coords = topo.coords(rank_);
   std::size_t w = 0;
   for (int ox = -1; ox <= 1; ++ox) {
     for (int oy = -1; oy <= 1; ++oy) {
@@ -48,7 +48,7 @@ void OverloadDomain::build_images(int owner,
         if (ox == 0 && oy == 0 && oz == 0) continue;
         const std::array<int, 3> offset{ox, oy, oz};
         std::array<int, 3> ncoord{};
-        Image& im = out[w++];
+        Image& im = images_[w++];
         for (int d = 0; d < 3; ++d) {
           const auto sd = static_cast<std::size_t>(d);
           ncoord[sd] = coords[sd] + offset[sd];
@@ -60,7 +60,7 @@ void OverloadDomain::build_images(int owner,
             im.shift[sd] = static_cast<double>(dims[sd]);
         }
         im.nbr = topo.rank_of(ncoord);
-        // The image's overload slab, in the owner's coordinate frame.
+        // The image's overload slab, in this rank's coordinate frame.
         const auto nbox = decomp_.box_of(im.nbr);
         const fft::Range* ranges[3] = {&nbox.x, &nbox.y, &nbox.z};
         for (int d = 0; d < 3; ++d) {
@@ -134,9 +134,45 @@ std::array<std::size_t, 2> OverloadDomain::census(
   return counts;
 }
 
-RefreshStats OverloadDomain::refresh(comm::Comm& comm,
-                                     tree::ParticleArray& particles) const {
-  obs::TraceScope trace(kTrcRefresh);
+std::size_t OverloadDomain::slot(int r) const {
+  const int s = slot_of_[static_cast<std::size_t>(r)];
+  HACC_CHECK_MSG(s >= 0, "particle drifted beyond the refresh stencil");
+  return static_cast<std::size_t>(s);
+}
+
+void OverloadDomain::layout_send_buffer() const {
+  cursors_.resize(stencil_.size());
+  std::size_t total = 0;
+  for (std::size_t s = 0; s < stencil_.size(); ++s) {
+    cursors_[s] = total;
+    total += send_counts_[s];
+  }
+  send_buf_.resize(total);
+}
+
+void OverloadDomain::pack(int dest, const tree::ParticleArray& p,
+                          std::size_t i, float x, float y, float z) const {
+  send_buf_[cursors_[slot(dest)]++] = PackedParticle{
+      x, y, z, p.vx[i], p.vy[i], p.vz[i], p.mass[i], p.ax[i], p.ay[i],
+      p.az[i], p.id[i]};
+}
+
+void OverloadDomain::exchange(comm::Comm& comm, tree::ParticleArray& particles,
+                              tree::Role role) const {
+  comm.neighbor_alltoallv(std::span<const int>(stencil_),
+                          std::span<const PackedParticle>(send_buf_),
+                          std::span<const std::size_t>(send_counts_),
+                          recv_buf_, recv_counts_);
+  for (const PackedParticle& q : recv_buf_) {
+    HACC_ASSERT(role == tree::Role::kPassive || owns(q.x, q.y, q.z));
+    particles.push_back(q.x, q.y, q.z, q.vx, q.vy, q.vz, q.mass, q.id, role,
+                        q.ax, q.ay, q.az);
+  }
+}
+
+std::size_t OverloadDomain::migrate(comm::Comm& comm,
+                                    tree::ParticleArray& particles) const {
+  obs::TraceScope trace(kTrcMigrate);
   const auto& dims = decomp_.grid_dims();
   HACC_CHECK(comm.size() == decomp_.nranks());
 
@@ -152,137 +188,96 @@ RefreshStats OverloadDomain::refresh(comm::Comm& comm,
     return f;
   };
 
-  // Pass 0: drop all passive replicas and wrap actives into [0, N).
-  for (std::size_t i = 0; i < particles.size();) {
+  // Pass A: wrap every active, resolve its owner and count the leavers per
+  // stencil slot. Passives get owner -1: they are dropped below.
+  const std::size_t n = particles.size();
+  owners_.resize(n);
+  send_counts_.assign(stencil_.size(), 0);
+  std::size_t migrated = 0;
+  for (std::size_t i = 0; i < n; ++i) {
     if (particles.role[i] == tree::Role::kPassive) {
-      particles.remove_unordered(i);
+      owners_[i] = -1;
       continue;
     }
     particles.x[i] = wrap(particles.x[i], 0);
     particles.y[i] = wrap(particles.y[i], 1);
     particles.z[i] = wrap(particles.z[i], 2);
-    ++i;
-  }
-
-  const std::size_t n = particles.size();
-  const std::size_t nslots = stencil_.size();
-  auto slot = [&](int r) {
-    const int s = slot_of_[static_cast<std::size_t>(r)];
-    HACC_CHECK_MSG(s >= 0, "particle drifted beyond the refresh stencil");
-    return static_cast<std::size_t>(s);
-  };
-
-  // Pass A: resolve every active's owner and count the packets each stencil
-  // slot will carry: a role-0 migrant packet for leavers, plus one role-1
-  // replica packet per owner image whose overload slab contains the
-  // particle. Migrant replicas are computed here, on the new owner's
-  // behalf, from *its* images — that fuses the historical second exchange
-  // into this one.
-  owners_.resize(n);
-  send_counts_.assign(nslots, 0);
-  std::array<Image, 26> mig_images;
-  std::size_t migrated = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double px = particles.x[i], py = particles.y[i],
-                 pz = particles.z[i];
     int owner = rank_;
-    const std::array<Image, 26>* imgs = &my_images_;
     if (!owns(particles.x[i], particles.y[i], particles.z[i])) {
       owner = decomp_.owner_of(static_cast<std::size_t>(particles.x[i]),
                                static_cast<std::size_t>(particles.y[i]),
                                static_cast<std::size_t>(particles.z[i]));
       ++migrated;
       ++send_counts_[slot(owner)];
-      build_images(owner, mig_images);
-      imgs = &mig_images;
     }
     owners_[i] = owner;
-    for (const Image& im : *imgs) {
-      if (px < im.lo[0] || px >= im.hi[0] || py < im.lo[1] ||
-          py >= im.hi[1] || pz < im.lo[2] || pz >= im.hi[2])
-        continue;
-      ++send_counts_[slot(im.nbr)];
-    }
   }
 
-  // Pass B: pack directly into the flat send buffer at precomputed cursor
-  // offsets — no per-rank staging vectors, no concatenation copy.
-  cursors_.resize(nslots);
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < nslots; ++s) {
-    cursors_[s] = total;
-    total += send_counts_[s];
+  // Pass B: pack the leavers straight into the flat send buffer.
+  layout_send_buffer();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (owners_[i] >= 0 && owners_[i] != rank_)
+      pack(owners_[i], particles, i, particles.x[i], particles.y[i],
+           particles.z[i]);
   }
-  send_buf_.resize(total);
+
+  // Keep the actives that stay (passives and leavers go), then take in the
+  // arrivals.
+  particles.retain_if([&](std::size_t i) { return owners_[i] == rank_; });
+  exchange(comm, particles, tree::Role::kActive);
+  if (canonical_order_) particles.sort_by_id();
+  obs::add_counter(kCtrMigrated, migrated);
+  return migrated;
+}
+
+std::size_t OverloadDomain::replicate(comm::Comm& comm,
+                                      tree::ParticleArray& particles) const {
+  obs::TraceScope trace(kTrcReplicate);
+  HACC_CHECK(comm.size() == decomp_.nranks());
+  const std::size_t n = particles.size();
+  auto inside = [](const Image& im, double px, double py, double pz) {
+    return px >= im.lo[0] && px < im.hi[0] && py >= im.lo[1] &&
+           py < im.hi[1] && pz >= im.lo[2] && pz < im.hi[2];
+  };
+
+  // Pass A: one replica packet per image whose overload slab contains the
+  // active.
+  send_counts_.assign(stencil_.size(), 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    HACC_CHECK_MSG(particles.role[i] == tree::Role::kActive,
+                   "replicate() takes migrate()'s actives only");
+    const double px = particles.x[i], py = particles.y[i],
+                 pz = particles.z[i];
+    for (const Image& im : images_)
+      if (inside(im, px, py, pz)) ++send_counts_[slot(im.nbr)];
+  }
+
+  // Pass B: pack, positions expressed in the receiver's frame.
+  layout_send_buffer();
   for (std::size_t i = 0; i < n; ++i) {
     const double px = particles.x[i], py = particles.y[i],
                  pz = particles.z[i];
-    const int owner = owners_[i];
-    const std::array<Image, 26>* imgs = &my_images_;
-    if (owner != rank_) {
-      send_buf_[cursors_[slot(owner)]++] = PackedParticle{
-          particles.x[i], particles.y[i], particles.z[i], particles.vx[i],
-          particles.vy[i], particles.vz[i], particles.mass[i], 0,
-          particles.id[i]};
-      build_images(owner, mig_images);
-      imgs = &mig_images;
-    }
-    for (const Image& im : *imgs) {
-      if (px < im.lo[0] || px >= im.hi[0] || py < im.lo[1] ||
-          py >= im.hi[1] || pz < im.lo[2] || pz >= im.hi[2])
-        continue;
-      // Position expressed in the receiver's frame.
-      send_buf_[cursors_[slot(im.nbr)]++] = PackedParticle{
-          static_cast<float>(px - im.shift[0]),
-          static_cast<float>(py - im.shift[1]),
-          static_cast<float>(pz - im.shift[2]), particles.vx[i],
-          particles.vy[i], particles.vz[i], particles.mass[i], 1,
-          particles.id[i]};
+    for (const Image& im : images_) {
+      if (inside(im, px, py, pz))
+        pack(im.nbr, particles, i, static_cast<float>(px - im.shift[0]),
+             static_cast<float>(py - im.shift[1]),
+             static_cast<float>(pz - im.shift[2]));
     }
   }
+  exchange(comm, particles, tree::Role::kPassive);
 
-  // Migrants are packed; drop them (mirroring each swap-with-last in
-  // owners_ keeps the two arrays aligned).
-  for (std::size_t i = 0; i < particles.size();) {
-    if (owners_[i] != rank_) {
-      particles.remove_unordered(i);
-      owners_[i] = owners_.back();
-      owners_.pop_back();
-      continue;
-    }
-    ++i;
-  }
+  obs::add_counter(kCtrRefreshed, n + recv_buf_.size());
+  obs::set_gauge(kGaugeActive, n);
+  obs::set_gauge(kGaugePassive, recv_buf_.size());
+  return recv_buf_.size();
+}
 
-  // THE exchange: one sparse neighbor_alltoallv carrying both roles.
-  comm.neighbor_alltoallv(std::span<const int>(stencil_),
-                          std::span<const PackedParticle>(send_buf_),
-                          std::span<const std::size_t>(send_counts_),
-                          recv_buf_, recv_counts_);
-  for (const PackedParticle& q : recv_buf_) {
-    if (q.role == 0) {
-      HACC_ASSERT(owns(q.x, q.y, q.z));
-      particles.push_back(q.x, q.y, q.z, q.vx, q.vy, q.vz, q.mass, q.id,
-                          tree::Role::kActive);
-    } else {
-      particles.push_back(q.x, q.y, q.z, q.vx, q.vy, q.vz, q.mass, q.id,
-                          tree::Role::kPassive);
-    }
-  }
-
-  // Canonical order now covers the whole array (actives and passives were
-  // delivered together), so every float summation order until the next
-  // refresh — and across restarts — is independent of arrival history.
-  if (canonical_order_) particles.sort_by_id();
-
+RefreshStats OverloadDomain::refresh(comm::Comm& comm,
+                                     tree::ParticleArray& particles) const {
   RefreshStats stats;
-  const auto counts2 = census(particles);
-  stats.active = counts2[0];
-  stats.passive = counts2[1];
-  stats.migrated = migrated;
-  obs::add_counter(kCtrMigrated, stats.migrated);
-  obs::add_counter(kCtrRefreshed, stats.active + stats.passive);
-  obs::set_gauge(kGaugeActive, stats.active);
-  obs::set_gauge(kGaugePassive, stats.passive);
+  stats.migrated = migrate(comm, particles);
+  stats.active = particles.size();
+  stats.passive = replicate(comm, particles);
   return stats;
 }
 

@@ -5,12 +5,19 @@
 // replication* is employed across domain boundaries: every rank stores,
 // besides its own ("active", green in Fig. 4) particles, complete copies of
 // all neighbor particles within the overload depth of its boundary
-// ("passive", red). Passive particles are moved by interpolated forces but
-// never deposited in the Poisson solve; they switch roles as they cross
-// domain boundaries. The payoff: medium/long-range force calculations need
-// no particle communication at all, and the short-range solver becomes a
+// ("passive", red). Passive particles are moved by forces but never
+// deposited in the Poisson solve; they switch roles as they cross domain
+// boundaries. The payoff: medium/long-range force calculations need no
+// particle communication at all, and the short-range solver becomes a
 // purely rank-local ("on-node") method that can be swapped per architecture
 // with guaranteed scalability.
+//
+// A refresh is two sparse exchanges over the same stencil: migrate() hands
+// every active that left the domain to its new owner, then replicate()
+// copies the (now in-domain) actives into the neighbors' overload slabs.
+// The simulation runs its one long-range solve between the two, so each
+// replica carries its owner's exact long-range acceleration and passives
+// are kicked with it instead of an interpolation of their own.
 //
 // Passive replicas are stored with *unwrapped* coordinates in the receiving
 // rank's frame (a replica from across the periodic seam sits at x < 0 or
@@ -52,66 +59,86 @@ class OverloadDomain {
   /// True if a (wrapped, in [0,N)) position belongs to this rank's domain.
   bool owns(float x, float y, float z) const noexcept;
 
-  /// Full overloading refresh (collective):
-  ///  1. drop all passive replicas and wrap active positions into [0, N),
-  ///  2. for every active, work out its (possibly new) owner and all
-  ///     passive-replica destinations — the owner's 26 neighbor images
-  ///     whose overload slab contains it — and pack role-tagged packets
-  ///     directly into one flat send buffer,
-  ///  3. perform ONE sparse neighbor_alltoallv over the refresh stencil
-  ///     (migration + replication fused: a single exchange per refresh,
-  ///     cost scaling with the neighbor count, not the world size).
-  /// Migrant replicas are computed by the *sender* on the new owner's
-  /// behalf — the decomposition is globally known — which is what makes the
-  /// historical deliver-then-replicate second round unnecessary.
+  /// Migration (collective, one sparse neighbor_alltoallv over the
+  /// stencil): drop all passive replicas, wrap the actives into [0, N),
+  /// send every active outside this rank's domain to its owner and append
+  /// the arrivals. Afterwards the array holds exactly this rank's actives
+  /// — in canonical (id) order when set_canonical_order() is on — and
+  /// nothing else. Returns the number of actives that left this rank.
+  std::size_t migrate(comm::Comm& comm, tree::ParticleArray& particles) const;
+
+  /// Replication (collective, one sparse neighbor_alltoallv over the
+  /// stencil): copy every active into the overload slab of each of the 26
+  /// neighbor images that contains it and append the copies received here
+  /// as passives, in the receiver's unwrapped frame. Replicas carry every
+  /// field, the long-range acceleration included. Requires migrate()'s
+  /// output: only this rank's in-domain actives. Returns the number of
+  /// passives appended.
+  std::size_t replicate(comm::Comm& comm,
+                        tree::ParticleArray& particles) const;
+
+  /// Full overloading refresh: migrate() then replicate().
   RefreshStats refresh(comm::Comm& comm, tree::ParticleArray& particles) const;
 
   /// The sparse exchange stencil: every rank within L-inf min-image box
   /// distance <= 2*overload of this rank's domain (touching boxes — the 26
   /// Cartesian neighbors and self — always qualify, so the stencil is
-  /// never empty). Self is a member because a migrant's replicas, built by
-  /// the sender on the new owner's behalf, can target the sender itself;
-  /// its block never crosses a rank boundary (memcpy fast path).
-  /// 2*overload covers replicas of migrants that drifted up to one
-  /// overload depth past the boundary; refresh HACC_CHECKs at pack time
-  /// that no particle needs a rank outside it. Symmetric across ranks by
-  /// construction (the distance is symmetric and exact — integer box
-  /// bounds in double).
+  /// never empty). Both exchanges use it. replicate() needs only the
+  /// touching ranks; the 2*overload reach is for migrate(), whose leavers
+  /// may have drifted well past the boundary since the last refresh —
+  /// migrate HACC_CHECKs that no leaver needs a rank outside it. Self is a
+  /// member because on a small topology one of this rank's own periodic
+  /// images can hold a replica; its block never crosses a rank boundary
+  /// (memcpy fast path). Symmetric across ranks by construction (the
+  /// distance is symmetric and exact — integer box bounds in double).
   const std::vector<int>& stencil() const noexcept { return stencil_; }
 
   /// Count (active, passive) without modifying anything.
   std::array<std::size_t, 2> census(const tree::ParticleArray& p) const;
 
-  /// When set, refresh() re-sorts the actives into canonical (id) order
-  /// after migrant delivery, before replicas are rebuilt. This decouples
-  /// the particle ordering — and with it every float summation order
-  /// downstream — from the arrival/removal history, so a run restored from
-  /// a checkpoint (which permutes particles through the elastic read and
-  /// redistribution) evolves bit-for-bit like the uninterrupted one.
+  /// When set, migrate() sorts the actives into canonical (id) order after
+  /// the arrivals are appended, so replicate() packs — and every rank
+  /// receives — particles in an order that depends only on the actives'
+  /// ids. This decouples the particle ordering — and with it every float
+  /// summation order downstream — from the arrival/removal history, so a
+  /// run restored from a checkpoint (which permutes particles through the
+  /// elastic read and redistribution) evolves bit-for-bit like the
+  /// uninterrupted one.
   void set_canonical_order(bool on) noexcept { canonical_order_ = on; }
   bool canonical_order() const noexcept { return canonical_order_; }
 
  private:
-  /// Wire format for the fused particle exchange (trivially copyable).
-  /// `role` tags the packet: 0 = migrating active, 1 = passive replica.
+  /// Wire format of both exchanges (trivially copyable): every field of a
+  /// particle but its role, which the exchange implies.
   struct PackedParticle {
-    float x, y, z, vx, vy, vz, mass;
-    std::uint32_t role;
+    float x, y, z, vx, vy, vz, mass, ax, ay, az;
     std::uint64_t id;
   };
 
   /// One neighbor image: a rank viewed at a periodic offset, with its
-  /// overload slab [lo, hi) expressed in the sending owner's frame and the
-  /// shift to subtract when expressing a position in the receiver's frame.
+  /// overload slab [lo, hi) expressed in this rank's frame and the shift to
+  /// subtract when expressing a position in the receiver's frame.
   struct Image {
     int nbr = 0;
     std::array<double, 3> lo{}, hi{}, shift{};
   };
 
-  /// The 26 neighbor images of `owner`'s domain (periodic offsets of the
+  /// The 26 neighbor images of this rank's domain (periodic offsets of the
   /// Cartesian topology), slabs widened by the overload depth.
-  void build_images(int owner, std::array<Image, 26>& out) const;
+  void build_images();
   void build_stencil();
+  /// Stencil slot of rank `r`; HACC_CHECKs that `r` is in the stencil.
+  std::size_t slot(int r) const;
+  /// Size send_buf_ for send_counts_ and point each slot's cursor at its
+  /// block (packets are then written in place, no staging copy).
+  void layout_send_buffer() const;
+  /// Write particle i, at position (x, y, z), into `dest`'s block.
+  void pack(int dest, const tree::ParticleArray& p, std::size_t i, float x,
+            float y, float z) const;
+  /// Ship send_buf_ over the stencil and append what arrives to
+  /// `particles` with `role`.
+  void exchange(comm::Comm& comm, tree::ParticleArray& particles,
+                tree::Role role) const;
 
   mesh::BlockDecomp3D decomp_;
   int rank_;
@@ -120,9 +147,10 @@ class OverloadDomain {
   bool canonical_order_ = false;
   std::vector<int> stencil_;            ///< sparse exchange peers (sorted)
   std::vector<int> slot_of_;            ///< rank -> stencil slot, -1 absent
-  std::array<Image, 26> my_images_{};   ///< this rank's images, precomputed
-  // Refresh scratch, reused across calls so the steady state allocates
-  // nothing (one OverloadDomain per rank thread; refresh is not reentrant).
+  std::array<Image, 26> images_{};      ///< this rank's images, precomputed
+  // Exchange scratch, reused across calls so the steady state allocates
+  // nothing (one OverloadDomain per rank thread; migrate and replicate are
+  // not reentrant).
   mutable std::vector<int> owners_;
   mutable std::vector<PackedParticle> send_buf_, recv_buf_;
   mutable std::vector<std::size_t> send_counts_, recv_counts_, cursors_;

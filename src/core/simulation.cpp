@@ -48,6 +48,10 @@ const NameId kGaugeAuditMassResidual =
     obs::gauge_id("audit.mass_residual_nano");
 const NameId kCtrMemoryFlips = obs::counter_id("fault.memory_flips");
 
+// Ghost width of the PM grids: an in-domain active's CIC cloud reaches at
+// most one cell past the interior's high edge.
+constexpr std::size_t kGridGhost = 1;
+
 /// Flip one bit of a float (SDC injection applied to resident state).
 inline void flip_float_bit(float& v, int bit) noexcept {
   std::uint32_t u;
@@ -83,7 +87,11 @@ Simulation::Simulation(comm::Comm& world, const Cosmology& cosmo,
       cosmo_(cosmo),
       config_(config),
       decomp_(mesh::BlockDecomp3D::balanced(
-          {config.grid, config.grid, config.grid}, world.size())) {
+          {config.grid, config.grid, config.grid}, world.size())),
+      rho_(decomp_, world.rank(), kGridGhost),
+      force_{mesh::DistGrid(decomp_, world.rank(), kGridGhost),
+             mesh::DistGrid(decomp_, world.rank(), kGridGhost),
+             mesh::DistGrid(decomp_, world.rank(), kGridGhost)} {
   HACC_CHECK(config.steps >= 1 && config.subcycles >= 1);
   HACC_CHECK(config.particles_per_dim >= 1);
   HACC_CHECK_MSG(config.z_initial > config.z_final,
@@ -95,10 +103,6 @@ Simulation::Simulation(comm::Comm& world, const Cosmology& cosmo,
   domain_->set_canonical_order(config.canonical_order);
   poisson_ = std::make_unique<mesh::PoissonSolver>(world, decomp_,
                                                    config.spectral);
-  // Ghost layer: passive particles live up to `overload` outside the
-  // domain, drift slightly further between refreshes, and their CIC cloud
-  // reaches one more cell: overload + 2 covers all three.
-  grid_ghost_ = static_cast<std::size_t>(std::ceil(config.overload)) + 2;
 
   // Short-range kernel: subtract the force-matched filtered grid force.
   kernel_.softening = config.softening;
@@ -140,6 +144,7 @@ void Simulation::initialize() {
   ic.seed = config_.seed;
   cosmology::generate_zeldovich(world_, decomp_, cosmo_, ic, particles_);
   domain_->refresh(world_, particles_);
+  accel_valid_ = false;  // the first step() solves before its opening kick
   steps_taken_ = 0;
   a_ = Cosmology::a_of_z(config_.z_initial);
   // Open the first invariance window over the freshly initialized state,
@@ -149,24 +154,33 @@ void Simulation::initialize() {
 }
 
 mesh::DistGrid Simulation::density_contrast() {
-  mesh::DistGrid rho(decomp_, world_.rank(), grid_ghost_);
+  // Deposit *active* particles only (passives are someone else's mass).
+  std::vector<float> xs, ys, zs;
+  xs.reserve(particles_.size());
+  ys.reserve(particles_.size());
+  zs.reserve(particles_.size());
+  for (std::size_t i = 0; i < particles_.size(); ++i) {
+    if (particles_.role[i] != tree::Role::kActive) continue;
+    xs.push_back(particles_.x[i]);
+    ys.push_back(particles_.y[i]);
+    zs.push_back(particles_.z[i]);
+  }
+  mesh::DistGrid rho(decomp_, world_.rank(), kGridGhost);
+  deposit_density(rho, xs, ys, zs);
+  return rho;
+}
+
+void Simulation::deposit_density(mesh::DistGrid& rho,
+                                 std::span<const float> x,
+                                 std::span<const float> y,
+                                 std::span<const float> z) {
   {
     obs::PhaseScope scope(&counters_, kPhaseCic);
-    // Deposit *active* particles only (passives are someone else's mass).
-    std::vector<float> xs, ys, zs;
-    xs.reserve(particles_.size());
-    ys.reserve(particles_.size());
-    zs.reserve(particles_.size());
-    for (std::size_t i = 0; i < particles_.size(); ++i) {
-      if (particles_.role[i] != tree::Role::kActive) continue;
-      xs.push_back(particles_.x[i]);
-      ys.push_back(particles_.y[i]);
-      zs.push_back(particles_.z[i]);
-    }
+    rho.fill(0.0);
     if (config_.threaded_deposit) {
-      mesh::cic_deposit_threaded(rho, xs, ys, zs, 1.0f);
+      mesh::cic_deposit_threaded(rho, x, y, z, 1.0f);
     } else {
-      mesh::cic_deposit(rho, xs, ys, zs, 1.0f);
+      mesh::cic_deposit(rho, x, y, z, 1.0f);
     }
   }
   {
@@ -199,41 +213,45 @@ mesh::DistGrid Simulation::density_contrast() {
     audit_.deposits += 1.0;
   }
   mesh::to_density_contrast(rho, world_);
-  return rho;
 }
 
-void Simulation::long_range_kick(double a0, double a1) {
-  mesh::DistGrid delta = density_contrast();
-  std::array<mesh::DistGrid, 3> force{
-      mesh::DistGrid(decomp_, world_.rank(), grid_ghost_),
-      mesh::DistGrid(decomp_, world_.rank(), grid_ghost_),
-      mesh::DistGrid(decomp_, world_.rank(), grid_ghost_)};
+void Simulation::solve_long_range() {
+  {
+    obs::PhaseScope scope(&counters_, kPhaseRefresh);
+    domain_->migrate(world_, particles_);
+  }
+  // particles_ now holds exactly this rank's in-domain actives.
+  deposit_density(rho_, particles_.x, particles_.y, particles_.z);
   {
     obs::PhaseScope scope(&counters_, kPhasePoisson);
-    poisson_->solve(world_, delta, force);
+    poisson_->solve(world_, rho_, force_);
   }
   {
     obs::PhaseScope scope(&counters_, kPhaseGridExchange);
-    for (auto& f : force) f.fill_ghosts(world_);
+    for (auto& f : force_) f.fill_ghosts(world_);
   }
-  // Kick every local particle (active and passive).
   obs::PhaseScope scope(&counters_, kPhaseLrKick);
-  const double factor = 1.5 * cosmo_.omega_m * cosmo_.kick_factor(a0, a1);
-  std::vector<float> gx(particles_.size()), gy(particles_.size()),
-      gz(particles_.size());
-  // Clamped: the deepest passives may have drifted past the ghost layer
-  // since the last refresh (their skin forces are approximate by design).
-  mesh::cic_interpolate(force[0], particles_.x, particles_.y, particles_.z,
-                        gx, /*clamp_to_storage=*/true);
-  mesh::cic_interpolate(force[1], particles_.x, particles_.y, particles_.z,
-                        gy, /*clamp_to_storage=*/true);
-  mesh::cic_interpolate(force[2], particles_.x, particles_.y, particles_.z,
-                        gz, /*clamp_to_storage=*/true);
-  const auto f = static_cast<float>(factor);
+  mesh::cic_interpolate(force_[0], particles_.x, particles_.y, particles_.z,
+                        particles_.ax);
+  mesh::cic_interpolate(force_[1], particles_.x, particles_.y, particles_.z,
+                        particles_.ay);
+  mesh::cic_interpolate(force_[2], particles_.x, particles_.y, particles_.z,
+                        particles_.az);
+}
+
+void Simulation::replicate() {
+  obs::PhaseScope scope(&counters_, kPhaseRefresh);
+  domain_->replicate(world_, particles_);
+}
+
+void Simulation::long_range_kick(double a0, double a1) {
+  obs::PhaseScope scope(&counters_, kPhaseLrKick);
+  const auto f = static_cast<float>(1.5 * cosmo_.omega_m *
+                                    cosmo_.kick_factor(a0, a1));
   for (std::size_t i = 0; i < particles_.size(); ++i) {
-    particles_.vx[i] += f * gx[i];
-    particles_.vy[i] += f * gy[i];
-    particles_.vz[i] += f * gz[i];
+    particles_.vx[i] += f * particles_.ax[i];
+    particles_.vy[i] += f * particles_.ay[i];
+    particles_.vz[i] += f * particles_.az[i];
   }
 }
 
@@ -326,13 +344,18 @@ void Simulation::step() {
     const double a1 = std::min(a0 + da, a_final);
     const double am = 0.5 * (a0 + a1);
 
-    long_range_kick(a0, am);        // M_lr(t/2)
-    short_range_subcycles(a0, a1);  // (M_sr(t/n_c))^{n_c}
-    long_range_kick(am, a1);        // M_lr(t/2)
-    {
-      obs::PhaseScope scope(&counters_, kPhaseRefresh);
-      domain_->refresh(world_, particles_);
+    if (!accel_valid_) {
+      // Stale acceleration (fresh or restored state): rebuild the boundary
+      // state the previous step would have left, minus its kick.
+      solve_long_range();
+      replicate();
+      accel_valid_ = true;
     }
+    long_range_kick(a0, am);        // M_lr(t/2): actives and passives
+    short_range_subcycles(a0, a1);  // (M_sr(t/n_c))^{n_c}
+    solve_long_range();             // the step's one PM solve
+    long_range_kick(am, a1);        // M_lr(t/2): the migrated actives
+    replicate();                    // passives take the kicked state
     a_ = a1;
     ++steps_taken_;
     // In-situ hook lives here (not in run()) so supervised/chaos-driven
@@ -340,7 +363,7 @@ void Simulation::step() {
     if (config_.insitu.cadence > 0 &&
         steps_taken_ % config_.insitu.cadence == 0)
       run_insitu();
-    // Open the next invariance window over the post-refresh state.
+    // Open the next invariance window over the boundary state.
     audit_end_step();
   }
   // Both sinks are atomics, safe against a live scrape.
@@ -358,18 +381,28 @@ void Simulation::apply_particle_memory_faults() {
   for (std::size_t i = 0; i < particles_.size(); ++i)
     if (particles_.role[i] == tree::Role::kActive) actives.push_back(i);
   if (actives.empty()) return;
-  // 7 float fields per particle: x, y, z, vx, vy, vz, mass.
+  // 10 resident float fields per active: x, y, z, vx, vy, vz, mass and the
+  // acceleration ax, ay, az.
+  constexpr std::size_t kFields = 10;
   const auto flips = comm::fault::take_memory_flips(
-      comm::fault::MemoryTarget::kParticles, actives.size() * 7, 0, 32);
+      comm::fault::MemoryTarget::kParticles, actives.size() * kFields, 0,
+      32);
   for (const auto& flip : flips) {
-    const std::size_t i = actives[flip.element / 7];
-    float* fields[7] = {&particles_.x[i],  &particles_.y[i],
-                        &particles_.z[i],  &particles_.vx[i],
-                        &particles_.vy[i], &particles_.vz[i],
-                        &particles_.mass[i]};
-    flip_float_bit(*fields[flip.element % 7], flip.bit);
+    const std::size_t i = actives[flip.element / kFields];
+    float* fields[kFields] = {
+        &particles_.x[i],  &particles_.y[i],  &particles_.z[i],
+        &particles_.vx[i], &particles_.vy[i], &particles_.vz[i],
+        &particles_.mass[i], &particles_.ax[i], &particles_.ay[i],
+        &particles_.az[i]};
+    flip_float_bit(*fields[flip.element % kFields], flip.bit);
   }
   if (!flips.empty()) counters_.add(kCtrMemoryFlips, flips.size());
+}
+
+std::uint64_t Simulation::window_checksum() const {
+  return acceleration_checksum(
+      particles_, particle_checksum(particles_, config_.canonical_order),
+      config_.canonical_order);
 }
 
 void Simulation::audit_begin_step() {
@@ -380,9 +413,7 @@ void Simulation::audit_begin_step() {
     // The inter-step window is idle: nothing legitimately mutates particle
     // state between the end-of-step stash and here, so any difference is
     // resident-memory corruption.
-    if (particle_checksum(particles_, config_.canonical_order) !=
-        audit_.stash)
-      audit_.checksum_mismatches += 1.0;
+    if (window_checksum() != audit_.stash) audit_.checksum_mismatches += 1.0;
   }
   audit_.stash_valid = false;  // consumed; re-stashed at end of step
   audit_.dup_pending = audit.cadence > 0 && audit.duplicate_execution &&
@@ -394,7 +425,7 @@ void Simulation::audit_end_step() {
   const AuditConfig& audit = config_.audit;
   if (audit.cadence > 0 && audit.checksum) {
     obs::PhaseScope scope(&counters_, kPhaseAudit);
-    audit_.stash = particle_checksum(particles_, config_.canonical_order);
+    audit_.stash = window_checksum();
     audit_.stash_valid = true;
   }
 }
@@ -606,6 +637,7 @@ void Simulation::read_checkpoint(const std::string& path) {
   // passive layer.
   gio::redistribute_by_domain(world_, decomp_, particles_);
   domain_->refresh(world_, particles_);
+  accel_valid_ = false;  // not checkpointed: the next step() solves
   // The restored state seeds fresh audit baselines: stale windows or
   // accumulated findings from the abandoned trajectory must not trip the
   // next gate.
@@ -616,18 +648,17 @@ void Simulation::read_checkpoint(const std::string& path) {
 void Simulation::rollback(const std::string& path) {
   // In-place restore: same machine, same width, no teardown — the elastic
   // gio read routes blocks to the live ranks and the refresh rebuilds the
-  // passive layer. read_checkpoint also re-arms the audit window.
+  // passive layer. read_checkpoint also re-arms the audit window and marks
+  // the acceleration stale.
   read_checkpoint(path);
 }
 
 Simulation::EnergyDiagnostics Simulation::energy() {
   mesh::DistGrid delta = density_contrast();
-  std::array<mesh::DistGrid, 3> force{
-      mesh::DistGrid(decomp_, world_.rank(), grid_ghost_),
-      mesh::DistGrid(decomp_, world_.rank(), grid_ghost_),
-      mesh::DistGrid(decomp_, world_.rank(), grid_ghost_)};
-  mesh::DistGrid phi(decomp_, world_.rank(), grid_ghost_);
-  poisson_->solve(world_, delta, force, &phi);
+  // force_ is scratch between steps (the acceleration lives on the
+  // particles), so the diagnostic solve may reuse it.
+  mesh::DistGrid phi(decomp_, world_.rank(), kGridGhost);
+  poisson_->solve(world_, delta, force_, &phi);
   phi.fill_ghosts(world_);
 
   std::vector<float> xs, ys, zs, ps;
@@ -641,7 +672,7 @@ Simulation::EnergyDiagnostics Simulation::energy() {
                  particles_.vz[i] * particles_.vz[i]);
   }
   std::vector<float> phi_at(xs.size());
-  mesh::cic_interpolate(phi, xs, ys, zs, phi_at, /*clamp_to_storage=*/true);
+  mesh::cic_interpolate(phi, xs, ys, zs, phi_at);
 
   EnergyDiagnostics e;
   for (float p2 : ps) e.kinetic += 0.5 * static_cast<double>(p2);

@@ -12,6 +12,22 @@
 // each M_sr is itself a symmetric stream-kick-stream (SKS) composition for
 // the short-range force. n_c is typically 5-10.
 //
+// One PM solve per step. The closing M_lr(t/2) of step n and the opening
+// M_lr(t/2) of step n+1 act at the same positions, so they share one
+// solve. step() ends by migrating the actives to their owners (id order),
+// depositing them, solving once, interpolating the acceleration at the
+// actives into ParticleArray::ax/ay/az, applying the closing half-kick to
+// the actives and replicating them, so every passive carries its owner's
+// kicked velocity and exact acceleration. The next step() opens with a
+// half-kick of actives and passives from those stored accelerations — no
+// deposit, solve or interpolation. The stored acceleration is valid from
+// the end of a step() to the opening kick of the next; initialize(),
+// read_checkpoint()/rollback() and mutable_particles() mark it stale, and
+// the next step() then rebuilds it (migrate, solve, replicate — no kick)
+// before its opening kick. The boundary state therefore depends only on
+// the id-ordered actives, which keeps restart bit-for-bit at the launch
+// width.
+//
 // Units and equations of motion (derivation in cosmology/background.h):
 // lengths in grid cells, tau = H0 t, p = a^2 dx/dtau. Then
 //     dx/dtau = p / a^2,
@@ -24,8 +40,10 @@
 // state, short-range forces and the kick/drift updates are float.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -135,7 +153,8 @@ class Simulation {
   /// overloading refresh. Collective.
   void initialize();
 
-  /// Advance one full long-range step (kick-subcycle-kick + refresh).
+  /// Advance one full long-range step: half-kick, sub-cycles, then the
+  /// step boundary (migrate, one PM solve, half-kick, replicate).
   void step();
 
   /// Run all configured steps.
@@ -148,7 +167,12 @@ class Simulation {
   int steps_taken() const noexcept { return steps_taken_; }
 
   const tree::ParticleArray& particles() const noexcept { return particles_; }
-  tree::ParticleArray& mutable_particles() noexcept { return particles_; }
+  /// Mutable access marks the stored long-range acceleration stale: the
+  /// next step() recomputes it from the (possibly edited) particles.
+  tree::ParticleArray& mutable_particles() noexcept {
+    accel_valid_ = false;
+    return particles_;
+  }
   const OverloadDomain& domain() const noexcept { return *domain_; }
   const SimulationConfig& config() const noexcept { return config_; }
   const cosmology::Cosmology& cosmology() const noexcept { return cosmo_; }
@@ -158,7 +182,9 @@ class Simulation {
   /// neighbor masses (rho_bar = mean particle mass per grid cell).
   float mass_scale() const noexcept { return mass_scale_; }
 
-  /// Deposit active particles and return the density contrast (collective).
+  /// Deposit active particles and return the density contrast
+  /// (collective). The actives must lie in this rank's domain, as they do
+  /// between steps.
   mesh::DistGrid density_contrast();
 
   /// Measured matter power spectrum of the current state (collective).
@@ -287,19 +313,37 @@ class Simulation {
   /// rank count*: blocks are read elastically, every CRC is verified (a
   /// corrupt checkpoint is refused with the damaged blocks listed),
   /// particles are redistributed to their domain owners, and the
-  /// overloading refresh rebuilds the passive layer. Collective.
+  /// overloading refresh rebuilds the passive layer. The long-range
+  /// acceleration is not checkpointed: the next step() recomputes it.
+  /// Collective.
   void read_checkpoint(const std::string& path);
 
  private:
+  /// The first half of the step boundary: migrate(), deposit the migrated
+  /// actives into rho_, one PM solve into force_, and interpolate the
+  /// acceleration at the actives into particles_.ax/ay/az. Leaves
+  /// particles_ holding this rank's actives only.
+  void solve_long_range();
+  /// The second half: replicate() the actives, acceleration included.
+  void replicate();
+  /// Kick every particle now in particles_ from its stored acceleration.
   void long_range_kick(double a0, double a1);
+  /// Deposit (x, y, z) into `rho` and turn it into the density contrast:
+  /// deposit, fold, grid-fault hook, mass audit capture, contrast.
+  void deposit_density(mesh::DistGrid& rho, std::span<const float> x,
+                       std::span<const float> y, std::span<const float> z);
   void short_range_subcycles(double a0, double a1);
   void apply_short_kick(double coeff);
   void drift(double factor);
 
   /// Fire any due kFlipParticleMemory specs on this rank: flip the drawn
-  /// bits in resident active particle state. Called at the top of step(),
-  /// before the audit recomputes the invariance checksum.
+  /// bits in resident active particle state (the seven payload fields and
+  /// the acceleration). Called at the top of step(), before the audit
+  /// recomputes the invariance checksum.
   void apply_particle_memory_faults();
+  /// The SDC window's checksum: particle_checksum with the actives'
+  /// acceleration chained on, in the same id order.
+  std::uint64_t window_checksum() const;
   /// Local audit work at the start of a step: memory-fault injection, then
   /// the payload-invariance recompute against the stash.
   void audit_begin_step();
@@ -337,7 +381,13 @@ class Simulation {
   mesh::BlockDecomp3D decomp_;
   std::unique_ptr<OverloadDomain> domain_;
   std::unique_ptr<mesh::PoissonSolver> poisson_;
-  std::size_t grid_ghost_;
+  // PM grids, solved in place every step. Only in-domain actives touch
+  // them, so one ghost layer holds every CIC cloud.
+  mesh::DistGrid rho_;
+  std::array<mesh::DistGrid, 3> force_;
+  /// particles_.ax/ay/az hold the acceleration of the current boundary
+  /// state (see the header comment).
+  bool accel_valid_ = false;
   tree::ShortRangeKernel kernel_;
   tree::ParticleArray particles_;
   float mass_scale_ = 1.0f;

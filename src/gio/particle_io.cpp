@@ -106,6 +106,11 @@ ReadReport read_particles(comm::Comm& comm, const std::string& path,
   HACC_CHECK(role_bytes.size() == n);
   out.role.resize(n);
   std::memcpy(out.role.data(), role_bytes.data(), role_bytes.size());
+  // The acceleration is not a checkpoint variable: the reader rebuilds it
+  // from the positions.
+  out.ax.assign(n, 0.0f);
+  out.ay.assign(n, 0.0f);
+  out.az.assign(n, 0.0f);
   HACC_CHECK(out.consistent());
   std::size_t local_bytes = id_bytes.size() + role_bytes.size();
   for (const auto& b : fbytes) local_bytes += b.size();

@@ -7,8 +7,9 @@
 //
 // Deposit writes into a DistGrid including its ghost layer; callers then
 // fold_ghosts() so boundary mass reaches the owning rank. Interpolation
-// reads through the ghost layer, so passive (overloaded) particles living
-// outside the interior get correct values after fill_ghosts().
+// reads through the ghost layer after fill_ghosts(). The simulation only
+// deposits and interpolates at in-domain actives, whose clouds reach one
+// cell past the interior, so its grids carry a single ghost layer.
 #pragma once
 
 #include <span>
@@ -39,12 +40,12 @@ void cic_deposit_threaded(DistGrid& grid, std::span<const float> x,
 /// cic_deposit). Output span must match the particle count.
 ///
 /// With `clamp_to_storage` set, positions outside the locally stored region
-/// are clamped to its edge instead of being an error. This is for the
-/// deepest passive (overloaded) particles: fast movers can drift slightly
-/// past the ghost layer between refreshes; their forces are approximate in
-/// the skin anyway and the next refresh rebuilds them (paper Sec. II:
-/// overloading trades exactness in the skin for communication-free
-/// solves, with "relatively sparse refreshes").
+/// are clamped to its edge instead of being an error: an approximation for
+/// particles that drifted past the ghost layer, such as the deepest
+/// passive replicas between refreshes. The simulation does not use it: it
+/// interpolates only at migrated actives, and passives carry their owner's
+/// acceleration. perfbench/replay.cpp, which replays a two-solve step,
+/// passes it.
 void cic_interpolate(const DistGrid& grid, std::span<const float> x,
                      std::span<const float> y, std::span<const float> z,
                      std::span<float> out, bool clamp_to_storage = false);

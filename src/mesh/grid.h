@@ -8,9 +8,8 @@
 //     rank's interior (used after CIC deposit: particles near a boundary
 //     deposit mass into cells owned by a neighbor);
 //   fill_ghosts: copy owned interior values into neighbors' ghost layers
-//     (used after the Poisson solve so forces can be interpolated for all
-//     particles, including passive overloaded replicas that live up to
-//     `ghost` cells outside the domain).
+//     (used after the Poisson solve so forces can be interpolated at
+//     particles whose CIC cloud straddles the domain edge).
 //
 // Exchanges are axis-by-axis sweeps (x, then y, then z) which propagate
 // edge/corner regions automatically.

@@ -21,6 +21,7 @@
 #include <array>
 #include <complex>
 #include <cstddef>
+#include <vector>
 
 namespace hacc::mesh {
 
@@ -71,5 +72,16 @@ double spectral_filter(const std::array<double, 3>& k, double sigma, int ns);
 /// Spectral derivative multiplier for one axis (purely imaginary; returns
 /// the full complex value i*D so callers just multiply).
 std::complex<double> gradient_multiplier(double k, GradientOrder order);
+
+/// greens_function(k, config.green) * spectral_filter(k, config.sigma,
+/// config.ns) at every mode of the index box [lo, hi) of an
+/// n[0] x n[1] x n[2] transform, x-major with z fastest. Equal to the
+/// per-mode product to the bit; the per-axis factors (the sines and sinc
+/// powers) are evaluated once per index along their axis instead of once
+/// per mode, which leaves one exp per mode.
+std::vector<double> green_filter_table(const std::array<std::size_t, 3>& n,
+                                       const std::array<std::size_t, 3>& lo,
+                                       const std::array<std::size_t, 3>& hi,
+                                       const SpectralConfig& config);
 
 }  // namespace hacc::mesh

@@ -33,12 +33,24 @@ PoissonSolver::PoissonSolver(comm::Comm& world, const BlockDecomp3D& decomp,
   }
   remap_ = std::make_unique<Redistributor>(std::move(block_boxes),
                                            std::move(pencil_boxes));
+
+  // Spectral tables over this rank's half-spectrum box, equal to the bit
+  // to the per-mode kernels (kernels.h).
+  const fft::Box3D sb = fft_->spectral_box_r2c();
+  const std::array<std::size_t, 3> lo{sb.x.lo, sb.y.lo, sb.z.lo};
+  const std::array<std::size_t, 3> hi{sb.x.hi, sb.y.hi, sb.z.hi};
+  green_filter_ = green_filter_table(dims, lo, hi, config_);
+  for (std::size_t axis = 0; axis < 3; ++axis) {
+    // f = -grad(phi): note the minus sign.
+    for (std::size_t m = lo[axis]; m < hi[axis]; ++m)
+      gradient_[axis].push_back(-gradient_multiplier(
+          wavenumber(m, dims[axis]), config_.gradient));
+  }
 }
 
 void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
                           std::array<DistGrid, 3>& forces, DistGrid* phi) {
   const auto& box = delta.interior();
-  const auto& dims = decomp_.grid_dims();
 
   // Pack the interior (strip ghosts) and remap to the z-pencil layout. The
   // pencil field stays real all the way into the FFT (r2c path).
@@ -64,23 +76,12 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
     fft_->forward_r2c(std::span<const double>(interior_), spectrum_);
   }
 
-  // Compose filter x Green's function once.
+  // Filter x Green's function, from the table.
   {
     obs::PhaseScope scope(kPhaseKernel);
-    std::size_t idx = 0;
-    for (std::size_t mx = sb.x.lo; mx < sb.x.hi; ++mx) {
-      const double kx = wavenumber(mx, dims[0]);
-      for (std::size_t my = sb.y.lo; my < sb.y.hi; ++my) {
-        const double ky = wavenumber(my, dims[1]);
-        for (std::size_t mz = sb.z.lo; mz < sb.z.hi; ++mz) {
-          const double kz = wavenumber(mz, dims[2]);
-          const std::array<double, 3> k{kx, ky, kz};
-          spectrum_[idx] *= greens_function(k, config_.green) *
-                            spectral_filter(k, config_.sigma, config_.ns);
-          ++idx;
-        }
-      }
-    }
+    HACC_CHECK(spectrum_.size() == green_filter_.size());
+    for (std::size_t idx = 0; idx < spectrum_.size(); ++idx)
+      spectrum_[idx] *= green_filter_[idx];
   }
 
   // Per-axis gradient: independent inverse FFT + remap back to blocks.
@@ -106,22 +107,17 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
   for (int axis = 0; axis < 3; ++axis) {
     {
       obs::PhaseScope scope(kPhaseKernel);
+      // The gradient multiplier depends on one wavenumber only: the 1-D
+      // table of this axis, indexed by the mode's offset along it.
+      const auto& g = gradient_[static_cast<std::size_t>(axis)];
+      const std::size_t ny = sb.y.extent(), nz = sb.z.extent();
       component_.resize(spectrum_.size());
       std::size_t idx = 0;
-      for (std::size_t mx = sb.x.lo; mx < sb.x.hi; ++mx) {
-        const double kx = wavenumber(mx, dims[0]);
-        for (std::size_t my = sb.y.lo; my < sb.y.hi; ++my) {
-          const double ky = wavenumber(my, dims[1]);
-          for (std::size_t mz = sb.z.lo; mz < sb.z.hi; ++mz) {
-            const double kz = wavenumber(mz, dims[2]);
-            const double kax = axis == 0 ? kx : axis == 1 ? ky : kz;
-            // f = -grad(phi): note the minus sign.
-            component_[idx] = spectrum_[idx] * (-gradient_multiplier(
-                                                   kax, config_.gradient));
-            ++idx;
-          }
-        }
-      }
+      for (std::size_t ix = 0; ix < sb.x.extent(); ++ix)
+        for (std::size_t iy = 0; iy < ny; ++iy)
+          for (std::size_t iz = 0; iz < nz; ++iz, ++idx)
+            component_[idx] =
+                spectrum_[idx] * g[axis == 0 ? ix : axis == 1 ? iy : iz];
     }
     inverse_to_real();
     {

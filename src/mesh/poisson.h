@@ -14,6 +14,11 @@
 //      grid,
 //   5. optionally one more inverse FFT for the potential itself.
 //
+// The multipliers of steps 3 and 4 depend only on the configuration and the
+// rank's spectral box, so the constructor tabulates them once: the composed
+// filter x Green's function per local mode, and the gradient kernel per
+// local mode index along each axis.
+//
 // Force convention: the returned grids hold f_i = -d(phi)/dx_i, the
 // gravitational acceleration per unit (4 pi G rho_bar a^2 ...) prefactor;
 // physical prefactors are folded into the time-stepper's kick factors.
@@ -49,8 +54,9 @@ class PoissonSolver {
 
   /// Solve for the force grids given the density-contrast grid `delta`
   /// (interior must be valid; ghosts ignored). Fills the interiors of
-  /// forces[0..2]; callers fill_ghosts() afterwards if passive particles
-  /// need interpolation. If `phi` is non-null, also returns the potential.
+  /// forces[0..2] and zeroes their ghosts; callers fill_ghosts() before
+  /// interpolating at particles near the domain edge. If `phi` is
+  /// non-null, also returns the potential.
   /// Collective over the world communicator passed at construction.
   void solve(comm::Comm& world, const DistGrid& delta,
              std::array<DistGrid, 3>& forces, DistGrid* phi = nullptr);
@@ -64,6 +70,11 @@ class PoissonSolver {
   // performs no steady-state allocations beyond the remap exchanges.
   std::vector<double> interior_, real_out_;
   std::vector<fft::Complex> spectrum_, component_;
+  // Spectral tables over this rank's half-spectrum box (built once):
+  // filter x Green's function per mode, in spectrum order, and
+  // -gradient_multiplier per mode index along each axis.
+  std::vector<double> green_filter_;
+  std::array<std::vector<fft::Complex>, 3> gradient_;
 };
 
 }  // namespace hacc::mesh

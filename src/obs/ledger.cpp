@@ -92,10 +92,11 @@ std::string step_record_json(const StepRecord& r) {
 
 CostMapRecord reduce_cost_map(comm::Comm& comm, const CostMap::Summary& mine,
                               int step, int root) {
-  // Interned once: the same ids feed reduce_samples and (via counters) the
-  // per-rank /metrics gauges, so the two views stay name-compatible.
-  static const NameId kKernelNs = counter_id("cost.kernel_ns");
-  static const NameId kInteractions = counter_id("cost.interactions");
+  // Plain interned labels for reduce_samples: registering a kind here
+  // would override the kind the owner of the cost.* slots gave them (the
+  // simulation publishes cost.kernel_ns as a per-step gauge).
+  static const NameId kKernelNs = intern_name("cost.kernel_ns");
+  static const NameId kInteractions = intern_name("cost.interactions");
 
   // One POD summary per rank for the leaf-level fields (and the straggler
   // argmax, which a min/mean/max reduction cannot recover).

@@ -216,13 +216,14 @@ std::size_t MetricsHub::size() const {
 }
 
 std::string MetricsHub::render() const {
-  std::vector<MetricsSource> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    snapshot.reserve(sources_.size());
-    for (const auto& [handle, src] : sources_) snapshot.push_back(src);
-  }
-  return export_prometheus(snapshot);
+  // Held through the export: a source's sinks are only guaranteed alive
+  // until its remove() returns, so remove() must wait for a render that is
+  // still reading them.
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<MetricsSource> sources;
+  sources.reserve(sources_.size());
+  for (const auto& [handle, src] : sources_) sources.push_back(src);
+  return export_prometheus(sources);
 }
 
 }  // namespace hacc::obs

@@ -125,7 +125,9 @@ std::string export_prometheus(std::span<const MetricsSource> sources);
 /// Thread-safe registry of live per-rank sources: ranks register their
 /// sinks for the lifetime of an attempt, a metrics endpoint renders
 /// whatever is currently registered. add() returns a handle for remove();
-/// the registered pointers must outlive the registration.
+/// the registered pointers must outlive the registration. remove() waits
+/// for a render in progress, so the owner may free the sinks once it
+/// returns.
 class MetricsHub {
  public:
   int add(const MetricsSource& source);

@@ -34,32 +34,17 @@ class ParticleArray {
   bool empty() const noexcept { return x.empty(); }
 
   void reserve(std::size_t n) {
-    x.reserve(n);
-    y.reserve(n);
-    z.reserve(n);
-    vx.reserve(n);
-    vy.reserve(n);
-    vz.reserve(n);
-    mass.reserve(n);
-    id.reserve(n);
-    role.reserve(n);
+    for_each_array(*this, [n](auto& v) { v.reserve(n); });
   }
 
   void clear() {
-    x.clear();
-    y.clear();
-    z.clear();
-    vx.clear();
-    vy.clear();
-    vz.clear();
-    mass.clear();
-    id.clear();
-    role.clear();
+    for_each_array(*this, [](auto& v) { v.clear(); });
   }
 
   void push_back(float px, float py, float pz, float pvx, float pvy,
                  float pvz, float pmass, std::uint64_t pid,
-                 Role prole = Role::kActive) {
+                 Role prole = Role::kActive, float pax = 0.0f,
+                 float pay = 0.0f, float paz = 0.0f) {
     x.push_back(px);
     y.push_back(py);
     z.push_back(pz);
@@ -67,6 +52,9 @@ class ParticleArray {
     vy.push_back(pvy);
     vz.push_back(pvz);
     mass.push_back(pmass);
+    ax.push_back(pax);
+    ay.push_back(pay);
+    az.push_back(paz);
     id.push_back(pid);
     role.push_back(prole);
   }
@@ -74,43 +62,31 @@ class ParticleArray {
   /// Copy particle j of `src` onto the end of this array.
   void append_from(const ParticleArray& src, std::size_t j) {
     push_back(src.x[j], src.y[j], src.z[j], src.vx[j], src.vy[j], src.vz[j],
-              src.mass[j], src.id[j], src.role[j]);
+              src.mass[j], src.id[j], src.role[j], src.ax[j], src.ay[j],
+              src.az[j]);
   }
 
-  /// Swap particles i and j across every array.
-  void swap_particles(std::size_t i, std::size_t j) {
-    std::swap(x[i], x[j]);
-    std::swap(y[i], y[j]);
-    std::swap(z[i], z[j]);
-    std::swap(vx[i], vx[j]);
-    std::swap(vy[i], vy[j]);
-    std::swap(vz[i], vz[j]);
-    std::swap(mass[i], mass[j]);
-    std::swap(id[i], id[j]);
-    std::swap(role[i], role[j]);
-  }
-
-  /// Remove particle i by moving the last particle into its slot.
-  void remove_unordered(std::size_t i) {
-    HACC_ASSERT(i < size());
-    const std::size_t last = size() - 1;
-    if (i != last) swap_particles(i, last);
-    x.pop_back();
-    y.pop_back();
-    z.pop_back();
-    vx.pop_back();
-    vy.pop_back();
-    vz.pop_back();
-    mass.pop_back();
-    id.pop_back();
-    role.pop_back();
+  /// Keep exactly the particles i with keep(i), in their current order
+  /// (stable in-place compaction). `keep` is called once per particle, in
+  /// ascending i, and may read particle i's fields: no slot is overwritten
+  /// before it has been tested.
+  template <typename Keep>
+  void retain_if(Keep&& keep) {
+    const std::size_t n = size();
+    std::size_t w = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!keep(i)) continue;
+      if (w != i) for_each_array(*this, [w, i](auto& v) { v[w] = v[i]; });
+      ++w;
+    }
+    for_each_array(*this, [w](auto& v) { v.resize(w); });
   }
 
   /// Sort particles by ascending (id, role, x, y, z). Establishes a
-  /// *canonical order* independent of arrival/removal history, which makes
-  /// float summation order — and therefore the whole run — reproducible
-  /// across restarts (remove_unordered and message arrival otherwise
-  /// permute the array). Ids are unique among actives; the same id can
+  /// *canonical order* independent of arrival history, which makes float
+  /// summation order — and therefore the whole run — reproducible across
+  /// restarts (message arrival and the elastic restore otherwise permute
+  /// the array). Ids are unique among actives; the same id can
   /// carry several passive replicas on one rank (one per periodic image of
   /// a small topology), whose unwrapped positions differ by exact box-size
   /// shifts — the position tie-break makes the order total even then.
@@ -126,32 +102,46 @@ class ParticleArray {
       if (y[a] != y[b]) return y[a] < y[b];
       return z[a] < z[b];
     });
-    gather(x, order);
-    gather(y, order);
-    gather(z, order);
-    gather(vx, order);
-    gather(vy, order);
-    gather(vz, order);
-    gather(mass, order);
-    gather(id, order);
-    gather(role, order);
+    for_each_array(*this, [&order](auto& v) { gather(v, order); });
   }
 
   /// Consistency check: every array has the same length.
   bool consistent() const noexcept {
-    const std::size_t n = x.size();
-    return y.size() == n && z.size() == n && vx.size() == n &&
-           vy.size() == n && vz.size() == n && mass.size() == n &&
-           id.size() == n && role.size() == n;
+    bool same = true;
+    for_each_array(*this,
+                   [&](const auto& v) { same = same && v.size() == size(); });
+    return same;
   }
 
   aligned_vector<float> x, y, z;
   aligned_vector<float> vx, vy, vz;
   aligned_vector<float> mass;
+  /// Long-range (PM) acceleration at the particle's position, in grid
+  /// force units. The simulation interpolates it once per step, at the
+  /// migrated actives, and replicas carry their owner's value; it is not
+  /// checkpointed (a restore recomputes it from the positions).
+  aligned_vector<float> ax, ay, az;
   aligned_vector<std::uint64_t> id;
   aligned_vector<Role> role;
 
  private:
+  /// Apply `f` to every per-particle array (const or not, per `self`).
+  template <typename Self, typename F>
+  static void for_each_array(Self& self, F&& f) {
+    f(self.x);
+    f(self.y);
+    f(self.z);
+    f(self.vx);
+    f(self.vy);
+    f(self.vz);
+    f(self.mass);
+    f(self.ax);
+    f(self.ay);
+    f(self.az);
+    f(self.id);
+    f(self.role);
+  }
+
   template <typename T>
   static void gather(aligned_vector<T>& v,
                      const std::vector<std::size_t>& order) {

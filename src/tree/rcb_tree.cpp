@@ -95,6 +95,9 @@ std::uint32_t three_phase_partition(
   // Phase 3: the remaining arrays.
   for (auto [a, b] : swaps) {
     std::swap(p.mass[a], p.mass[b]);
+    std::swap(p.ax[a], p.ax[b]);
+    std::swap(p.ay[a], p.ay[b]);
+    std::swap(p.az[a], p.az[b]);
     std::swap(p.id[a], p.id[b]);
     std::swap(p.role[a], p.role[b]);
   }

@@ -9,9 +9,11 @@
 //     flipped mantissa or exponent bit of a stored force at both variants
 //     (one fat leaf, and a sweep over a multi-leaf tree);
 //   * the health gate (audits included) costs exactly ONE allreduce;
-//   * end-to-end: a seeded bit flip at step N is detected within one audit
-//     cadence, rolled back in place (no machine relaunch), and the run
-//     completes bit-for-bit identical to an uninterrupted one; a
+//   * end-to-end: a seeded bit flip at step N — in the particle payload or
+//     in the long-range acceleration carried across the step boundary — is
+//     detected within one audit cadence, rolled back in place (no machine
+//     relaunch), and the run completes bit-for-bit identical to an
+//     uninterrupted one; a
 //     CRC-clean-but-physically-poisoned checkpoint is skipped via its audit
 //     verdict; detection with no restorable checkpoint escalates to the
 //     relaunch ladder.
@@ -461,6 +463,52 @@ TEST(SdcRollback, ParticleFlipDetectedAndRolledBackInPlaceBitForBit) {
       text.rfind('\n', at_rollback) + 1, line_end - text.rfind('\n', at_rollback) - 1);
   EXPECT_NE(rollback_line.find("\"step\":2"), std::string::npos)
       << rollback_line;
+
+  fs::remove_all(scfg.checkpoint_dir);
+}
+
+TEST(SdcRollback, AccelerationFlipDetectedAndRolledBackBitForBit) {
+  // The long-range acceleration stays resident across the step boundary
+  // (the next step's opening half-kick reads it), so the invariance window
+  // covers it as well. Pin one flip into element 7 of rank 1's actives —
+  // field 7 of the lowest-id active's 10 resident floats, its ax — at the
+  // start of step 4, on a high mantissa bit: finite and physically
+  // plausible, so only the checksum can see it. The gate after step 4
+  // catches it, and the in-place rollback finishes bit-for-bit like a run
+  // that never saw the flip.
+  const SimulationConfig cfg = sdc_config();
+  cosmology::Cosmology cosmo;
+  const Bits ref = reference_bits(cfg, cosmo, 2);
+
+  SupervisorConfig scfg = sdc_supervisor_config(cfg, "hacc_sdc_accel");
+  comm::FaultPlan plan;
+  plan.flip_bits_in_particles(/*rank=*/1, /*step=*/4)
+      .pin_element(7)
+      .pin_bit(20);
+  scfg.machine.fault_plan = &plan;
+
+  Supervisor sup(cosmo, scfg);
+  Bits got;
+  sup.on_finished = [&](Simulation& sim, comm::Comm& c) {
+    collect_bits(sim, c, &got);
+  };
+  const SupervisorReport rep = sup.run();
+
+  EXPECT_TRUE(rep.completed) << rep.last_error;
+  EXPECT_EQ(rep.attempts, 1);
+  EXPECT_EQ(rep.restores, 0);
+  EXPECT_EQ(rep.sdc_detections, 1);
+  EXPECT_EQ(rep.rollbacks, 1);
+  EXPECT_EQ(ref, got);
+
+  const std::string text = read_file(scfg.sim.ledger_path);
+  const std::size_t at_detect = text.find("\"event\":\"sdc_detected\"");
+  ASSERT_NE(at_detect, std::string::npos) << text;
+  EXPECT_NE(text.find("checksum mismatch", at_detect), std::string::npos)
+      << text;
+  const std::size_t at_rollback = text.find("\"event\":\"rollback\"");
+  ASSERT_NE(at_rollback, std::string::npos) << text;
+  EXPECT_NE(text.find("\"step\":2", at_rollback), std::string::npos) << text;
 
   fs::remove_all(scfg.checkpoint_dir);
 }

@@ -424,6 +424,34 @@ TEST(Kernels, FilterReducesToGaussianWhenNsZero) {
   EXPECT_NEAR(spectral_filter(k, 0.8, 0), std::exp(-0.25 * k2 * 0.64), 1e-12);
 }
 
+TEST(Kernels, GreenFilterTableMatchesPerModeProductBitForBit) {
+  // The Poisson solver's table must reproduce the per-mode kernels exactly
+  // (a mixed-radix, odd-sized box with negative and Nyquist modes).
+  const std::array<std::size_t, 3> n{12, 10, 9};
+  const std::array<std::size_t, 3> lo{3, 0, 0}, hi{9, 10, 5};
+  for (const GreenOrder green :
+       {GreenOrder::kExact, GreenOrder::kOrder2, GreenOrder::kOrder6}) {
+    for (const int ns : {0, 3}) {
+      SpectralConfig cfg;
+      cfg.green = green;
+      cfg.ns = ns;
+      const std::vector<double> table = green_filter_table(n, lo, hi, cfg);
+      ASSERT_EQ(table.size(), 6u * 10u * 5u);
+      std::size_t idx = 0;
+      for (std::size_t mx = lo[0]; mx < hi[0]; ++mx)
+        for (std::size_t my = lo[1]; my < hi[1]; ++my)
+          for (std::size_t mz = lo[2]; mz < hi[2]; ++mz, ++idx) {
+            const std::array<double, 3> k{wavenumber(mx, n[0]),
+                                          wavenumber(my, n[1]),
+                                          wavenumber(mz, n[2])};
+            EXPECT_EQ(table[idx], greens_function(k, green) *
+                                      spectral_filter(k, cfg.sigma, ns))
+                << mx << "," << my << "," << mz;
+          }
+    }
+  }
+}
+
 TEST(Kernels, GradientMultipliersMatchSmallK) {
   for (double k : {0.01, 0.05}) {
     EXPECT_NEAR(gradient_multiplier(k, GradientOrder::kOrder2).imag(), k,

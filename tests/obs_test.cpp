@@ -4,6 +4,7 @@
 // criteria (ledger phase coverage, merged trace validity).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -807,6 +808,53 @@ TEST(Metrics, HubRegistersRendersAndRemoves) {
   EXPECT_EQ(hub.render(), "");
 }
 
+TEST(Metrics, HubRemoveWaitsForAnInFlightRender) {
+  // A source's owner may reuse or free its sinks as soon as remove()
+  // returns (a finished run destroys its Simulation), so no render may
+  // still be reading them. Each round starts one render over many sources,
+  // removes them all while it runs, and at once writes a slot whose id was
+  // never interned into each: a render that kept reading removed sources
+  // would trip name_of and throw.
+  std::vector<NameId> ids;
+  for (int k = 0; k < 64; ++k)
+    ids.push_back(counter_id("obsx.hub.churn." + std::to_string(k)));
+  const auto never_interned = static_cast<NameId>(Counters::kMaxSlots - 1);
+  ASSERT_LT(interned_name_count(), Counters::kMaxSlots - 1);
+  MetricsHub hub;
+  int failures = 0;
+  for (int round = 0; round < 20; ++round) {
+    std::vector<Counters> sinks(64);
+    std::vector<int> handles;
+    for (std::size_t r = 0; r < sinks.size(); ++r) {
+      for (const NameId id : ids) sinks[r].add(id, 1);
+      handles.push_back(hub.add(
+          MetricsSource{static_cast<int>(r), &sinks[r], nullptr, ""}));
+    }
+    std::atomic<bool> started{false};
+    bool threw = false;
+    std::thread scraper([&] {
+      started.store(true);
+      try {
+        (void)hub.render();
+      } catch (const std::exception&) {
+        threw = true;
+      }
+    });
+    while (!started.load()) std::this_thread::yield();
+    // Let the render list the sources and start reading them.
+    const auto t0 = std::chrono::steady_clock::now();
+    while (std::chrono::steady_clock::now() - t0 <
+           std::chrono::microseconds(50)) {
+    }
+    for (const int h : handles) hub.remove(h);
+    for (Counters& c : sinks) c.set(never_interned, 1);
+    scraper.join();
+    failures += threw ? 1 : 0;
+  }
+  EXPECT_EQ(hub.size(), 0u);
+  EXPECT_EQ(failures, 0) << "renders read a source after its remove()";
+}
+
 // ---- cost attribution --------------------------------------------------------
 
 tree::ParticleArray clustered_particles(std::size_t n, float box,
@@ -1040,6 +1088,36 @@ TEST(Watchdog, AnomalyLedgerLineIsValidSchema) {
 }
 
 // ---- end-to-end: the observatory over a real 4-rank run ---------------------
+
+TEST(SimulationObservatory, CostKernelNsExportsAsAGauge) {
+  // cost.kernel_ns is the simulation's per-step gauge. The ledger's
+  // cost-map reduction labels its samples with the same name; it must not
+  // re-register the name as a counter, or /metrics would export a _total
+  // counter family and the ledger would difference a gauge. Runs before
+  // the test below, which registers the gauge kind again itself.
+  core::SimulationConfig cfg;
+  cfg.grid = 16;
+  cfg.particles_per_dim = 8;
+  cfg.steps = 1;
+  cfg.subcycles = 1;
+  cfg.overload = 2.0;
+  cfg.cost_attribution = true;
+  cosmology::Cosmology cosmo;
+  comm::Machine::run(2, [&](comm::Comm& c) {
+    core::Simulation sim(c, cosmo, cfg);
+    sim.initialize();
+    sim.step();
+    sim.record_step_ledger();
+    const MetricsSource src{c.rank(), &sim.counters(), &sim.histograms(),
+                            ""};
+    const std::string text =
+        export_prometheus(std::span<const MetricsSource>(&src, 1));
+    EXPECT_NE(text.find("# TYPE hacc_cost_kernel_ns gauge"),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(text.find("hacc_cost_kernel_ns_total"), std::string::npos);
+  });
+}
 
 TEST(SimulationObservatory, FourRankRunAttributesCostAndPublishesMetrics) {
   const std::string ledger_path = temp_path("obs_observatory_ledger.jsonl");

@@ -55,30 +55,41 @@ ParticleArray random_particles(std::size_t n, float box, std::uint64_t seed,
 
 // ---- ParticleArray -----------------------------------------------------------
 
-TEST(ParticleArray, SwapMovesEveryField) {
+TEST(ParticleArray, RetainIfKeepsOrderAndMovesEveryField) {
   ParticleArray p;
-  p.push_back(1, 2, 3, 4, 5, 6, 7, 100, Role::kActive);
-  p.push_back(10, 20, 30, 40, 50, 60, 70, 200, Role::kPassive);
-  p.swap_particles(0, 1);
-  EXPECT_EQ(p.x[0], 10);
-  EXPECT_EQ(p.vz[0], 60);
-  EXPECT_EQ(p.mass[0], 70);
-  EXPECT_EQ(p.id[0], 200u);
-  EXPECT_EQ(p.role[0], Role::kPassive);
-  EXPECT_EQ(p.id[1], 100u);
+  for (int i = 0; i < 5; ++i) {
+    const auto f = static_cast<float>(i);
+    p.push_back(f, f + 0.1f, f + 0.2f, f + 0.3f, f + 0.4f, f + 0.5f,
+                f + 0.6f, static_cast<std::uint64_t>(100 + i),
+                i % 2 == 0 ? Role::kActive : Role::kPassive, f + 0.7f,
+                f + 0.8f, f + 0.9f);
+  }
+  // Drop particles 0 and 3: the survivors close up in their old order, and
+  // every field moves with its particle.
+  p.retain_if([&](std::size_t i) { return i != 0 && i != 3; });
+  ASSERT_EQ(p.size(), 3u);
   EXPECT_TRUE(p.consistent());
-}
-
-TEST(ParticleArray, RemoveUnorderedKeepsRest) {
-  ParticleArray p;
-  for (int i = 0; i < 5; ++i)
-    p.push_back(static_cast<float>(i), 0, 0, 0, 0, 0, 1,
-                static_cast<std::uint64_t>(i));
-  p.remove_unordered(1);
-  EXPECT_EQ(p.size(), 4u);
-  std::set<std::uint64_t> ids(p.id.begin(), p.id.end());
-  EXPECT_EQ(ids, (std::set<std::uint64_t>{0, 2, 3, 4}));
-  EXPECT_TRUE(p.consistent());
+  const int kept[3] = {1, 2, 4};
+  for (std::size_t j = 0; j < 3; ++j) {
+    const auto f = static_cast<float>(kept[j]);
+    EXPECT_EQ(p.x[j], f);
+    EXPECT_EQ(p.y[j], f + 0.1f);
+    EXPECT_EQ(p.z[j], f + 0.2f);
+    EXPECT_EQ(p.vx[j], f + 0.3f);
+    EXPECT_EQ(p.vy[j], f + 0.4f);
+    EXPECT_EQ(p.vz[j], f + 0.5f);
+    EXPECT_EQ(p.mass[j], f + 0.6f);
+    EXPECT_EQ(p.ax[j], f + 0.7f);
+    EXPECT_EQ(p.ay[j], f + 0.8f);
+    EXPECT_EQ(p.az[j], f + 0.9f);
+    EXPECT_EQ(p.id[j], static_cast<std::uint64_t>(100 + kept[j]));
+    EXPECT_EQ(p.role[j], kept[j] % 2 == 0 ? Role::kActive : Role::kPassive);
+  }
+  // The predicate reads the original particle's fields.
+  p.retain_if([&](std::size_t i) { return p.role[i] == Role::kActive; });
+  ASSERT_EQ(p.size(), 2u);
+  EXPECT_EQ(p.id[0], 102u);
+  EXPECT_EQ(p.id[1], 104u);
 }
 
 TEST(ParticleArray, StorageIsAligned) {
