@@ -18,7 +18,10 @@
 # 3. Configure a third tree with -DHACC_SANITIZE=thread and run obs_test and
 #    comm_test — the tracer ring, the counter atomics and the comm telemetry
 #    thread-locals are all shared across SimMPI rank threads, so TSan gates
-#    every data-race regression in the observability layer.
+#    every data-race regression in the observability layer. Then the
+#    spectral path under TSan: fft_test's pencil suites and mesh_test's
+#    Redistributor, PoissonRanks and BlockFft suites — every transpose and
+#    block<->pencil remap exchanges buffers across SimMPI rank threads.
 #    Every TSan invocation in this script runs at OMP_NUM_THREADS=1. libgomp
 #    is not built with TSan, so TSan cannot see an OpenMP team's fork/join
 #    synchronization and reports every multi-thread team as races (on a
@@ -102,6 +105,14 @@ echo "== tsan: obs_test =="
 OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/obs_test"
 echo "== tsan: comm_test =="
 OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/comm_test"
+
+echo "== tsan: build fft_test mesh_test (${TSAN_BUILD}) =="
+cmake --build "$TSAN_BUILD" -j "$JOBS" --target fft_test mesh_test
+echo "== tsan: spectral path (pencil transposes, remap, Poisson, BlockFft) =="
+OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/fft_test" \
+  --gtest_filter='Pencil.*:*PencilTest.*'
+OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/mesh_test" \
+  --gtest_filter='Redistributor.*:*PoissonRanks.*:*BlockFftRanks.*'
 
 # Fault matrix: injection/detection/recovery suites under both sanitizers.
 FAULT_FILTER='FaultInjection.*:Detection.*:GioVerify.*:FaultMatrix.*:Supervisor.*:CheckpointSet.*:*HealthCheck*'

@@ -153,21 +153,18 @@ void Simulation::initialize() {
   audit_end_step();
 }
 
-mesh::DistGrid Simulation::density_contrast() {
+mesh::DistGrid& Simulation::density_contrast() {
   // Deposit *active* particles only (passives are someone else's mass).
-  std::vector<float> xs, ys, zs;
-  xs.reserve(particles_.size());
-  ys.reserve(particles_.size());
-  zs.reserve(particles_.size());
+  for (auto& v : active_pos_) v.clear();
+  auto& [xs, ys, zs] = active_pos_;
   for (std::size_t i = 0; i < particles_.size(); ++i) {
     if (particles_.role[i] != tree::Role::kActive) continue;
     xs.push_back(particles_.x[i]);
     ys.push_back(particles_.y[i]);
     zs.push_back(particles_.z[i]);
   }
-  mesh::DistGrid rho(decomp_, world_.rank(), kGridGhost);
-  deposit_density(rho, xs, ys, zs);
-  return rho;
+  deposit_density(rho_, xs, ys, zs);
+  return rho_;
 }
 
 void Simulation::deposit_density(mesh::DistGrid& rho,
@@ -592,9 +589,9 @@ void Simulation::record_step_ledger() {
 
 std::vector<cosmology::PowerBin> Simulation::power_spectrum(
     std::size_t bins) {
-  mesh::DistGrid delta = density_contrast();
-  return cosmology::measure_power_spectrum(world_, delta, config_.box_mpch,
-                                           bins);
+  const mesh::DistGrid& delta = density_contrast();
+  return cosmology::measure_power_spectrum(world_, poisson_->fft(), delta,
+                                           config_.box_mpch, bins);
 }
 
 tree::ParticleArray Simulation::gather_active() {
@@ -654,28 +651,24 @@ void Simulation::rollback(const std::string& path) {
 }
 
 Simulation::EnergyDiagnostics Simulation::energy() {
-  mesh::DistGrid delta = density_contrast();
+  const mesh::DistGrid& delta = density_contrast();
   // force_ is scratch between steps (the acceleration lives on the
   // particles), so the diagnostic solve may reuse it.
   mesh::DistGrid phi(decomp_, world_.rank(), kGridGhost);
   poisson_->solve(world_, delta, force_, &phi);
   phi.fill_ghosts(world_);
-
-  std::vector<float> xs, ys, zs, ps;
-  for (std::size_t i = 0; i < particles_.size(); ++i) {
-    if (particles_.role[i] != tree::Role::kActive) continue;
-    xs.push_back(particles_.x[i]);
-    ys.push_back(particles_.y[i]);
-    zs.push_back(particles_.z[i]);
-    ps.push_back(particles_.vx[i] * particles_.vx[i] +
-                 particles_.vy[i] * particles_.vy[i] +
-                 particles_.vz[i] * particles_.vz[i]);
-  }
+  const auto& [xs, ys, zs] = active_pos_;  // density_contrast() filled it
   std::vector<float> phi_at(xs.size());
   mesh::cic_interpolate(phi, xs, ys, zs, phi_at);
 
   EnergyDiagnostics e;
-  for (float p2 : ps) e.kinetic += 0.5 * static_cast<double>(p2);
+  for (std::size_t i = 0; i < particles_.size(); ++i) {
+    if (particles_.role[i] != tree::Role::kActive) continue;
+    const float p2 = particles_.vx[i] * particles_.vx[i] +
+                     particles_.vy[i] * particles_.vy[i] +
+                     particles_.vz[i] * particles_.vz[i];
+    e.kinetic += 0.5 * static_cast<double>(p2);
+  }
   e.kinetic /= a_ * a_;
   for (float ph : phi_at) e.potential += ph;
   e.potential *= 0.5 * 1.5 * cosmo_.omega_m / a_;

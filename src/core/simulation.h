@@ -182,12 +182,14 @@ class Simulation {
   /// neighbor masses (rho_bar = mean particle mass per grid cell).
   float mass_scale() const noexcept { return mass_scale_; }
 
-  /// Deposit active particles and return the density contrast
-  /// (collective). The actives must lie in this rank's domain, as they do
-  /// between steps.
-  mesh::DistGrid density_contrast();
+  /// Deposit the actives into the persistent PM grid and return it as the
+  /// density contrast (collective); valid until the next step or spectral
+  /// call (power_spectrum(), energy()). The actives must lie in this
+  /// rank's domain, as they do between steps.
+  mesh::DistGrid& density_contrast();
 
-  /// Measured matter power spectrum of the current state (collective).
+  /// Measured matter power spectrum of the current state (collective):
+  /// density_contrast() through the Poisson solver's own BlockFft.
   std::vector<cosmology::PowerBin> power_spectrum(std::size_t bins = 32);
 
   /// Gather every *active* particle to rank 0 (empty elsewhere). Collective.
@@ -385,6 +387,8 @@ class Simulation {
   // them, so one ghost layer holds every CIC cloud.
   mesh::DistGrid rho_;
   std::array<mesh::DistGrid, 3> force_;
+  // The actives' positions density_contrast() deposits, reused per call.
+  std::array<std::vector<float>, 3> active_pos_;
   /// particles_.ax/ay/az hold the acceleration of the current boundary
   /// state (see the header comment).
   bool accel_valid_ = false;

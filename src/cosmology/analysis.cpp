@@ -3,9 +3,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "fft/pencil.h"
-#include "mesh/kernels.h"
-#include "mesh/remap.h"
 #include "util/error.h"
 
 namespace hacc::cosmology {
@@ -53,59 +50,38 @@ std::vector<ProfileBin> halo_profile(const tree::ParticleArray& p,
 }
 
 std::vector<CorrelationBin> measure_correlation_function(
-    comm::Comm& world, const mesh::DistGrid& delta, double box_mpch,
-    std::size_t bins) {
+    comm::Comm& world, mesh::BlockFft& fft, const mesh::DistGrid& delta,
+    double box_mpch, std::size_t bins) {
   HACC_CHECK(bins >= 2);
-  const auto& dims = delta.decomp().grid_dims();
+  const auto& dims = fft.decomp().grid_dims();
   HACC_CHECK(dims[0] == dims[1] && dims[1] == dims[2]);
   const std::size_t n = dims[0];
   const double cell = box_mpch / static_cast<double>(n);
 
-  // delta -> pencil layout -> |delta_k|^2 -> inverse FFT = N^3 * xi(x).
-  fft::PencilFft3D fft =
-      fft::PencilFft3D::balanced(world, dims[0], dims[1], dims[2]);
-  std::vector<fft::Box3D> src, dst;
-  for (int r = 0; r < world.size(); ++r) {
-    src.push_back(delta.decomp().box_of(r));
-    const int q1 = r / fft.p2(), q2 = r % fft.p2();
-    dst.push_back(fft::Box3D{fft::block_range(dims[0], fft.p1(), q1),
-                             fft::block_range(dims[1], fft.p2(), q2),
-                             fft::Range{0, dims[2]}});
-  }
-  mesh::Redistributor remap(src, dst);
-  std::vector<double> interior;
-  const auto& b = delta.interior();
-  interior.reserve(b.volume());
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(b.x.extent());
-       ++i)
-    for (std::ptrdiff_t j = 0; j < static_cast<std::ptrdiff_t>(b.y.extent());
-         ++j)
-      for (std::ptrdiff_t k = 0;
-           k < static_cast<std::ptrdiff_t>(b.z.extent()); ++k)
-        interior.push_back(delta.at(i, j, k));
-  auto pencil = remap.forward(world, interior);
-  std::vector<fft::Complex> spec(pencil.size());
-  for (std::size_t i = 0; i < pencil.size(); ++i)
-    spec[i] = fft::Complex(pencil[i], 0.0);
-  fft.forward(spec);
+  // delta -> |delta_k|^2 (real and Hermitian) -> inverse: each lag cell then
+  // holds sum_x delta(x) delta(x + r). The lag grid has no ghosts, so its
+  // storage is its interior in row-major order.
+  std::vector<fft::Complex> spec;
+  fft.forward(world, delta, spec);
   for (auto& v : spec) v = fft::Complex(std::norm(v), 0.0);
-  fft.inverse(spec);  // spec now holds sum_x delta(x) delta(x+r) per cell
+  mesh::DistGrid lag(fft.decomp(), world.rank(), 0);
+  fft.inverse(world, spec, lag);
 
-  // Bin by periodic lag radius over this rank's z-pencil (real layout).
-  const fft::Box3D rb = fft.real_box();
+  // Bin by periodic lag radius over this rank's block.
+  const fft::Box3D& b = lag.interior();
   const double ncells = static_cast<double>(n) * static_cast<double>(n) *
                         static_cast<double>(n);
   const double rmax = 0.5 * box_mpch;
   std::vector<double> xsum(bins, 0.0);
   std::vector<long long> counts(bins, 0);
   std::size_t idx = 0;
-  for (std::size_t x = rb.x.lo; x < rb.x.hi; ++x) {
+  for (std::size_t x = b.x.lo; x < b.x.hi; ++x) {
     const double lx =
         periodic_delta(static_cast<double>(x) * cell, box_mpch);
-    for (std::size_t y = rb.y.lo; y < rb.y.hi; ++y) {
+    for (std::size_t y = b.y.lo; y < b.y.hi; ++y) {
       const double ly =
           periodic_delta(static_cast<double>(y) * cell, box_mpch);
-      for (std::size_t z = rb.z.lo; z < rb.z.hi; ++z, ++idx) {
+      for (std::size_t z = b.z.lo; z < b.z.hi; ++z, ++idx) {
         const double lz =
             periodic_delta(static_cast<double>(z) * cell, box_mpch);
         const double r = std::sqrt(lx * lx + ly * ly + lz * lz);
@@ -113,7 +89,7 @@ std::vector<CorrelationBin> measure_correlation_function(
         const auto bi = static_cast<std::size_t>(
             r / rmax * static_cast<double>(bins));
         const std::size_t bb = bi >= bins ? bins - 1 : bi;
-        xsum[bb] += spec[idx].real() / ncells;  // normalize the correlation
+        xsum[bb] += lag.data()[idx] / ncells;  // normalize the correlation
         ++counts[bb];
       }
     }

@@ -18,6 +18,7 @@
 #include "comm/comm.h"
 #include "cosmology/halo_finder.h"
 #include "cosmology/power_spectrum.h"
+#include "mesh/block_fft.h"
 #include "mesh/grid.h"
 #include "tree/particles.h"
 
@@ -42,10 +43,12 @@ struct CorrelationBin {
 };
 
 /// Two-point correlation function from a distributed density-contrast grid:
-/// xi(x) = IFFT(|delta_k|^2) / N^2, binned radially. Collective.
+/// xi(x) = IFFT(|delta_k|^2) / N^3, both transforms through `fft` (built on
+/// delta's decomposition), binned radially over the lag cells of this
+/// rank's block. Collective.
 std::vector<CorrelationBin> measure_correlation_function(
-    comm::Comm& world, const mesh::DistGrid& delta, double box_mpch,
-    std::size_t bins = 24);
+    comm::Comm& world, mesh::BlockFft& fft, const mesh::DistGrid& delta,
+    double box_mpch, std::size_t bins = 24);
 
 /// Press-Schechter mass function dn/dlnM [(Mpc/h)^-3] at redshift z for
 /// halo mass M [Msun/h].

@@ -3,10 +3,9 @@
 #include <cmath>
 #include <numbers>
 
-#include "fft/pencil.h"
+#include "mesh/block_fft.h"
 #include "mesh/cic.h"
 #include "mesh/kernels.h"
-#include "mesh/remap.h"
 #include "util/rng.h"
 
 namespace hacc::cosmology {
@@ -26,111 +25,66 @@ void generate_displacement_fields(comm::Comm& world,
                         static_cast<double>(n);
 
   LinearPower power(cosmo, config.transfer);
+  mesh::BlockFft fft(world, decomp);
 
-  fft::PencilFft3D fft = fft::PencilFft3D::balanced(world, n, n, n);
-  const fft::Box3D rb = fft.real_box();
-  // White noise keyed by global cell: decomposition independent.
+  // White noise keyed by global cell: decomposition independent. psi[0]
+  // holds it until its own inverse transform overwrites it.
   Philox rng(config.seed);
-  std::vector<fft::Complex> noise(rb.volume());
   {
-    std::size_t i = 0;
-    for (std::size_t x = rb.x.lo; x < rb.x.hi; ++x)
-      for (std::size_t y = rb.y.lo; y < rb.y.hi; ++y)
-        for (std::size_t z = rb.z.lo; z < rb.z.hi; ++z) {
-          const std::uint64_t cell = (x * n + y) * n + z;
-          noise[i++] = fft::Complex(rng.gaussian2(cell)[0], 0.0);
-        }
+    mesh::DistGrid& noise = psi[0];
+    const fft::Box3D& b = noise.interior();
+    for (std::size_t x = b.x.lo; x < b.x.hi; ++x)
+      for (std::size_t y = b.y.lo; y < b.y.hi; ++y)
+        for (std::size_t z = b.z.lo; z < b.z.hi; ++z)
+          noise.at(static_cast<std::ptrdiff_t>(x - b.x.lo),
+                   static_cast<std::ptrdiff_t>(y - b.y.lo),
+                   static_cast<std::ptrdiff_t>(z - b.z.lo)) =
+              rng.gaussian2((x * n + y) * n + z)[0];
   }
-  fft.forward(noise);
+  std::vector<fft::Complex> delta_k;
+  fft.forward(world, psi[0], delta_k);
 
-  // delta(k) = n(k) sqrt(P(k) N / V); psi_axis(k) = i k_axis delta / k^2.
-  const fft::Box3D sb = fft.spectral_box();
-  // Remap table: pencil spectral layout is not needed; we inverse-transform
-  // per axis from the same delta(k), so keep delta and derive per axis.
-  std::vector<fft::Complex> delta_k(noise.size());
-  {
+  // This rank's half-spectrum modes in storage order: index, signed mode
+  // and k^2 [(h/Mpc)^2].
+  const fft::Box3D& sb = fft.modes();
+  auto for_each_mode = [&](auto&& fn) {
     std::size_t i = 0;
-    for (std::size_t mx = sb.x.lo; mx < sb.x.hi; ++mx) {
-      const long sx = mesh::signed_mode(mx, n);
-      for (std::size_t my = sb.y.lo; my < sb.y.hi; ++my) {
-        const long sy = mesh::signed_mode(my, n);
+    for (std::size_t mx = sb.x.lo; mx < sb.x.hi; ++mx)
+      for (std::size_t my = sb.y.lo; my < sb.y.hi; ++my)
         for (std::size_t mz = sb.z.lo; mz < sb.z.hi; ++mz, ++i) {
-          const long sz = mesh::signed_mode(mz, n);
-          const double k2 =
-              kf * kf *
-              static_cast<double>(sx * sx + sy * sy + sz * sz);
-          if (k2 == 0.0) {
-            delta_k[i] = fft::Complex(0, 0);
-            continue;
-          }
-          const double kmag = std::sqrt(k2);
-          const double amp =
-              std::sqrt(power(kmag) * ncells / (box * box * box));
-          delta_k[i] = noise[i] * amp;
+          const std::array<long, 3> s{mesh::signed_mode(mx, n),
+                                      mesh::signed_mode(my, n),
+                                      mesh::signed_mode(mz, n)};
+          fn(i, s,
+             kf * kf *
+                 static_cast<double>(s[0] * s[0] + s[1] * s[1] + s[2] * s[2]));
         }
-      }
-    }
-  }
+  };
 
-  // Block-layout remap table (shared by the three components).
-  std::vector<fft::Box3D> src, dst;
-  for (int r = 0; r < world.size(); ++r) {
-    const int q1 = r / fft.p2(), q2 = r % fft.p2();
-    src.push_back(fft::Box3D{fft::block_range(n, fft.p1(), q1),
-                             fft::block_range(n, fft.p2(), q2),
-                             fft::Range{0, n}});
-    dst.push_back(decomp.box_of(r));
-  }
-  mesh::Redistributor remap(src, dst);
+  // delta(k) = n(k) sqrt(P(k) N / V), in place.
+  for_each_mode([&](std::size_t i, const std::array<long, 3>&, double k2) {
+    delta_k[i] = k2 == 0.0 ? fft::Complex(0, 0)
+                           : delta_k[i] * std::sqrt(power(std::sqrt(k2)) *
+                                                    ncells / (box * box * box));
+  });
 
-  for (int axis = 0; axis < 3; ++axis) {
-    std::vector<fft::Complex> psi_k(delta_k.size());
-    std::size_t i = 0;
-    for (std::size_t mx = sb.x.lo; mx < sb.x.hi; ++mx) {
-      const long sx = mesh::signed_mode(mx, n);
-      for (std::size_t my = sb.y.lo; my < sb.y.hi; ++my) {
-        const long sy = mesh::signed_mode(my, n);
-        for (std::size_t mz = sb.z.lo; mz < sb.z.hi; ++mz, ++i) {
-          const long sz = mesh::signed_mode(mz, n);
-          const double k2 =
-              kf * kf * static_cast<double>(sx * sx + sy * sy + sz * sz);
-          if (k2 == 0.0) {
-            psi_k[i] = fft::Complex(0, 0);
-            continue;
-          }
-          const long sm = axis == 0 ? sx : axis == 1 ? sy : sz;
-          // Zero the Nyquist plane of this axis: i*k has no Hermitian
-          // partner there and would leak an imaginary component.
-          if (n % 2 == 0 && sm == -static_cast<long>(n / 2)) {
-            psi_k[i] = fft::Complex(0, 0);
-            continue;
-          }
-          const double ka = kf * static_cast<double>(sm);
-          // psi = i k / k^2 * delta  [Mpc/h]; convert to grid units.
-          psi_k[i] = fft::Complex(0.0, ka / k2) * delta_k[i] /
-                     cell_mpch;
-        }
-      }
-    }
-    fft.inverse(psi_k);
-    std::vector<double> real(psi_k.size());
-    for (std::size_t j = 0; j < psi_k.size(); ++j) real[j] = psi_k[j].real();
-    // src boxes are the pencils, dst the particle blocks: forward maps
-    // pencil -> block.
-    auto block = remap.forward(world, real);
-    // Store into the DistGrid interior.
-    auto& grid = psi[static_cast<std::size_t>(axis)];
-    const auto& b = grid.interior();
-    grid.fill(0.0);
-    std::size_t j = 0;
-    for (std::ptrdiff_t xx = 0;
-         xx < static_cast<std::ptrdiff_t>(b.x.extent()); ++xx)
-      for (std::ptrdiff_t yy = 0;
-           yy < static_cast<std::ptrdiff_t>(b.y.extent()); ++yy)
-        for (std::ptrdiff_t zz = 0;
-             zz < static_cast<std::ptrdiff_t>(b.z.extent()); ++zz)
-          grid.at(xx, yy, zz) = block[j++];
-    grid.fill_ghosts(world);
+  // psi_axis(k) = i k_axis delta / k^2 [Mpc/h], in grid units; one inverse
+  // transform per axis (each clobbers psi_k).
+  std::vector<fft::Complex> psi_k;
+  for (std::size_t axis = 0; axis < 3; ++axis) {
+    psi_k.resize(delta_k.size());
+    for_each_mode([&](std::size_t i, const std::array<long, 3>& s, double k2) {
+      // Zero the Nyquist plane of this axis: i*k has no Hermitian partner
+      // there and would leak an imaginary component.
+      const bool nyquist = n % 2 == 0 && s[axis] == -static_cast<long>(n / 2);
+      psi_k[i] = k2 == 0.0 || nyquist
+                     ? fft::Complex(0, 0)
+                     : fft::Complex(0.0, kf * static_cast<double>(s[axis]) /
+                                             k2) *
+                           delta_k[i] / cell_mpch;
+    });
+    fft.inverse(world, psi_k, psi[axis]);
+    psi[axis].fill_ghosts(world);
   }
 }
 

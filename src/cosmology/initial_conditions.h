@@ -6,10 +6,13 @@
 // *global* cell index with the counter-based RNG, so any rank layout
 // produces the identical realization.
 //
-// Pipeline: white noise n(x) -> FFT -> delta(k) = n(k) sqrt(P(k) N/V) ->
-// displacement psi(k) = i k delta(k)/k^2 -> 3 inverse FFTs -> particles on a
-// lattice displaced by D(a_i) psi with Zel'dovich momenta
-// p = a^2 E(a) f(a) D(a) psi (code units; see cosmology/background.h).
+// Pipeline, through one mesh::BlockFft: white noise n(x) on the particle
+// blocks -> r2c FFT -> delta(k) = n(k) sqrt(P(k) N/V) on the half spectrum
+// -> displacement psi(k) = i k delta(k)/k^2 -> 3 c2r FFTs back to the
+// blocks -> particles on a lattice displaced by D(a_i) psi with Zel'dovich
+// momenta p = a^2 E(a) f(a) D(a) psi (code units; see
+// cosmology/background.h). Every transform runs on whole lines of the
+// global grid, so the particles are bit-identical at any rank count.
 #pragma once
 
 #include <cstdint>

@@ -3,9 +3,7 @@
 #include <cmath>
 #include <numbers>
 
-#include "fft/pencil.h"
 #include "mesh/kernels.h"
-#include "mesh/remap.h"
 #include "util/error.h"
 
 namespace hacc::cosmology {
@@ -103,51 +101,27 @@ double sigma_r(const LinearPower& power, double radius) {
 }
 
 std::vector<PowerBin> measure_power_spectrum(comm::Comm& world,
+                                             mesh::BlockFft& fft,
                                              const mesh::DistGrid& delta,
                                              double box_mpch,
                                              std::size_t bins,
                                              bool deconvolve_cic) {
   HACC_CHECK(bins >= 2);
-  const auto& dims = delta.decomp().grid_dims();
+  const auto& dims = fft.decomp().grid_dims();
   HACC_CHECK_MSG(dims[0] == dims[1] && dims[1] == dims[2],
                  "P(k) estimator expects a cubic grid");
   const std::size_t n = dims[0];
   const double kf = 2.0 * std::numbers::pi / box_mpch;  // fundamental mode
   const double k_nyq = kf * static_cast<double>(n) / 2.0;
 
-  // Forward transform of the interior on pencils.
-  fft::PencilFft3D fft =
-      fft::PencilFft3D::balanced(world, dims[0], dims[1], dims[2]);
-  // Move the block-distributed interior into the z-pencil layout.
-  std::vector<fft::Box3D> src, dst;
-  for (int r = 0; r < world.size(); ++r) {
-    src.push_back(delta.decomp().box_of(r));
-    const int q1 = r / fft.p2(), q2 = r % fft.p2();
-    dst.push_back(fft::Box3D{fft::block_range(dims[0], fft.p1(), q1),
-                             fft::block_range(dims[1], fft.p2(), q2),
-                             fft::Range{0, dims[2]}});
-  }
-  mesh::Redistributor remap(src, dst);
-  std::vector<double> interior;
-  const auto& b = delta.interior();
-  interior.reserve(b.volume());
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(b.x.extent());
-       ++i)
-    for (std::ptrdiff_t j = 0; j < static_cast<std::ptrdiff_t>(b.y.extent());
-         ++j)
-      for (std::ptrdiff_t k = 0; k < static_cast<std::ptrdiff_t>(b.z.extent());
-           ++k)
-        interior.push_back(delta.at(i, j, k));
-  auto pencil = remap.forward(world, interior);
-  std::vector<fft::Complex> spec(pencil.size());
-  for (std::size_t i = 0; i < pencil.size(); ++i)
-    spec[i] = fft::Complex(pencil[i], 0.0);
-  fft.forward(spec);
+  std::vector<fft::Complex> spec;
+  fft.forward(world, delta, spec);
 
-  // Bin |delta(k)|^2 over this rank's spectral box.
+  // Bin |delta(k)|^2 over this rank's half spectrum; each mode also stands
+  // for its Hermitian mirror, which has the same |k|, power and window.
   std::vector<double> psum(bins, 0.0), ksum(bins, 0.0);
   std::vector<long long> counts(bins, 0);
-  const fft::Box3D sb = fft.spectral_box();
+  const fft::Box3D& sb = fft.modes();
   std::size_t idx = 0;
   for (std::size_t mx = sb.x.lo; mx < sb.x.hi; ++mx) {
     const long sx = mesh::signed_mode(mx, n);
@@ -173,9 +147,10 @@ std::vector<PowerBin> measure_power_spectrum(comm::Comm& world,
         const auto bin = static_cast<std::size_t>(kmag / k_nyq *
                                                   static_cast<double>(bins));
         const std::size_t bi = bin >= bins ? bins - 1 : bin;
-        psum[bi] += p;
-        ksum[bi] += kmag;
-        ++counts[bi];
+        const int mult = fft.multiplicity(mz);
+        psum[bi] += mult * p;
+        ksum[bi] += mult * kmag;
+        counts[bi] += mult;
       }
     }
   }

@@ -1,0 +1,76 @@
+#include "mesh/block_fft.h"
+
+#include <optional>
+
+#include "obs/obs.h"
+
+namespace hacc::mesh {
+
+namespace {
+
+/// The block <-> z-pencil layout table: rank r's block of `decomp` and the
+/// z-pencil it holds on `fft`'s process grid.
+Redistributor block_to_pencil(int nranks, const BlockDecomp3D& decomp,
+                              const fft::PencilFft3D& fft) {
+  std::vector<fft::Box3D> blocks, pencils;
+  for (int r = 0; r < nranks; ++r) {
+    blocks.push_back(decomp.box_of(r));
+    const int q1 = r / fft.p2(), q2 = r % fft.p2();
+    pencils.push_back(fft::Box3D{fft::block_range(fft.nx(), fft.p1(), q1),
+                                 fft::block_range(fft.ny(), fft.p2(), q2),
+                                 fft::Range{0, fft.nz()}});
+  }
+  return Redistributor(std::move(blocks), std::move(pencils));
+}
+
+}  // namespace
+
+BlockFft::BlockFft(comm::Comm& world, const BlockDecomp3D& decomp)
+    : decomp_(decomp),
+      fft_(fft::PencilFft3D::balanced(world, decomp.grid_dims()[0],
+                                      decomp.grid_dims()[1],
+                                      decomp.grid_dims()[2])),
+      remap_(block_to_pencil(world.size(), decomp, fft_)) {}
+
+void BlockFft::forward(comm::Comm& world, const DistGrid& grid,
+                       std::vector<fft::Complex>& spectrum,
+                       const Phases* phases) {
+  const auto& box = grid.interior();
+  const auto ex = static_cast<std::ptrdiff_t>(box.x.extent());
+  const auto ey = static_cast<std::ptrdiff_t>(box.y.extent());
+  const auto ez = static_cast<std::ptrdiff_t>(box.z.extent());
+  std::optional<obs::PhaseScope> scope;
+  if (phases != nullptr) scope.emplace(phases->remap);
+  interior_.resize(box.volume());
+  std::size_t idx = 0;
+  for (std::ptrdiff_t i = 0; i < ex; ++i)
+    for (std::ptrdiff_t j = 0; j < ey; ++j)
+      for (std::ptrdiff_t k = 0; k < ez; ++k)
+        interior_[idx++] = grid.at(i, j, k);
+  interior_ = remap_.forward(world, interior_);
+  scope.reset();
+  if (phases != nullptr) scope.emplace(phases->fft);
+  fft_.forward_r2c(std::span<const double>(interior_), spectrum);
+}
+
+void BlockFft::inverse(comm::Comm& world, std::vector<fft::Complex>& spectrum,
+                       DistGrid& grid, const Phases* phases) {
+  std::optional<obs::PhaseScope> scope;
+  if (phases != nullptr) scope.emplace(phases->fft);
+  fft_.inverse_c2r(spectrum, real_);
+  scope.reset();
+  if (phases != nullptr) scope.emplace(phases->remap);
+  const std::vector<double> block = remap_.backward(world, real_);
+  const auto& box = grid.interior();
+  HACC_CHECK(block.size() == box.volume());
+  const auto ex = static_cast<std::ptrdiff_t>(box.x.extent());
+  const auto ey = static_cast<std::ptrdiff_t>(box.y.extent());
+  const auto ez = static_cast<std::ptrdiff_t>(box.z.extent());
+  grid.fill(0.0);
+  std::size_t idx = 0;
+  for (std::ptrdiff_t i = 0; i < ex; ++i)
+    for (std::ptrdiff_t j = 0; j < ey; ++j)
+      for (std::ptrdiff_t k = 0; k < ez; ++k) grid.at(i, j, k) = block[idx++];
+}
+
+}  // namespace hacc::mesh

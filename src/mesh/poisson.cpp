@@ -9,72 +9,34 @@ namespace hacc::mesh {
 namespace {
 // Pre-interned phase ids: solve() is called every long-range step, so the
 // phase scopes must not re-intern (hash + lock) per call.
-const obs::PhaseIds kPhaseRemap = obs::phase_ids("poisson.remap");
-const obs::PhaseIds kPhaseFft = obs::phase_ids("poisson.fft");
+const BlockFft::Phases kPhases{obs::phase_ids("poisson.remap"),
+                               obs::phase_ids("poisson.fft")};
 const obs::PhaseIds kPhaseKernel = obs::phase_ids("poisson.kernel");
 }  // namespace
 
 PoissonSolver::PoissonSolver(comm::Comm& world, const BlockDecomp3D& decomp,
                              SpectralConfig config)
-    : decomp_(decomp), config_(config) {
-  const auto& dims = decomp.grid_dims();
-  fft_ = std::make_unique<fft::PencilFft3D>(
-      fft::PencilFft3D::balanced(world, dims[0], dims[1], dims[2]));
-  // Layout tables for the block <-> z-pencil remap.
-  std::vector<fft::Box3D> block_boxes, pencil_boxes;
-  const int p = world.size();
-  const int p1 = fft_->p1(), p2 = fft_->p2();
-  for (int r = 0; r < p; ++r) {
-    block_boxes.push_back(decomp.box_of(r));
-    const int q1 = r / p2, q2 = r % p2;
-    pencil_boxes.push_back(fft::Box3D{fft::block_range(dims[0], p1, q1),
-                                      fft::block_range(dims[1], p2, q2),
-                                      fft::Range{0, dims[2]}});
-  }
-  remap_ = std::make_unique<Redistributor>(std::move(block_boxes),
-                                           std::move(pencil_boxes));
-
+    : fft_(world, decomp) {
   // Spectral tables over this rank's half-spectrum box, equal to the bit
   // to the per-mode kernels (kernels.h).
-  const fft::Box3D sb = fft_->spectral_box_r2c();
+  const auto& dims = decomp.grid_dims();
+  const fft::Box3D& sb = fft_.modes();
   const std::array<std::size_t, 3> lo{sb.x.lo, sb.y.lo, sb.z.lo};
   const std::array<std::size_t, 3> hi{sb.x.hi, sb.y.hi, sb.z.hi};
-  green_filter_ = green_filter_table(dims, lo, hi, config_);
+  green_filter_ = green_filter_table(dims, lo, hi, config);
   for (std::size_t axis = 0; axis < 3; ++axis) {
     // f = -grad(phi): note the minus sign.
     for (std::size_t m = lo[axis]; m < hi[axis]; ++m)
       gradient_[axis].push_back(-gradient_multiplier(
-          wavenumber(m, dims[axis]), config_.gradient));
+          wavenumber(m, dims[axis]), config.gradient));
   }
 }
 
 void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
                           std::array<DistGrid, 3>& forces, DistGrid* phi) {
-  const auto& box = delta.interior();
-
-  // Pack the interior (strip ghosts) and remap to the z-pencil layout. The
-  // pencil field stays real all the way into the FFT (r2c path).
-  {
-    obs::PhaseScope scope(kPhaseRemap);
-    const auto ex = static_cast<std::ptrdiff_t>(box.x.extent());
-    const auto ey = static_cast<std::ptrdiff_t>(box.y.extent());
-    const auto ez = static_cast<std::ptrdiff_t>(box.z.extent());
-    interior_.resize(box.volume());
-    std::size_t idx = 0;
-    for (std::ptrdiff_t i = 0; i < ex; ++i)
-      for (std::ptrdiff_t j = 0; j < ey; ++j)
-        for (std::ptrdiff_t k = 0; k < ez; ++k)
-          interior_[idx++] = delta.at(i, j, k);
-    interior_ = remap_->forward(world, interior_);
-  }
-
   // One real-to-complex forward FFT of the density: the input is real, so
   // the z half-spectrum carries all information.
-  const fft::Box3D sb = fft_->spectral_box_r2c();
-  {
-    obs::PhaseScope scope(kPhaseFft);
-    fft_->forward_r2c(std::span<const double>(interior_), spectrum_);
-  }
+  fft_.forward(world, delta, spectrum_, &kPhases);
 
   // Filter x Green's function, from the table.
   {
@@ -85,25 +47,7 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
   }
 
   // Per-axis gradient: independent inverse FFT + remap back to blocks.
-  auto store_to_grid = [&](const std::vector<double>& block_data,
-                           DistGrid& grid) {
-    const auto& b = grid.interior();
-    const auto ex = static_cast<std::ptrdiff_t>(b.x.extent());
-    const auto ey = static_cast<std::ptrdiff_t>(b.y.extent());
-    const auto ez = static_cast<std::ptrdiff_t>(b.z.extent());
-    grid.fill(0.0);
-    std::size_t idx = 0;
-    for (std::ptrdiff_t i = 0; i < ex; ++i)
-      for (std::ptrdiff_t j = 0; j < ey; ++j)
-        for (std::ptrdiff_t k = 0; k < ez; ++k)
-          grid.at(i, j, k) = block_data[idx++];
-  };
-
-  auto inverse_to_real = [&]() {
-    obs::PhaseScope scope(kPhaseFft);
-    fft_->inverse_c2r(component_, real_out_);
-  };
-
+  const fft::Box3D& sb = fft_.modes();
   for (int axis = 0; axis < 3; ++axis) {
     {
       obs::PhaseScope scope(kPhaseKernel);
@@ -119,19 +63,13 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
             component_[idx] =
                 spectrum_[idx] * g[axis == 0 ? ix : axis == 1 ? iy : iz];
     }
-    inverse_to_real();
-    {
-      obs::PhaseScope scope(kPhaseRemap);
-      store_to_grid(remap_->backward(world, real_out_),
-                    forces[static_cast<std::size_t>(axis)]);
-    }
+    fft_.inverse(world, component_, forces[static_cast<std::size_t>(axis)],
+                 &kPhases);
   }
 
   if (phi != nullptr) {
     component_ = spectrum_;
-    inverse_to_real();
-    obs::PhaseScope scope(kPhaseRemap);
-    store_to_grid(remap_->backward(world, real_out_), *phi);
+    fft_.inverse(world, component_, *phi, &kPhases);
   }
 }
 

@@ -5,16 +5,17 @@
 // gradient then requires an independent FFT." (paper Sec. II)
 //
 // Pipeline per solve (double precision throughout — the spectral component
-// of HACC's mixed-precision scheme):
-//   1. remap the density contrast from the 3-D block layout to z-pencils,
-//   2. one forward real-to-complex pencil FFT (half spectrum),
-//   3. multiply by filter (Eq. 5) x sixth-order influence function,
-//   4. per axis: multiply by the Super-Lanczos gradient kernel, one inverse
-//      complex-to-real pencil FFT, remap back to blocks -> force component
-//      grid,
-//   5. optionally one more inverse FFT for the potential itself.
+// of HACC's mixed-precision scheme), every transform through the solver's
+// one BlockFft (mesh/block_fft.h):
+//   1. forward: remap the density contrast from blocks to z-pencils and run
+//      one real-to-complex pencil FFT (half spectrum),
+//   2. multiply by filter (Eq. 5) x sixth-order influence function,
+//   3. per axis: multiply by the Super-Lanczos gradient kernel, then one
+//      inverse (complex-to-real pencil FFT, remap back to blocks) -> force
+//      component grid,
+//   4. optionally one more inverse for the potential itself.
 //
-// The multipliers of steps 3 and 4 depend only on the configuration and the
+// The multipliers of steps 2 and 3 depend only on the configuration and the
 // rank's spectral box, so the constructor tabulates them once: the composed
 // filter x Green's function per local mode, and the gradient kernel per
 // local mode index along each axis.
@@ -27,17 +28,17 @@
 // "poisson.remap", "poisson.fft" and "poisson.kernel" with obs::PhaseScope
 // into whatever obs::Counters (and Tracer) the calling thread has bound —
 // Simulation::step() binds its rank's — and records nothing when unbound.
+// It is the only caller that names phases to its BlockFft, so other
+// spectral work through fft() lands in no poisson.* phase.
 #pragma once
 
 #include <array>
-#include <memory>
-#include <optional>
+#include <vector>
 
 #include "comm/comm.h"
-#include "fft/pencil.h"
+#include "mesh/block_fft.h"
 #include "mesh/grid.h"
 #include "mesh/kernels.h"
-#include "mesh/remap.h"
 
 namespace hacc::mesh {
 
@@ -49,8 +50,9 @@ class PoissonSolver {
   PoissonSolver(comm::Comm& world, const BlockDecomp3D& decomp,
                 SpectralConfig config = {});
 
-  const SpectralConfig& config() const noexcept { return config_; }
-  const BlockDecomp3D& decomp() const noexcept { return decomp_; }
+  /// The solver's block <-> half-spectrum transform. Other spectral work on
+  /// the same decomposition (the in-situ P(k)) reuses it between solves.
+  BlockFft& fft() noexcept { return fft_; }
 
   /// Solve for the force grids given the density-contrast grid `delta`
   /// (interior must be valid; ghosts ignored). Fills the interiors of
@@ -62,13 +64,9 @@ class PoissonSolver {
              std::array<DistGrid, 3>& forces, DistGrid* phi = nullptr);
 
  private:
-  BlockDecomp3D decomp_;
-  SpectralConfig config_;
-  std::unique_ptr<fft::PencilFft3D> fft_;
-  std::unique_ptr<Redistributor> remap_;
+  BlockFft fft_;
   // Persistent solve workspace: reused across solves so the spectral path
   // performs no steady-state allocations beyond the remap exchanges.
-  std::vector<double> interior_, real_out_;
   std::vector<fft::Complex> spectrum_, component_;
   // Spectral tables over this rank's half-spectrum box (built once):
   // filter x Green's function per mode, in spectrum order, and

@@ -106,7 +106,8 @@ TEST(Correlation, SingleModeGivesCosine) {
                    static_cast<std::ptrdiff_t>(z)) =
               amp * std::cos(2.0 * std::numbers::pi * mode *
                              static_cast<double>(x) / static_cast<double>(n));
-    auto xi = measure_correlation_function(c, delta, box, 16);
+    mesh::BlockFft fft(c, d);
+    auto xi = measure_correlation_function(c, fft, delta, box, 16);
     ASSERT_FALSE(xi.empty());
     EXPECT_NEAR(xi.front().xi, 0.5 * amp * amp, 0.2 * 0.5 * amp * amp);
     // xi at small lag positive, somewhere beyond a quarter wavelength the
@@ -147,7 +148,8 @@ TEST(Correlation, ZeroLagEqualsVariance) {
         }
     var /= static_cast<double>(n * n * n);
     // Very fine binning so the first bin contains only the zero lag.
-    auto xi = measure_correlation_function(c, delta, box, 16);
+    mesh::BlockFft fft(c, d);
+    auto xi = measure_correlation_function(c, fft, delta, box, 16);
     EXPECT_NEAR(xi.front().xi * static_cast<double>(xi.front().cells), var,
                 0.05 * var + 1e-12);
     // White noise: all other bins ~ 0.
@@ -177,7 +179,8 @@ TEST_P(CorrelationRanks, DecompositionIndependent) {
           delta.at(static_cast<std::ptrdiff_t>(x - b.x.lo),
                    static_cast<std::ptrdiff_t>(y - b.y.lo),
                    static_cast<std::ptrdiff_t>(z - b.z.lo)) = field(x, y, z);
-    auto xi = measure_correlation_function(c, delta, box, 10);
+    mesh::BlockFft fft(c, d);
+    auto xi = measure_correlation_function(c, fft, delta, box, 10);
     if (c.rank() == 0) {
       if (nranks == 1) {
         reference = xi;

@@ -23,6 +23,7 @@
 #include "core/domain.h"
 #include "core/simulation.h"
 #include "core/supervisor.h"
+#include "fft/pencil.h"
 #include "gio/gio.h"
 #include "util/rng.h"
 
@@ -681,6 +682,59 @@ TEST(Simulation, TimersCoverTheExpectedPhases) {
     }
     for (const auto& [name, stat] : rec.counters)
       EXPECT_NE(name.rfind("phase.", 0), 0u) << name;
+  });
+}
+
+TEST(Simulation, PowerSpectrumReusesTheSolverTransform) {
+  // The in-situ P(k) deposits into the persistent PM grid and transforms
+  // through the Poisson solver's BlockFft: a warm call under the rank's
+  // sinks runs exactly one r2c forward transform, moves exactly that
+  // transform's transpose bytes and times nothing into a poisson.* phase.
+  SimulationConfig cfg;
+  cfg.grid = 16;
+  cfg.particles_per_dim = 12;
+  cfg.steps = 1;
+  cfg.overload = 2.0;
+  cosmology::Cosmology cosmo;
+  const NameId transforms = obs::counter_id("fft.transforms");
+  const NameId transpose_bytes = obs::counter_id("fft.transpose.bytes");
+  comm::Machine::run(2, [&](comm::Comm& c) {
+    Simulation sim(c, cosmo, cfg);
+    sim.initialize();
+    sim.step();
+    EXPECT_EQ(&sim.density_contrast(), &sim.density_contrast());
+
+    // The transpose bytes of one forward_r2c on this grid, from a plan of
+    // the same shape.
+    std::uint64_t r2c_bytes = 0;
+    {
+      obs::Counters probe;
+      obs::Binding binding(nullptr, &probe);
+      auto plan = fft::PencilFft3D::balanced(c, cfg.grid, cfg.grid, cfg.grid);
+      const std::vector<double> field(plan.real_box().volume(), 1.0);
+      std::vector<fft::Complex> spectrum;
+      plan.forward_r2c(field, spectrum);
+      r2c_bytes = probe.value(transpose_bytes);
+    }
+    EXPECT_GT(r2c_bytes, 0u);
+
+    obs::Binding binding(&sim.tracer(), &sim.counters());
+    (void)sim.power_spectrum(8);  // warm
+    const std::vector<obs::Counters::Sample> before =
+        sim.counters().snapshot();
+    const std::uint64_t transforms0 = sim.counters().value(transforms);
+    const std::uint64_t bytes0 = sim.counters().value(transpose_bytes);
+    const auto bins = sim.power_spectrum(8);
+    EXPECT_FALSE(bins.empty());
+    EXPECT_EQ(sim.counters().value(transforms) - transforms0, 1u);
+    EXPECT_EQ(sim.counters().value(transpose_bytes) - bytes0, r2c_bytes);
+    for (const obs::Counters::Sample& s : before) {
+      if (name_of(s.id).rfind("phase.poisson", 0) != 0) continue;
+      EXPECT_EQ(sim.counters().value(s.id), s.value) << name_of(s.id);
+    }
+    for (const obs::Counters::Sample& s : sim.counters().snapshot())
+      if (name_of(s.id).rfind("phase.poisson", 0) == 0)
+        EXPECT_GT(s.value, 0u) << name_of(s.id) << " (timed by the step)";
   });
 }
 

@@ -3,15 +3,24 @@
 // input), FOF halos and subhalos.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <mutex>
 #include <numbers>
+#include <utility>
 
 #include "comm/comm.h"
 #include "cosmology/background.h"
 #include "cosmology/halo_finder.h"
 #include "cosmology/initial_conditions.h"
 #include "cosmology/power_spectrum.h"
+#include "fft/pencil.h"
+#include "mesh/block_fft.h"
 #include "mesh/cic.h"
+#include "mesh/kernels.h"
 #include "util/rng.h"
 
 namespace hacc::cosmology {
@@ -178,8 +187,9 @@ TEST(MeasuredPower, RecoversSingleModeAmplitude) {
                    static_cast<std::ptrdiff_t>(z)) =
               amp * std::cos(2.0 * std::numbers::pi * static_cast<double>(x) /
                              static_cast<double>(n));
-    auto bins =
-        measure_power_spectrum(c, delta, box, 8, /*deconvolve_cic=*/false);
+    mesh::BlockFft fft(c, d);
+    auto bins = measure_power_spectrum(c, fft, delta, box, 8,
+                                       /*deconvolve_cic=*/false);
     const double kf = 2.0 * std::numbers::pi / box;
     // All power in the lowest bin; expected P = A^2/4 * V ... per-mode
     // power: |delta_k|^2 = (A/2 N^3)^2 at k = +-k1; estimator averages over
@@ -202,42 +212,118 @@ TEST(MeasuredPower, RecoversSingleModeAmplitude) {
   });
 }
 
+/// Independent full-spectrum reference for measure_power_spectrum: the c2c
+/// pencil transform of the global row-major n^3 field on one rank, every
+/// mode of the full spectrum binned once, with the estimator's binning,
+/// window and normalization.
+std::vector<PowerBin> c2c_reference_power(const std::vector<double>& field,
+                                          std::size_t n, double box,
+                                          std::size_t bins,
+                                          bool deconvolve_cic) {
+  std::vector<fft::Complex> spec(field.begin(), field.end());
+  comm::Machine::run(1, [&](comm::Comm& c) {
+    fft::PencilFft3D(c, n, n, n, 1, 1).forward(spec);
+  });
+  const double kf = 2.0 * std::numbers::pi / box;
+  const double k_nyq = kf * static_cast<double>(n) / 2.0;
+  std::vector<double> psum(bins, 0.0), ksum(bins, 0.0);
+  std::vector<std::size_t> counts(bins, 0);
+  for (std::size_t mx = 0; mx < n; ++mx)
+    for (std::size_t my = 0; my < n; ++my)
+      for (std::size_t mz = 0; mz < n; ++mz) {
+        const long s[3] = {mesh::signed_mode(mx, n), mesh::signed_mode(my, n),
+                           mesh::signed_mode(mz, n)};
+        if (s[0] == 0 && s[1] == 0 && s[2] == 0) continue;
+        const double kmag = kf * std::sqrt(static_cast<double>(
+                                     s[0] * s[0] + s[1] * s[1] + s[2] * s[2]));
+        if (kmag > k_nyq) continue;
+        double p = std::norm(spec[(mx * n + my) * n + mz]);
+        if (deconvolve_cic) {
+          double w = 1.0;
+          for (const long m : s) {
+            const double u = std::numbers::pi * static_cast<double>(m) /
+                             static_cast<double>(n);
+            if (m != 0) w *= std::sin(u) / u;
+          }
+          p /= std::pow(w, 4);
+        }
+        const std::size_t bi = std::min(
+            bins - 1, static_cast<std::size_t>(kmag / k_nyq *
+                                               static_cast<double>(bins)));
+        psum[bi] += p;
+        ksum[bi] += kmag;
+        ++counts[bi];
+      }
+  const double ncells = std::pow(static_cast<double>(n), 3);
+  std::vector<PowerBin> out;
+  for (std::size_t i = 0; i < bins; ++i) {
+    if (counts[i] == 0) continue;
+    const double mean_p = psum[i] / static_cast<double>(counts[i]);
+    out.push_back(PowerBin{ksum[i] / static_cast<double>(counts[i]),
+                           mean_p * box * box * box / (ncells * ncells),
+                           counts[i]});
+  }
+  return out;
+}
+
 class MeasureRanks : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(Ranks, MeasureRanks, ::testing::Values(1, 2, 4, 8));
 
 TEST_P(MeasureRanks, DecompositionIndependent) {
+  // The half-spectrum estimator must bin exactly the modes of the full
+  // spectrum: identical mode counts and k/power to 1e-12 relative against
+  // the c2c reference, at every rank count, on an even grid (z = 0 and
+  // Nyquist planes self-conjugate) and an odd one (only z = 0), with and
+  // without the CIC window. Every rank count also reproduces the 1-rank
+  // estimate.
   const int nranks = GetParam();
-  const std::size_t n = 16;
   const double box = 64.0;
-  // Deterministic random field keyed on global cell.
-  auto field = [&](std::size_t x, std::size_t y, std::size_t z) {
-    return Philox(77).gaussian2((x * n + y) * n + z)[0] * 0.1;
-  };
-  static std::vector<PowerBin> reference;
-  mesh::BlockDecomp3D d = mesh::BlockDecomp3D::balanced({n, n, n}, nranks);
-  comm::Machine::run(nranks, [&](comm::Comm& c) {
-    mesh::DistGrid delta(d, c.rank(), 1);
-    const auto& b = delta.interior();
-    for (std::size_t x = b.x.lo; x < b.x.hi; ++x)
-      for (std::size_t y = b.y.lo; y < b.y.hi; ++y)
-        for (std::size_t z = b.z.lo; z < b.z.hi; ++z)
-          delta.at(static_cast<std::ptrdiff_t>(x - b.x.lo),
-                   static_cast<std::ptrdiff_t>(y - b.y.lo),
-                   static_cast<std::ptrdiff_t>(z - b.z.lo)) = field(x, y, z);
-    auto bins = measure_power_spectrum(c, delta, box, 12);
-    if (c.rank() == 0) {
-      if (nranks == 1) {
-        reference = bins;
-      } else {
-        ASSERT_EQ(bins.size(), reference.size());
+  static std::map<std::pair<std::size_t, bool>, std::vector<PowerBin>>
+      one_rank;
+  for (const std::size_t n : {std::size_t{16}, std::size_t{15}}) {
+    // Deterministic random field keyed on global cell.
+    std::vector<double> field(n * n * n);
+    for (std::size_t i = 0; i < field.size(); ++i)
+      field[i] = Philox(77).gaussian2(i)[0] * 0.1;
+    mesh::BlockDecomp3D d = mesh::BlockDecomp3D::balanced({n, n, n}, nranks);
+    for (const bool deconvolve : {false, true}) {
+      const auto reference = c2c_reference_power(field, n, box, 12, deconvolve);
+      comm::Machine::run(nranks, [&](comm::Comm& c) {
+        mesh::DistGrid delta(d, c.rank(), 1);
+        const auto& b = delta.interior();
+        for (std::size_t x = b.x.lo; x < b.x.hi; ++x)
+          for (std::size_t y = b.y.lo; y < b.y.hi; ++y)
+            for (std::size_t z = b.z.lo; z < b.z.hi; ++z)
+              delta.at(static_cast<std::ptrdiff_t>(x - b.x.lo),
+                       static_cast<std::ptrdiff_t>(y - b.y.lo),
+                       static_cast<std::ptrdiff_t>(z - b.z.lo)) =
+                  field[(x * n + y) * n + z];
+        mesh::BlockFft fft(c, d);
+        auto bins = measure_power_spectrum(c, fft, delta, box, 12, deconvolve);
+        if (c.rank() != 0) return;
+        ASSERT_EQ(bins.size(), reference.size()) << "n=" << n;
         for (std::size_t i = 0; i < bins.size(); ++i) {
+          EXPECT_EQ(bins[i].modes, reference[i].modes) << "n=" << n;
+          EXPECT_NEAR(bins[i].k, reference[i].k, 1e-12 * reference[i].k)
+              << "n=" << n << " bin " << i;
           EXPECT_NEAR(bins[i].power, reference[i].power,
-                      1e-9 * (reference[i].power + 1.0));
-          EXPECT_EQ(bins[i].modes, reference[i].modes);
+                      1e-12 * reference[i].power)
+              << "n=" << n << " deconvolve=" << deconvolve << " bin " << i;
         }
-      }
+        auto& first = one_rank[{n, deconvolve}];
+        if (nranks == 1) {
+          first = bins;
+        } else {
+          ASSERT_EQ(bins.size(), first.size());
+          for (std::size_t i = 0; i < bins.size(); ++i) {
+            EXPECT_NEAR(bins[i].power, first[i].power,
+                        1e-9 * (first[i].power + 1.0));
+            EXPECT_EQ(bins[i].modes, first[i].modes);
+          }
+        }
+      });
     }
-  });
+  }
 }
 
 // ---- initial conditions ----------------------------------------------------------
@@ -267,12 +353,13 @@ TEST(InitialConditions, LatticeCountAndDeterminism) {
     if (nranks == 1) {
       reference = by_id;
     } else {
-      // Decomposition independence: same realization on 1 and 4 ranks.
+      // Decomposition independence: the same realization, bit for bit, on
+      // 1, 4 and 8 ranks (every transform runs on whole global lines).
       for (std::size_t i = 0; i < by_id.size(); ++i) {
-        for (int c6 = 0; c6 < 6; ++c6)
-          EXPECT_NEAR(by_id[i][static_cast<std::size_t>(c6)],
-                      reference[i][static_cast<std::size_t>(c6)], 1e-4f)
-              << "id=" << i;
+        for (std::size_t c6 = 0; c6 < 6; ++c6)
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(by_id[i][c6]),
+                    std::bit_cast<std::uint32_t>(reference[i][c6]))
+              << "id=" << i << " field=" << c6 << " ranks=" << nranks;
       }
     }
   }
@@ -297,7 +384,8 @@ TEST(InitialConditions, MeasuredPowerMatchesLinearInput) {
     mesh::cic_deposit(rho, p.x, p.y, p.z, 1.0f);
     rho.fold_ghosts(c);
     mesh::to_density_contrast(rho, c);
-    auto bins = measure_power_spectrum(c, rho, cfg.box_mpch, 12);
+    mesh::BlockFft fft(c, d);
+    auto bins = measure_power_spectrum(c, fft, rho, cfg.box_mpch, 12);
     const double z = cfg.z_init;
     // Compare in the intermediate-k range (low k: few modes; high k near
     // Nyquist: lattice/window artifacts).
@@ -341,6 +429,113 @@ TEST(InitialConditions, DisplacementFieldsAreDivergenceOfPotential) {
         }
     EXPECT_LT(curl, 0.05 * mag);
   });
+}
+
+/// Independent full-spectrum reference for generate_displacement_fields:
+/// the same white noise, power and i k / k^2 multipliers run through the
+/// c2c pencil transform on `nranks` ranks; returns each axis' real part as
+/// a global row-major n^3 array.
+std::array<std::vector<double>, 3> c2c_reference_displacement(
+    std::size_t n, const Cosmology& cosmo, const IcConfig& cfg, int nranks) {
+  const double box = cfg.box_mpch;
+  const double kf = 2.0 * std::numbers::pi / box;
+  const double ncells = std::pow(static_cast<double>(n), 3);
+  const LinearPower power(cosmo, cfg.transfer);
+  std::array<std::vector<double>, 3> out;
+  for (auto& v : out) v.assign(n * n * n, 0.0);
+  comm::Machine::run(nranks, [&](comm::Comm& c) {
+    auto fft = fft::PencilFft3D::balanced(c, n, n, n);
+    const fft::Box3D rb = fft.real_box();
+    Philox rng(cfg.seed);
+    std::vector<fft::Complex> delta_k;
+    for (std::size_t x = rb.x.lo; x < rb.x.hi; ++x)
+      for (std::size_t y = rb.y.lo; y < rb.y.hi; ++y)
+        for (std::size_t z = rb.z.lo; z < rb.z.hi; ++z)
+          delta_k.emplace_back(rng.gaussian2((x * n + y) * n + z)[0], 0.0);
+    fft.forward(delta_k);
+    const fft::Box3D sb = fft.spectral_box();
+    auto for_each_mode = [&](auto&& fn) {
+      std::size_t i = 0;
+      for (std::size_t mx = sb.x.lo; mx < sb.x.hi; ++mx)
+        for (std::size_t my = sb.y.lo; my < sb.y.hi; ++my)
+          for (std::size_t mz = sb.z.lo; mz < sb.z.hi; ++mz)
+            fn(i++, std::array<long, 3>{mesh::signed_mode(mx, n),
+                                        mesh::signed_mode(my, n),
+                                        mesh::signed_mode(mz, n)});
+    };
+    for_each_mode([&](std::size_t i, const std::array<long, 3>& s) {
+      const double k2 =
+          kf * kf * static_cast<double>(s[0] * s[0] + s[1] * s[1] + s[2] * s[2]);
+      delta_k[i] *= k2 == 0.0 ? 0.0
+                              : std::sqrt(power(std::sqrt(k2)) * ncells /
+                                          (box * box * box));
+    });
+    for (std::size_t axis = 0; axis < 3; ++axis) {
+      std::vector<fft::Complex> psi_k(delta_k.size());
+      for_each_mode([&](std::size_t i, const std::array<long, 3>& s) {
+        const double k2 = kf * kf * static_cast<double>(s[0] * s[0] +
+                                                        s[1] * s[1] +
+                                                        s[2] * s[2]);
+        const bool nyquist =
+            n % 2 == 0 && s[axis] == -static_cast<long>(n / 2);
+        if (k2 == 0.0 || nyquist) return;
+        psi_k[i] = fft::Complex(0.0, kf * static_cast<double>(s[axis]) / k2) *
+                   delta_k[i] / (box / static_cast<double>(n));
+      });
+      fft.inverse(psi_k);
+      std::size_t i = 0;
+      for (std::size_t x = rb.x.lo; x < rb.x.hi; ++x)
+        for (std::size_t y = rb.y.lo; y < rb.y.hi; ++y)
+          for (std::size_t z = rb.z.lo; z < rb.z.hi; ++z)
+            out[axis][(x * n + y) * n + z] = psi_k[i++].real();
+    }
+  });
+  return out;
+}
+
+TEST(InitialConditions, DisplacementMatchesFullSpectrumReference) {
+  // The half-spectrum displacement fields must equal the full complex
+  // construction to round-off: a wrong Hermitian treatment of the z = 0 or
+  // Nyquist planes would leave an O(1) difference. Acceptance: every cell
+  // within 1e-12 of the field's largest magnitude.
+  const std::size_t n = 16;
+  IcConfig cfg;
+  cfg.particles_per_dim = 16;
+  cfg.box_mpch = 64.0;
+  cfg.seed = 31;
+  Cosmology cosmo;
+  for (int nranks : {1, 4}) {
+    const auto ref = c2c_reference_displacement(n, cosmo, cfg, nranks);
+    mesh::BlockDecomp3D d = mesh::BlockDecomp3D::balanced({n, n, n}, nranks);
+    std::array<std::vector<double>, 3> got;
+    for (auto& v : got) v.assign(n * n * n, 0.0);
+    std::mutex mu;
+    comm::Machine::run(nranks, [&](comm::Comm& c) {
+      std::array<mesh::DistGrid, 3> psi{mesh::DistGrid(d, c.rank(), 1),
+                                        mesh::DistGrid(d, c.rank(), 1),
+                                        mesh::DistGrid(d, c.rank(), 1)};
+      generate_displacement_fields(c, d, cosmo, cfg, psi);
+      std::lock_guard lock(mu);
+      const auto& b = psi[0].interior();
+      for (std::size_t axis = 0; axis < 3; ++axis)
+        for (std::size_t x = b.x.lo; x < b.x.hi; ++x)
+          for (std::size_t y = b.y.lo; y < b.y.hi; ++y)
+            for (std::size_t z = b.z.lo; z < b.z.hi; ++z)
+              got[axis][(x * n + y) * n + z] =
+                  psi[axis].at(static_cast<std::ptrdiff_t>(x - b.x.lo),
+                               static_cast<std::ptrdiff_t>(y - b.y.lo),
+                               static_cast<std::ptrdiff_t>(z - b.z.lo));
+    });
+    for (std::size_t axis = 0; axis < 3; ++axis) {
+      double scale = 0, err = 0;
+      for (std::size_t i = 0; i < got[axis].size(); ++i) {
+        scale = std::max(scale, std::abs(ref[axis][i]));
+        err = std::max(err, std::abs(got[axis][i] - ref[axis][i]));
+      }
+      EXPECT_GT(scale, 0.0);
+      EXPECT_LE(err, 1e-12 * scale) << "axis=" << axis << " ranks=" << nranks;
+    }
+  }
 }
 
 // ---- halo finder ------------------------------------------------------------------

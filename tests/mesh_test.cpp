@@ -11,6 +11,7 @@
 
 #include "comm/comm.h"
 #include "fft/pencil.h"
+#include "mesh/block_fft.h"
 #include "mesh/cic.h"
 #include "mesh/grid.h"
 #include "mesh/kernels.h"
@@ -373,6 +374,102 @@ TEST(Redistributor, IntersectHandlesDisjointBoxes) {
   EXPECT_EQ(intersect(a, b).volume(), 0u);
   const fft::Box3D c{{2, 6}, {1, 3}, {0, 4}};
   EXPECT_EQ(intersect(a, c).volume(), 2u * 2u * 4u);
+}
+
+// ---- BlockFft ------------------------------------------------------------------
+
+class BlockFftRanks : public ::testing::TestWithParam<int> {};
+INSTANTIATE_TEST_SUITE_P(Ranks, BlockFftRanks, ::testing::Values(1, 2, 4, 8));
+
+TEST_P(BlockFftRanks, HalfSpectrumMatchesFullSpectrum) {
+  // Every half-spectrum mode equals the c2c transform of the global field
+  // at the same index, and the multiplicities add up to the full spectrum,
+  // on an even grid (z = 0 and Nyquist planes count once) and an odd one.
+  const int nranks = GetParam();
+  for (const std::size_t n : {std::size_t{12}, std::size_t{9}}) {
+    std::vector<fft::Complex> full(n * n * n);
+    for (std::size_t i = 0; i < full.size(); ++i)
+      full[i] = Philox(21).uniform2(i)[0] - 0.5;
+    std::vector<double> field(full.size());
+    for (std::size_t i = 0; i < full.size(); ++i) field[i] = full[i].real();
+    comm::Machine::run(1, [&](comm::Comm& c) {
+      fft::PencilFft3D(c, n, n, n, 1, 1).forward(full);
+    });
+    double scale = 0;
+    for (const auto& v : full) scale = std::max(scale, std::abs(v));
+    BlockDecomp3D d = BlockDecomp3D::balanced({n, n, n}, nranks);
+    comm::Machine::run(nranks, [&](comm::Comm& c) {
+      DistGrid grid(d, c.rank(), 1);
+      const auto& b = grid.interior();
+      for (std::size_t x = b.x.lo; x < b.x.hi; ++x)
+        for (std::size_t y = b.y.lo; y < b.y.hi; ++y)
+          for (std::size_t z = b.z.lo; z < b.z.hi; ++z)
+            grid.at(static_cast<std::ptrdiff_t>(x - b.x.lo),
+                    static_cast<std::ptrdiff_t>(y - b.y.lo),
+                    static_cast<std::ptrdiff_t>(z - b.z.lo)) =
+                field[(x * n + y) * n + z];
+      BlockFft fft(c, d);
+      std::vector<fft::Complex> spectrum;
+      fft.forward(c, grid, spectrum);
+      const fft::Box3D& m = fft.modes();
+      ASSERT_EQ(spectrum.size(), m.volume());
+      EXPECT_LE(m.z.hi, n / 2 + 1);
+      long long counted = 0;
+      std::size_t idx = 0;
+      for (std::size_t mx = m.x.lo; mx < m.x.hi; ++mx)
+        for (std::size_t my = m.y.lo; my < m.y.hi; ++my)
+          for (std::size_t mz = m.z.lo; mz < m.z.hi; ++mz, ++idx) {
+            EXPECT_LE(std::abs(spectrum[idx] - full[(mx * n + my) * n + mz]),
+                      1e-12 * scale)
+                << "n=" << n << " mode " << mx << "," << my << "," << mz;
+            counted += fft.multiplicity(mz);
+          }
+      EXPECT_EQ(c.allreduce_value(counted, comm::ReduceOp::kSum),
+                static_cast<long long>(n * n * n))
+          << "n=" << n;
+    });
+  }
+}
+
+TEST_P(BlockFftRanks, InverseRestoresTheGridAndZeroesItsGhosts) {
+  const int nranks = GetParam();
+  const std::size_t n = 10;
+  BlockDecomp3D d = BlockDecomp3D::balanced({n, n, n}, nranks);
+  comm::Machine::run(nranks, [&](comm::Comm& c) {
+    DistGrid in(d, c.rank(), 1), out(d, c.rank(), 1);
+    const auto& b = in.interior();
+    auto value = [&](std::size_t x, std::size_t y, std::size_t z) {
+      return Philox(5).uniform2((x * n + y) * n + z)[0];
+    };
+    for (std::size_t x = b.x.lo; x < b.x.hi; ++x)
+      for (std::size_t y = b.y.lo; y < b.y.hi; ++y)
+        for (std::size_t z = b.z.lo; z < b.z.hi; ++z)
+          in.at(static_cast<std::ptrdiff_t>(x - b.x.lo),
+                static_cast<std::ptrdiff_t>(y - b.y.lo),
+                static_cast<std::ptrdiff_t>(z - b.z.lo)) = value(x, y, z);
+    out.fill(7.0);
+    BlockFft fft(c, d);
+    std::vector<fft::Complex> spectrum;
+    for (int round = 0; round < 2; ++round) {  // the workspace is reusable
+      fft.forward(c, in, spectrum);
+      fft.inverse(c, spectrum, out);
+      const auto ex = static_cast<std::ptrdiff_t>(b.x.extent());
+      const auto ey = static_cast<std::ptrdiff_t>(b.y.extent());
+      const auto ez = static_cast<std::ptrdiff_t>(b.z.extent());
+      for (std::ptrdiff_t i = -1; i <= ex; ++i)
+        for (std::ptrdiff_t j = -1; j <= ey; ++j)
+          for (std::ptrdiff_t k = -1; k <= ez; ++k) {
+            const bool ghost = i < 0 || j < 0 || k < 0 || i == ex ||
+                               j == ey || k == ez;
+            const double expect =
+                ghost ? 0.0
+                      : value(b.x.lo + static_cast<std::size_t>(i),
+                              b.y.lo + static_cast<std::size_t>(j),
+                              b.z.lo + static_cast<std::size_t>(k));
+            EXPECT_NEAR(out.at(i, j, k), expect, 1e-13);
+          }
+    }
+  });
 }
 
 // ---- spectral kernels ----------------------------------------------------------
