@@ -11,10 +11,14 @@
 #    catalog byte identity) run again at OMP_NUM_THREADS=1 and at nproc,
 #    and the short-range gate runs 10 times at OMP_NUM_THREADS=8 (more
 #    threads than this host may have cores, so some get no leaf).
-# 2. Configure a second tree with -DHACC_SANITIZE=address, build only the
-#    I/O test binaries (io_test, gio_test), and run them — the checkpoint
+# 2. Configure a second tree with -DHACC_SANITIZE=address, build the I/O
+#    test binaries (io_test, gio_test) and run them — the checkpoint
 #    writer/reader funnels raw byte spans through threads, which is exactly
-#    where ASan earns its keep.
+#    where ASan earns its keep. Then the short-range kernel under ASan:
+#    tree_test's InteractionBatch and TreeForce suites and the whole of
+#    p3m_test. The tile kernel reads 2W floats per pass (32 at 16 lanes)
+#    from a list padded in place, and the tests run every width this host
+#    supports.
 # 3. Configure a third tree with -DHACC_SANITIZE=thread and run obs_test and
 #    comm_test — the tracer ring, the counter atomics and the comm telemetry
 #    thread-locals are all shared across SimMPI rank threads, so TSan gates
@@ -87,14 +91,17 @@ echo "== omp matrix: short-range allocation gate x10 at 8 threads =="
 OMP_NUM_THREADS=8 "$BUILD/tests/tree_test" --gtest_repeat=10 \
   --gtest_filter='TreeForce.SteadyStateShortRangeIsAllocationFree'
 
-echo "== asan: configure + build io_test gio_test (${ASAN_BUILD}) =="
+echo "== asan: configure + build io_test gio_test tree_test p3m_test (${ASAN_BUILD}) =="
 cmake -B "$ASAN_BUILD" -S . -DHACC_SANITIZE=address >/dev/null
-cmake --build "$ASAN_BUILD" -j "$JOBS" --target io_test gio_test
+cmake --build "$ASAN_BUILD" -j "$JOBS" --target io_test gio_test tree_test p3m_test
 
 echo "== asan: io_test =="
 "$ASAN_BUILD/tests/io_test"
 echo "== asan: gio_test =="
 "$ASAN_BUILD/tests/gio_test"
+echo "== asan: short-range kernel (every tile width, tree walk, P3M) =="
+"$ASAN_BUILD/tests/tree_test" --gtest_filter='InteractionBatch.*:TreeForce.*'
+"$ASAN_BUILD/tests/p3m_test"
 
 TSAN_BUILD="${BUILD}-tsan"
 echo "== tsan: configure + build obs_test comm_test (${TSAN_BUILD}) =="

@@ -11,6 +11,7 @@
 #include "mesh/cic.h"
 #include "obs/obs.h"
 #include "obs/reduce.h"
+#include "tree/interaction_batch.h"
 
 namespace hacc::core {
 
@@ -36,6 +37,9 @@ const obs::PhaseIds kPhaseAudit = obs::phase_ids("audit");
 
 const NameId kCtrInteractions = obs::counter_id("tree.pp_interactions");
 const NameId kCtrWalkVisits = obs::counter_id("tree.walk_visits");
+// Vector lanes of the short-range kernel this rank runs (1: scalar loop), so
+// every ledger record and /metrics scrape names the width behind its times.
+const NameId kGaugeKernelLanes = obs::gauge_id("tree.kernel_lanes");
 const NameId kGaugePeakRss = obs::gauge_id("mem.peak_rss_bytes");
 
 // SDC audit observability: per-gate totals plus the injection count (so a
@@ -123,6 +127,8 @@ Simulation::Simulation(comm::Comm& world, const Cosmology& cosmo,
 
   // Inner-loop choice: the config knob, unless HACC_KERNEL overrides it.
   kernel_variant_ = tree::kernel_variant_from_env(config.kernel);
+  const tree::TileKernel* tile = tree::tile_kernel_for(kernel_variant_);
+  counters_.set(kGaugeKernelLanes, tile != nullptr ? tile->lanes : 1);
 
   const double np_total = std::pow(
       static_cast<double>(config.particles_per_dim), 3);

@@ -60,8 +60,11 @@ struct KernelInstructionMix {
 /// the model's value is the *relative* gain of tiling (~0.77 vs ~0.68).
 struct TileKernelModel {
   KernelInstructionMix mix{};
-  int tile_targets = 4;    ///< TILE_T targets sharing each neighbor tile
-  int tile_neighbors = 8;  ///< TILE_N neighbors per tile (2 chunks)
+  int tile_targets = 4;  ///< targets sharing each neighbor tile
+  /// Neighbors per tile: two vector_width chunks, the paper's 4 x 8 QPX
+  /// tile. The host kernel's 4 x 2W tiles at W = 4, 8 or 16 lanes scale
+  /// both issue terms by 1/W, so the roofline fraction is the same.
+  int tile_neighbors = 8;
   /// Shared instructions per neighbor tile: 8 vector loads (x, y, z, m in
   /// two unroll halves) + 2 of loop control.
   int loads_per_neighbor_tile = 10;

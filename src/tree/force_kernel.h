@@ -28,7 +28,7 @@
 namespace hacc::tree {
 
 /// Degree-5 polynomial in s (lowest-order coefficient first), single
-/// precision evaluation by Horner/FMA.
+/// precision evaluation by Horner.
 struct Poly5 {
   std::array<float, 6> c{};
 
@@ -65,8 +65,9 @@ struct Force3 {
 ///  kScalar  — one target per pass over the neighbor list, `omp simd`
 ///             vectorized (the portable reference; bit-for-bit stable).
 ///  kBatched — tile-batched explicit-vector kernel (interaction_batch.h):
-///             TILE_T targets share each neighbor tile, 2-fold-unrolled FMA
-///             Horner with branchless cutoff. Same physics, float-summation
+///             4 targets share each 2W-neighbor tile, at the widest vector
+///             ISA the host runs (W = 4, 8 or 16 lanes). Each pair's
+///             arithmetic is the scalar loop's; only the float-summation
 ///             order differs.
 enum class KernelVariant { kScalar, kBatched };
 

@@ -12,21 +12,47 @@
 #define HACC_HAVE_VECTOR_EXT 0
 #endif
 
-#if HACC_HAVE_VECTOR_EXT && defined(__SSE2__)
-#include <emmintrin.h>
+// The AVX2 and AVX-512 instances, compiled through target attributes.
+#if HACC_HAVE_VECTOR_EXT && defined(__x86_64__)
+#define HACC_HAVE_WIDE_TILES 1
+#else
+#define HACC_HAVE_WIDE_TILES 0
+#endif
+
+#if HACC_HAVE_VECTOR_EXT && (HACC_HAVE_WIDE_TILES || defined(__SSE2__))
+#include <immintrin.h>
+#endif
+
+// Each pair's arithmetic must match evaluate_neighbor_list's bit for bit:
+// GCC fuses a * b + c into one FMA wherever the target has one (AVX-512F
+// does), which rounds once where the scalar oracle rounds twice.
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
 #endif
 
 namespace hacc::tree {
 
+/// One tile's operands: kTileTargets targets against the first n_pad
+/// entries of the padded neighbor list.
+struct TileArgs {
+  const ShortRangeKernel* kernel = nullptr;
+  float mass_scale = 1.0f;
+  const float *xn = nullptr, *yn = nullptr, *zn = nullptr, *mn = nullptr;
+  std::size_t n_pad = 0;  ///< list length, a multiple of the tile width
+  float tx[kTileTargets] = {}, ty[kTileTargets] = {}, tz[kTileTargets] = {};
+  float fx[kTileTargets] = {}, fy[kTileTargets] = {}, fz[kTileTargets] = {};
+};
+
 namespace {
 
-/// Zero-pad the gathered list to a kTileNeighbors multiple so tile passes
-/// need no remainder handling. Zero mass => zero contribution; the
-/// branchless filters keep even a coincident zero pad point finite.
-std::size_t pad_list(NeighborList& list) {
+/// Zero-pad the gathered list to a `tile` multiple so tile passes need no
+/// remainder handling. Zero mass => zero contribution; the branchless
+/// filters keep even a coincident zero pad point finite.
+std::size_t pad_list(NeighborList& list, std::size_t tile) {
   const std::size_t n = list.size();
-  const std::size_t n_pad =
-      (n + kTileNeighbors - 1) / kTileNeighbors * kTileNeighbors;
+  const std::size_t n_pad = (n + tile - 1) / tile * tile;
   for (std::size_t j = n; j < n_pad; ++j) {
     list.x.push_back(0.0f);
     list.y.push_back(0.0f);
@@ -38,139 +64,266 @@ std::size_t pad_list(NeighborList& list) {
 
 #if HACC_HAVE_VECTOR_EXT
 
-using vf4 = float __attribute__((vector_size(16)));
-using vi4 = std::int32_t __attribute__((vector_size(16)));
+// Per-ISA primitives: the vector type, sqrt, and the cutoff select. They
+// are plain `inline` (not always_inline, which cannot cross the target
+// boundary from the default-target template); each instance's flatten
+// wrapper inlines them. The compare stays in here because a vector-
+// extension compare written in the default-target template is scalarised
+// at widths the baseline ISA lacks. Vectors pass by reference, updated in
+// place: a wide vector passed or returned by value between the template
+// and a primitive would change the ABI (-Wpsabi).
 
-inline vf4 vload(const float* p) noexcept {
-  vf4 v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
+/// The build's baseline ISA, 4 lanes (SSE2 on x86-64).
+struct Lanes4 {
+  static constexpr std::size_t kLanes = 4;
+  using V = float __attribute__((vector_size(16)));
+  using M = std::int32_t __attribute__((vector_size(16)));
 
-inline vf4 vsplat(float x) noexcept { return vf4{x, x, x, x}; }
-
-inline vf4 vsqrt4(vf4 v) noexcept {
+  /// v = sqrt(v).
+  static inline void sqrt(V& v) noexcept {
 #if defined(__SSE2__)
-  return (vf4)_mm_sqrt_ps((__m128)v);
+    v = (V)_mm_sqrt_ps((__m128)v);
 #else
-  return vf4{std::sqrt(v[0]), std::sqrt(v[1]), std::sqrt(v[2]),
-             std::sqrt(v[3])};
+    for (std::size_t l = 0; l < kLanes; ++l) v[l] = std::sqrt(v[l]);
 #endif
+  }
+  /// Keep f where 0 < s < rmax2, else +0.
+  static inline void in_range(V& f, const V& s, const V& rmax2) noexcept {
+    const M in = (s < rmax2) & (s > V{});
+    f = (V)((M)f & in);
+  }
+};
+
+#if HACC_HAVE_WIDE_TILES
+#define HACC_TARGET_AVX2 "avx2"
+#define HACC_TARGET_AVX512 "avx512f,avx512dq,avx512bw,avx512vl"
+
+struct Lanes8 {
+  static constexpr std::size_t kLanes = 8;
+  using V = float __attribute__((vector_size(32)));
+
+  [[gnu::target(HACC_TARGET_AVX2)]] static inline void sqrt(V& v) noexcept {
+    v = (V)_mm256_sqrt_ps((__m256)v);
+  }
+  [[gnu::target(HACC_TARGET_AVX2)]] static inline void in_range(
+      V& f, const V& s, const V& rmax2) noexcept {
+    const __m256 in =
+        _mm256_and_ps(_mm256_cmp_ps((__m256)s, (__m256)rmax2, _CMP_LT_OQ),
+                      _mm256_cmp_ps((__m256)s, _mm256_setzero_ps(),
+                                    _CMP_GT_OQ));
+    f = (V)_mm256_and_ps(in, (__m256)f);
+  }
+};
+
+struct Lanes16 {
+  static constexpr std::size_t kLanes = 16;
+  using V = float __attribute__((vector_size(64)));
+
+  [[gnu::target(HACC_TARGET_AVX512)]] static inline void sqrt(V& v) noexcept {
+    // maskz with every lane set is vsqrtps; _mm512_sqrt_ps's undefined
+    // pass-through operand trips GCC 12's -Wmaybe-uninitialized.
+    v = (V)_mm512_maskz_sqrt_ps(__mmask16(0xFFFF), (__m512)v);
+  }
+  [[gnu::target(HACC_TARGET_AVX512)]] static inline void in_range(
+      V& f, const V& s, const V& rmax2) noexcept {
+    const __mmask16 in =
+        _mm512_cmp_ps_mask((__m512)s, (__m512)rmax2, _CMP_LT_OQ) &
+        _mm512_cmp_ps_mask((__m512)s, _mm512_setzero_ps(), _CMP_GT_OQ);
+    f = (V)_mm512_maskz_mov_ps(in, (__m512)f);
+  }
+};
+#endif  // HACC_HAVE_WIDE_TILES
+
+/// v = p[0..W), unaligned.
+template <class V>
+inline void vload(V& v, const float* p) noexcept {
+  std::memcpy(&v, p, sizeof(v));
 }
 
-/// Deterministic horizontal sum (fixed association, run-to-run stable).
-inline float hsum(vf4 v) noexcept { return (v[0] + v[1]) + (v[2] + v[3]); }
+/// Every lane of v = x.
+template <class V, std::size_t W>
+inline void vsplat(V& v, float x) noexcept {
+  for (std::size_t l = 0; l < W; ++l) v[l] = x;
+}
+
+/// Deterministic horizontal sum of adjacent pairs, ((v0+v1)+(v2+v3)) at
+/// W = 4 and the same tree at wider W (fixed association, run-to-run
+/// stable).
+template <class V, std::size_t W>
+inline float hsum(const V& v) noexcept {
+  float lane[W];
+  std::memcpy(lane, &v, sizeof(lane));
+  for (std::size_t w = W; w > 1; w /= 2)
+    for (std::size_t k = 0; k < w / 2; ++k)
+      lane[k] = lane[2 * k] + lane[2 * k + 1];
+  return lane[0];
+}
 
 /// One interaction tile: forces of kTileTargets broadcast targets against
-/// the whole padded neighbor list. Each pass loads one kTileNeighbors-wide
-/// neighbor tile (two 4-wide vectors, the 2-fold unroll) and applies it to
-/// all four targets from registers.
-void evaluate_tile(const ShortRangeKernel& kernel, float mass_scale,
-                   const float* xn, const float* yn, const float* zn,
-                   const float* mn, std::size_t n_pad, const float* tx,
-                   const float* ty, const float* tz, float* fx, float* fy,
-                   float* fz) noexcept {
-  const vf4 eps = vsplat(kernel.softening);
-  const vf4 rmax2 = vsplat(kernel.rmax2());
-  const vf4 c0 = vsplat(kernel.fgrid.c[0]), c1 = vsplat(kernel.fgrid.c[1]),
-            c2 = vsplat(kernel.fgrid.c[2]), c3 = vsplat(kernel.fgrid.c[3]),
-            c4 = vsplat(kernel.fgrid.c[4]), c5 = vsplat(kernel.fgrid.c[5]);
-  const vf4 ms = vsplat(mass_scale);
-  const vf4 one = vsplat(1.0f);
-  const vf4 zero = vsplat(0.0f);
+/// the whole padded neighbor list. Each pass loads one 2W-wide neighbor
+/// tile (two W-wide vectors, the 2-fold unroll) and applies it to all four
+/// targets from registers. Each pair's terms are evaluated exactly as in
+/// evaluate_neighbor_list.
+template <class Isa>
+inline void evaluate_tile(TileArgs& a) noexcept {
+  using V = typename Isa::V;
+  constexpr std::size_t W = Isa::kLanes;
+  const ShortRangeKernel& kernel = *a.kernel;
+  const float *xn = a.xn, *yn = a.yn, *zn = a.zn, *mn = a.mn;
+  V eps, rmax2, ms, one, c[6];
+  vsplat<V, W>(eps, kernel.softening);
+  vsplat<V, W>(rmax2, kernel.rmax2());
+  vsplat<V, W>(ms, a.mass_scale);
+  vsplat<V, W>(one, 1.0f);
+  for (std::size_t k = 0; k < 6; ++k) vsplat<V, W>(c[k], kernel.fgrid.c[k]);
 
-  const vf4 xi[kTileTargets] = {vsplat(tx[0]), vsplat(tx[1]), vsplat(tx[2]),
-                                vsplat(tx[3])};
-  const vf4 yi[kTileTargets] = {vsplat(ty[0]), vsplat(ty[1]), vsplat(ty[2]),
-                                vsplat(ty[3])};
-  const vf4 zi[kTileTargets] = {vsplat(tz[0]), vsplat(tz[1]), vsplat(tz[2]),
-                                vsplat(tz[3])};
-  vf4 accx[kTileTargets] = {zero, zero, zero, zero};
-  vf4 accy[kTileTargets] = {zero, zero, zero, zero};
-  vf4 accz[kTileTargets] = {zero, zero, zero, zero};
+  V xi[kTileTargets], yi[kTileTargets], zi[kTileTargets];
+  V accx[kTileTargets], accy[kTileTargets], accz[kTileTargets];
+  for (std::size_t t = 0; t < kTileTargets; ++t) {
+    vsplat<V, W>(xi[t], a.tx[t]);
+    vsplat<V, W>(yi[t], a.ty[t]);
+    vsplat<V, W>(zi[t], a.tz[t]);
+    accx[t] = accy[t] = accz[t] = V{};
+  }
 
-  for (std::size_t j = 0; j < n_pad; j += kTileNeighbors) {
+  V nxA, nxB, nyA, nyB, nzA, nzB, nmA, nmB;
+  for (std::size_t j = 0; j < a.n_pad; j += 2 * W) {
     // The neighbor tile: loaded once, reused by every target below.
-    const vf4 nxA = vload(xn + j), nxB = vload(xn + j + 4);
-    const vf4 nyA = vload(yn + j), nyB = vload(yn + j + 4);
-    const vf4 nzA = vload(zn + j), nzB = vload(zn + j + 4);
-    const vf4 nmA = vload(mn + j) * ms, nmB = vload(mn + j + 4) * ms;
+    vload(nxA, xn + j);
+    vload(nxB, xn + j + W);
+    vload(nyA, yn + j);
+    vload(nyB, yn + j + W);
+    vload(nzA, zn + j);
+    vload(nzB, zn + j + W);
+    vload(nmA, mn + j);
+    vload(nmB, mn + j + W);
+    nmA *= ms;
+    nmB *= ms;
 
+#pragma GCC unroll 4
     for (std::size_t t = 0; t < kTileTargets; ++t) {
-      const vf4 dxA = nxA - xi[t], dxB = nxB - xi[t];
-      const vf4 dyA = nyA - yi[t], dyB = nyB - yi[t];
-      const vf4 dzA = nzA - zi[t], dzB = nzB - zi[t];
-      const vf4 sA = dxA * dxA + dyA * dyA + dzA * dzA;
-      const vf4 sB = dxB * dxB + dyB * dyB + dzB * dzB;
-      const vf4 tA = sA + eps, tB = sB + eps;
-      const vf4 invA = one / vsqrt4(tA), invB = one / vsqrt4(tB);
-      const vf4 newtA = invA * invA * invA, newtB = invB * invB * invB;
-      // FMA Horner, both unroll halves interleaved.
-      vf4 pA = c5, pB = c5;
-      pA = pA * sA + c4;
-      pB = pB * sB + c4;
-      pA = pA * sA + c3;
-      pB = pB * sB + c3;
-      pA = pA * sA + c2;
-      pB = pB * sB + c2;
-      pA = pA * sA + c1;
-      pB = pB * sB + c1;
-      pA = pA * sA + c0;
-      pB = pB * sB + c0;
-      // Branchless cutoff: bit-mask the lanes outside (0, rmax^2) — the
+      const V dxA = nxA - xi[t], dxB = nxB - xi[t];
+      const V dyA = nyA - yi[t], dyB = nyB - yi[t];
+      const V dzA = nzA - zi[t], dzB = nzB - zi[t];
+      const V sA = dxA * dxA + dyA * dyA + dzA * dzA;
+      const V sB = dxB * dxB + dyB * dyB + dzB * dzB;
+      V rootA = sA + eps, rootB = sB + eps;
+      Isa::sqrt(rootA);
+      Isa::sqrt(rootB);
+      const V invA = one / rootA, invB = one / rootB;
+      const V newtA = invA * invA * invA, newtB = invB * invB * invB;
+      // Horner, both unroll halves interleaved.
+      V pA = c[5], pB = c[5];
+      pA = pA * sA + c[4];
+      pB = pB * sB + c[4];
+      pA = pA * sA + c[3];
+      pB = pB * sB + c[3];
+      pA = pA * sA + c[2];
+      pB = pB * sB + c[2];
+      pA = pA * sA + c[1];
+      pB = pB * sB + c[1];
+      pA = pA * sA + c[0];
+      pB = pB * sB + c[0];
+      // Branchless cutoff: zero the lanes outside (0, rmax^2) — the
       // vector-select (QPX fsel) idiom. Masking also squashes the inf at
       // s == 0 with zero softening before it can reach the accumulator.
-      const vi4 inA = (sA < rmax2) & (sA > zero);
-      const vi4 inB = (sB < rmax2) & (sB > zero);
-      const vf4 fA = (vf4)((vi4)(newtA - pA) & inA);
-      const vf4 fB = (vf4)((vi4)(newtB - pB) & inB);
-      const vf4 wA = nmA * fA, wB = nmB * fB;
+      V fA = newtA - pA, fB = newtB - pB;
+      Isa::in_range(fA, sA, rmax2);
+      Isa::in_range(fB, sB, rmax2);
+      const V wA = nmA * fA, wB = nmB * fB;
       accx[t] += wA * dxA + wB * dxB;
       accy[t] += wA * dyA + wB * dyB;
       accz[t] += wA * dzA + wB * dzB;
     }
   }
   for (std::size_t t = 0; t < kTileTargets; ++t) {
-    fx[t] = hsum(accx[t]);
-    fy[t] = hsum(accy[t]);
-    fz[t] = hsum(accz[t]);
+    a.fx[t] = hsum<V, W>(accx[t]);
+    a.fy[t] = hsum<V, W>(accy[t]);
+    a.fz[t] = hsum<V, W>(accz[t]);
   }
 }
+
+// One instance per ISA: flatten inlines the template and its primitives
+// into a function compiled for that ISA.
+[[gnu::flatten]] void tile_baseline(TileArgs& a) noexcept {
+  evaluate_tile<Lanes4>(a);
+}
+
+#if HACC_HAVE_WIDE_TILES
+[[gnu::target(HACC_TARGET_AVX2), gnu::flatten]] void tile_avx2(
+    TileArgs& a) noexcept {
+  evaluate_tile<Lanes8>(a);
+}
+
+[[gnu::target(HACC_TARGET_AVX512), gnu::flatten]] void tile_avx512(
+    TileArgs& a) noexcept {
+  evaluate_tile<Lanes16>(a);
+}
+#endif
+
+/// Every compiled instance, narrowest first. Each needs the ISA of the one
+/// before it, so the instances a host runs are a prefix.
+constexpr TileKernel kTileKernels[] = {
+    {"baseline", Lanes4::kLanes, &tile_baseline},
+#if HACC_HAVE_WIDE_TILES
+    {"avx2", Lanes8::kLanes, &tile_avx2},
+    {"avx512", Lanes16::kLanes, &tile_avx512},
+#endif
+};
+
+std::size_t runnable_tile_kernels() noexcept {
+  std::size_t n = 1;
+#if HACC_HAVE_WIDE_TILES
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) {
+    n = 2;
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512dq") &&
+        __builtin_cpu_supports("avx512bw") &&
+        __builtin_cpu_supports("avx512vl"))
+      n = 3;
+  }
+#endif
+  return n;
+}
+
+#endif  // HACC_HAVE_VECTOR_EXT
 
 /// Block targets into tiles and evaluate. `target_index(k)` maps the k-th
 /// target (0..count-1) to its absolute index in `p` and ax/ay/az; padding
 /// lanes of a ragged final tile replicate the last target and their
 /// results are discarded.
 template <typename IndexFn>
-void run_tiles_batched(const ShortRangeKernel& kernel, const ParticleArray& p,
-                       NeighborList& list, float mass_scale,
-                       std::size_t count, IndexFn target_index,
-                       std::span<float> ax, std::span<float> ay,
-                       std::span<float> az) {
-  const std::size_t n_pad = pad_list(list);
+void run_tiles_batched(const TileKernel& tile, const ShortRangeKernel& kernel,
+                       const ParticleArray& p, NeighborList& list,
+                       float mass_scale, std::size_t count,
+                       IndexFn target_index, std::span<float> ax,
+                       std::span<float> ay, std::span<float> az) {
+  const std::size_t n_pad = pad_list(list, tile.tile_neighbors());
+  TileArgs args{.kernel = &kernel,
+                .mass_scale = mass_scale,
+                .xn = list.x.data(),
+                .yn = list.y.data(),
+                .zn = list.z.data(),
+                .mn = list.m.data(),
+                .n_pad = n_pad};
   for (std::size_t t0 = 0; t0 < count; t0 += kTileTargets) {
     const std::size_t nt = std::min(kTileTargets, count - t0);
-    float tx[kTileTargets], ty[kTileTargets], tz[kTileTargets];
-    float fx[kTileTargets], fy[kTileTargets], fz[kTileTargets];
     for (std::size_t k = 0; k < kTileTargets; ++k) {
       const std::size_t i = target_index(t0 + std::min(k, nt - 1));
-      tx[k] = p.x[i];
-      ty[k] = p.y[i];
-      tz[k] = p.z[i];
+      args.tx[k] = p.x[i];
+      args.ty[k] = p.y[i];
+      args.tz[k] = p.z[i];
     }
-    evaluate_tile(kernel, mass_scale, list.x.data(), list.y.data(),
-                  list.z.data(), list.m.data(), n_pad, tx, ty, tz, fx, fy,
-                  fz);
+    tile.fn(args);
     for (std::size_t k = 0; k < nt; ++k) {
       const std::size_t i = target_index(t0 + k);
-      ax[i] = fx[k];
-      ay[i] = fy[k];
-      az[i] = fz[k];
+      ax[i] = args.fx[k];
+      ay[i] = args.fy[k];
+      az[i] = args.fz[k];
     }
   }
 }
-
-#endif  // HACC_HAVE_VECTOR_EXT
 
 template <typename IndexFn>
 void run_targets_scalar(const ShortRangeKernel& kernel,
@@ -191,11 +344,22 @@ void run_targets_scalar(const ShortRangeKernel& kernel,
 
 }  // namespace
 
-bool batched_kernel_available() noexcept {
-  return HACC_HAVE_VECTOR_EXT != 0;
+std::span<const TileKernel> tile_kernels() noexcept {
+#if HACC_HAVE_VECTOR_EXT
+  static const std::size_t n = runnable_tile_kernels();
+  return {kTileKernels, n};
+#else
+  return {};
+#endif
 }
 
-void evaluate_leaf(KernelVariant variant, const ShortRangeKernel& kernel,
+const TileKernel* tile_kernel_for(KernelVariant variant) noexcept {
+  const auto tiles = tile_kernels();
+  return variant == KernelVariant::kBatched && !tiles.empty() ? &tiles.back()
+                                                              : nullptr;
+}
+
+void evaluate_leaf(const TileKernel& tile, const ShortRangeKernel& kernel,
                    const ParticleArray& p, std::uint32_t first,
                    std::uint32_t count, NeighborList& list, float mass_scale,
                    std::span<float> ax, std::span<float> ay,
@@ -203,13 +367,23 @@ void evaluate_leaf(KernelVariant variant, const ShortRangeKernel& kernel,
   const auto index = [first](std::size_t k) {
     return static_cast<std::size_t>(first) + k;
   };
-#if HACC_HAVE_VECTOR_EXT
-  if (variant == KernelVariant::kBatched) {
-    run_tiles_batched(kernel, p, list, mass_scale, count, index, ax, ay, az);
+  run_tiles_batched(tile, kernel, p, list, mass_scale, count, index, ax, ay,
+                    az);
+}
+
+void evaluate_leaf(KernelVariant variant, const ShortRangeKernel& kernel,
+                   const ParticleArray& p, std::uint32_t first,
+                   std::uint32_t count, NeighborList& list, float mass_scale,
+                   std::span<float> ax, std::span<float> ay,
+                   std::span<float> az) {
+  if (const TileKernel* tile = tile_kernel_for(variant)) {
+    evaluate_leaf(*tile, kernel, p, first, count, list, mass_scale, ax, ay,
+                  az);
     return;
   }
-#endif
-  (void)variant;
+  const auto index = [first](std::size_t k) {
+    return static_cast<std::size_t>(first) + k;
+  };
   run_targets_scalar(kernel, p, list, mass_scale, count, index, ax, ay, az);
 }
 
@@ -223,14 +397,11 @@ void evaluate_leaf_indexed(KernelVariant variant,
   const auto index = [targets](std::size_t k) {
     return static_cast<std::size_t>(targets[k]);
   };
-#if HACC_HAVE_VECTOR_EXT
-  if (variant == KernelVariant::kBatched) {
-    run_tiles_batched(kernel, p, list, mass_scale, targets.size(), index, ax,
-                      ay, az);
+  if (const TileKernel* tile = tile_kernel_for(variant)) {
+    run_tiles_batched(*tile, kernel, p, list, mass_scale, targets.size(),
+                      index, ax, ay, az);
     return;
   }
-#endif
-  (void)variant;
   run_targets_scalar(kernel, p, list, mass_scale, targets.size(), index, ax,
                      ay, az);
 }

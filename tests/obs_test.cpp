@@ -29,6 +29,7 @@
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "tree/force_matcher.h"
+#include "tree/interaction_batch.h"
 #include "tree/particles.h"
 #include "tree/rcb_tree.h"
 #include "util/names.h"
@@ -1144,6 +1145,11 @@ TEST(SimulationObservatory, FourRankRunAttributesCostAndPublishesMetrics) {
     EXPECT_GE(sim.counters().value(gauge_id("cost.leaf_imbalance_micro")),
               1000000u);
     EXPECT_GT(sim.counters().value(gauge_id("cost.kernel_ns")), 0u);
+    // The kernel width behind these numbers: the dispatched tile instance.
+    const tree::TileKernel* tile =
+        tree::tile_kernel_for(tree::default_kernel_variant());
+    const std::uint64_t lanes = tile != nullptr ? tile->lanes : 1;
+    EXPECT_EQ(sim.counters().value(gauge_id("tree.kernel_lanes")), lanes);
 
     // A rank is a renderable /metrics source.
     const MetricsSource src{c.rank(), &sim.counters(), &sim.histograms(),
@@ -1155,8 +1161,21 @@ TEST(SimulationObservatory, FourRankRunAttributesCostAndPublishesMetrics) {
     EXPECT_NE(text.find("hacc_cost_leaf_imbalance{"), std::string::npos);
     EXPECT_NE(text.find("hacc_step_wall_ns_bucket{"), std::string::npos);
     EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
+    EXPECT_NE(text.find("hacc_tree_kernel_lanes{rank=\"" +
+                        std::to_string(c.rank()) + "\"} " +
+                        std::to_string(lanes)),
+              std::string::npos)
+        << text;
 
     if (c.rank() != 0) return;
+    // Every step record names the kernel width.
+    ASSERT_EQ(sim.ledger().records().size(), 2u);
+    for (const auto& rec : sim.ledger().records()) {
+      const auto it = rec.counters.find("tree.kernel_lanes");
+      ASSERT_NE(it, rec.counters.end());
+      EXPECT_EQ(it->second.max, static_cast<double>(lanes));
+      EXPECT_EQ(it->second.min, static_cast<double>(lanes));
+    }
     // Root: the reduced cost map was ledgered every step.
     const auto& costmaps = sim.ledger().costmaps();
     ASSERT_EQ(costmaps.size(), 2u);

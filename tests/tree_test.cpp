@@ -8,8 +8,11 @@
 #include <array>
 #include <cmath>
 #include <cstdlib>
+#include <numbers>
 #include <numeric>
 #include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "alloc_hook.h"
@@ -524,34 +527,49 @@ TEST(ForceMatcher, ShortRangeVanishesBeyondHandOverByConstruction) {
 
 // ---- Tile-batched kernel (interaction_batch.h) -------------------------------
 
-// Run one leaf through evaluate_leaf with the given variant. The batched
-// path pads the list in place, so each call gets a private copy.
-std::array<std::vector<float>, 3> leaf_forces(KernelVariant variant,
-                                              const ShortRangeKernel& kernel,
-                                              const ParticleArray& p,
-                                              const NeighborList& list_in,
-                                              float mass_scale) {
+using LeafForces = std::array<std::vector<float>, 3>;
+
+// Run one leaf through evaluate_leaf with the given variant or tile
+// instance. The batched path pads the list in place, so each call gets a
+// private copy.
+template <class Kernel>
+LeafForces leaf_forces(const Kernel& variant_or_tile,
+                       const ShortRangeKernel& kernel, const ParticleArray& p,
+                       const NeighborList& list_in, float mass_scale) {
   NeighborList list;
   list.x = list_in.x;
   list.y = list_in.y;
   list.z = list_in.z;
   list.m = list_in.m;
-  std::array<std::vector<float>, 3> f;
+  LeafForces f;
   for (auto& v : f) v.assign(p.size(), 0.0f);
-  evaluate_leaf(variant, kernel, p, 0, static_cast<std::uint32_t>(p.size()),
-                list, mass_scale, f[0], f[1], f[2]);
+  evaluate_leaf(variant_or_tile, kernel, p, 0,
+                static_cast<std::uint32_t>(p.size()), list, mass_scale, f[0],
+                f[1], f[2]);
   return f;
+}
+
+// Every tile instance this host runs: the dispatched (widest) one and the
+// narrower ones, which would otherwise never run on a wide host.
+std::span<const TileKernel> all_tiles() {
+  const auto tiles = tile_kernels();
+#if defined(__GNUC__) || defined(__clang__)
+  EXPECT_FALSE(tiles.empty()) << "GNU builds compile the tile path";
+#endif
+  return tiles;
 }
 
 TEST(InteractionBatch, BatchedMatchesScalarOnRandomLeaves) {
   // Property test over random leaves: every combination of ragged target
-  // blocks (nt % 4 != 0) and ragged neighbor tiles (nn % 8 != 0), with a
-  // non-unit mass scale. Positions in [0, 6)^3 put pair separations on both
-  // sides of the rmax = 3 cutoff.
+  // blocks (nt % 4 != 0) and ragged neighbor tiles (nn not a multiple of
+  // 2W), with a non-unit mass scale, at every tile instance. Positions in
+  // [0, 6)^3 put pair separations on both sides of the rmax = 3 cutoff.
+  // KernelVariant::kBatched must run the widest instance.
   ShortRangeKernel kernel;
   kernel.fgrid = default_fgrid_poly5();
   Philox rng(91);
   Philox::Stream s(rng);
+  const auto tiles = all_tiles();
   for (const std::size_t nt : {1u, 3u, 4u, 5u, 17u, 64u}) {
     for (const std::size_t nn : {1u, 7u, 8u, 9u, 33u, 256u}) {
       ParticleArray p;
@@ -568,19 +586,27 @@ TEST(InteractionBatch, BatchedMatchesScalarOnRandomLeaves) {
       }
       const auto fs = leaf_forces(KernelVariant::kScalar, kernel, p, list,
                                   0.37f);
-      const auto fb = leaf_forces(KernelVariant::kBatched, kernel, p, list,
-                                  0.37f);
-      for (std::size_t i = 0; i < nt; ++i) {
-        const double mag = std::sqrt(
-            static_cast<double>(fs[0][i]) * fs[0][i] +
-            static_cast<double>(fs[1][i]) * fs[1][i] +
-            static_cast<double>(fs[2][i]) * fs[2][i]);
-        for (int d = 0; d < 3; ++d) {
-          const double diff = std::abs(static_cast<double>(fb[d][i]) -
-                                       static_cast<double>(fs[d][i]));
-          EXPECT_LE(diff, 1e-5 * std::max(mag, 1e-20))
-              << "nt=" << nt << " nn=" << nn << " i=" << i << " d=" << d;
+      for (const TileKernel& tile : tiles) {
+        const auto fb = leaf_forces(tile, kernel, p, list, 0.37f);
+        for (std::size_t i = 0; i < nt; ++i) {
+          const double mag = std::sqrt(
+              static_cast<double>(fs[0][i]) * fs[0][i] +
+              static_cast<double>(fs[1][i]) * fs[1][i] +
+              static_cast<double>(fs[2][i]) * fs[2][i]);
+          for (int d = 0; d < 3; ++d) {
+            const double diff = std::abs(static_cast<double>(fb[d][i]) -
+                                         static_cast<double>(fs[d][i]));
+            EXPECT_LE(diff, 1e-5 * std::max(mag, 1e-20))
+                << tile.isa << " nt=" << nt << " nn=" << nn << " i=" << i
+                << " d=" << d;
+          }
         }
+      }
+      if (!tiles.empty()) {
+        EXPECT_EQ(leaf_forces(KernelVariant::kBatched, kernel, p, list,
+                              0.37f),
+                  leaf_forces(tiles.back(), kernel, p, list, 0.37f))
+            << "nt=" << nt << " nn=" << nn;
       }
     }
   }
@@ -589,8 +615,8 @@ TEST(InteractionBatch, BatchedMatchesScalarOnRandomLeaves) {
 TEST(InteractionBatch, SelfInteractionAndCutoffEdges) {
   // The two branchless-cutoff edges: s = 0 (a neighbor exactly on the
   // target — the gathered leaf always contains the target itself) must be
-  // suppressed, and neighbors at s >= rmax^2 contribute nothing, in both
-  // variants identically.
+  // suppressed, and neighbors at s >= rmax^2 contribute nothing, in the
+  // scalar loop and every tile instance identically.
   ShortRangeKernel kernel;
   kernel.fgrid = default_fgrid_poly5();
   ParticleArray p;
@@ -608,15 +634,12 @@ TEST(InteractionBatch, SelfInteractionAndCutoffEdges) {
   add(3.0f + 2.9999f, 3.0f, 3.0f);   // just inside the cutoff
   add(3.0f + 3.0001f, 3.0f, 3.0f);   // just outside
   const auto fs = leaf_forces(KernelVariant::kScalar, kernel, p, list, 1.0f);
-  const auto fb = leaf_forces(KernelVariant::kBatched, kernel, p, list, 1.0f);
   // Only the "just inside" neighbor may contribute. It acts along x alone
   // (the sign is the poly-fit residual's near the hand-over, not Newton's).
   EXPECT_NE(fs[0][0], 0.0f);
   EXPECT_EQ(fs[1][0], 0.0f);
   EXPECT_EQ(fs[2][0], 0.0f);
-  for (int d = 0; d < 3; ++d)
-    EXPECT_NEAR(fb[d][0], fs[d][0], 1e-5 * std::abs(fs[0][0])) << "d=" << d;
-  // With ONLY edge neighbors (s = 0 and s >= rmax^2) both variants give an
+  // With ONLY edge neighbors (s = 0 and s >= rmax^2) every path gives an
   // exact zero — the mask must kill the padded/marginal lanes bit-for-bit.
   NeighborList edges;
   edges.x = {3.0f, 6.0f};
@@ -624,11 +647,63 @@ TEST(InteractionBatch, SelfInteractionAndCutoffEdges) {
   edges.z = {3.0f, 3.0f};
   edges.m = {1.0f, 1.0f};
   const auto zs = leaf_forces(KernelVariant::kScalar, kernel, p, edges, 1.0f);
-  const auto zb = leaf_forces(KernelVariant::kBatched, kernel, p, edges, 1.0f);
-  for (int d = 0; d < 3; ++d) {
-    EXPECT_EQ(zs[d][0], 0.0f);
-    EXPECT_EQ(zb[d][0], 0.0f);
+  for (int d = 0; d < 3; ++d) EXPECT_EQ(zs[d][0], 0.0f);
+  for (const TileKernel& tile : all_tiles()) {
+    const auto fb = leaf_forces(tile, kernel, p, list, 1.0f);
+    for (int d = 0; d < 3; ++d)
+      EXPECT_NEAR(fb[d][0], fs[d][0], 1e-5 * std::abs(fs[0][0]))
+          << tile.isa << " d=" << d;
+    const auto zb = leaf_forces(tile, kernel, p, edges, 1.0f);
+    for (int d = 0; d < 3; ++d) EXPECT_EQ(zb[d][0], 0.0f) << tile.isa;
   }
+}
+
+TEST(InteractionBatch, PerPairArithmeticMatchesScalarOracleBitForBit) {
+  // A tile instance evaluates each pair exactly as evaluate_neighbor_list
+  // does (sqrt then divide, unfused multiply-add in the same association),
+  // so only the summation order may differ. With one in-range neighbor
+  // beside an s = 0 self entry and an out-of-range entry, there is nothing
+  // to reorder: batched must equal scalar bit for bit. Separations are
+  // drawn from the whole range and from just inside the cutoff, where
+  // poly5 nearly cancels Newton and any rounding difference shows.
+  Philox rng(2024);
+  Philox::Stream s(rng);
+  const auto tiles = all_tiles();
+  std::size_t components = 0;
+  for (const float softening : {0.1f, 0.0f}) {
+    ShortRangeKernel kernel;
+    kernel.fgrid = default_fgrid_poly5();
+    kernel.softening = softening;
+    for (const auto& [r_lo, r_hi] : {std::pair{0.05, 3.0}, std::pair{2.9, 3.0}}) {
+      for (int k = 0; k < 2000; ++k) {
+        ParticleArray p;
+        const float x = static_cast<float>(s.uniform(2, 4));
+        const float y = static_cast<float>(s.uniform(2, 4));
+        const float z = static_cast<float>(s.uniform(2, 4));
+        p.push_back(x, y, z, 0, 0, 0, 1.0f, 0);
+        // An isotropic direction at separation r.
+        const double r = s.uniform(r_lo, r_hi);
+        const double mu = s.uniform(-1, 1), phi = s.uniform(0, 2 * std::numbers::pi);
+        const double rho = std::sqrt(1 - mu * mu);
+        NeighborList list;
+        list.x = {x, x + static_cast<float>(r * rho * std::cos(phi)), x + 3.5f};
+        list.y = {y, y + static_cast<float>(r * rho * std::sin(phi)), y};
+        list.z = {z, z + static_cast<float>(r * mu), z};
+        list.m = {1.0f, 0.5f + static_cast<float>(s.uniform(0, 1)), 1.0f};
+        const auto fs = leaf_forces(KernelVariant::kScalar, kernel, p, list,
+                                    0.37f);
+        for (const TileKernel& tile : tiles) {
+          const auto fb = leaf_forces(tile, kernel, p, list, 0.37f);
+          for (int d = 0; d < 3; ++d)
+            EXPECT_EQ(fb[d][0], fs[d][0])
+                << tile.isa << " eps=" << softening << " r=" << r
+                << " d=" << d;
+        }
+        components += 3;
+      }
+    }
+  }
+  EXPECT_EQ(components, 24000u);
 }
 
 TEST(InteractionBatch, ScalarVariantBitIdenticalToDirectLoop) {
@@ -666,31 +741,32 @@ TEST(InteractionBatch, ScalarVariantBitIdenticalToDirectLoop) {
 
 TEST(InteractionBatch, BatchedLeavesTrueInteractionsVisible) {
   // The batched path may pad the list in place; callers capture the true
-  // size before the call (InteractionStats exactness depends on it). The
-  // pad is zero-mass, multiple-of-kTileNeighbors, and appended — never
-  // reordering the real entries.
+  // size before the call (InteractionStats exactness depends on it). At
+  // every tile instance the pad is zero-mass, a multiple of that
+  // instance's 2W-neighbor tile, and appended — never reordering the real
+  // entries.
   ShortRangeKernel kernel;
   kernel.fgrid = default_fgrid_poly5();
   ParticleArray p;
   p.push_back(1.0f, 1.0f, 1.0f, 0, 0, 0, 1.0f, 0);
-  NeighborList list;
-  for (int j = 0; j < 5; ++j) {
-    list.x.push_back(1.5f + 0.1f * static_cast<float>(j));
-    list.y.push_back(1.0f);
-    list.z.push_back(1.0f);
-    list.m.push_back(1.0f);
-  }
-  std::vector<float> ax(1, 0.0f), ay(1, 0.0f), az(1, 0.0f);
-  const std::size_t true_n = list.size();
-  evaluate_leaf(KernelVariant::kBatched, kernel, p, 0, 1, list, 1.0f, ax, ay,
-                az);
-  EXPECT_EQ(true_n, 5u);
-  if (batched_kernel_available()) {
-    EXPECT_EQ(list.size() % kTileNeighbors, 0u);
+  for (const TileKernel& tile : all_tiles()) {
+    NeighborList list;
+    for (int j = 0; j < 5; ++j) {
+      list.x.push_back(1.5f + 0.1f * static_cast<float>(j));
+      list.y.push_back(1.0f);
+      list.z.push_back(1.0f);
+      list.m.push_back(1.0f);
+    }
+    std::vector<float> ax(1, 0.0f), ay(1, 0.0f), az(1, 0.0f);
+    const std::size_t true_n = list.size();
+    evaluate_leaf(tile, kernel, p, 0, 1, list, 1.0f, ax, ay, az);
+    EXPECT_EQ(true_n, 5u);
+    EXPECT_EQ(tile.tile_neighbors(), 2 * tile.lanes) << tile.isa;
+    EXPECT_EQ(list.size(), tile.tile_neighbors()) << tile.isa;
     for (std::size_t j = true_n; j < list.size(); ++j)
-      EXPECT_EQ(list.m[j], 0.0f) << "padding must be massless";
+      EXPECT_EQ(list.m[j], 0.0f) << tile.isa << ": padding must be massless";
     for (std::size_t j = 0; j < true_n; ++j)
-      EXPECT_EQ(list.x[j], 1.5f + 0.1f * static_cast<float>(j));
+      EXPECT_EQ(list.x[j], 1.5f + 0.1f * static_cast<float>(j)) << tile.isa;
   }
 }
 
