@@ -11,10 +11,10 @@
 //           reallocation machinery gives back (shrink-freed ranks regrant
 //           to queued runs instead of idling)
 //
-// Headline (gated by scripts/perf_gate.py from BENCH_campaign.json):
-// campaign.utilization — busy rank-seconds / (fleet x makespan) of the
-// clean campaign. A scheduler regression (serialized grants, pool leaks,
-// lost wakeups) shows up here as idle capacity, robustly to host speed.
+// Headline (in BENCH_campaign.json): campaign.utilization — busy
+// rank-seconds / (fleet x makespan) of the clean campaign. A scheduler
+// regression (serialized grants, pool leaks, lost wakeups) shows up here
+// as idle capacity, robustly to host speed.
 //
 // Environment knobs: HACC_CAMPAIGN_RUNS, HACC_CAMPAIGN_FLEET,
 // HACC_CAMPAIGN_WIDTH, HACC_CAMPAIGN_CONCURRENT, HACC_CAMPAIGN_GRID,

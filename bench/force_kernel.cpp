@@ -182,9 +182,9 @@ InstanceBest best_of(const hacc::tree::TileKernel& tile,
   return b;
 }
 
-/// The best_* keys (read by scripts/perf_gate.py) describe the dispatched
-/// instance, the one KernelVariant::kBatched runs, against the FMA peak at
-/// its width; "instances" lists every width raced.
+/// The best_* keys describe the dispatched instance, the one
+/// KernelVariant::kBatched runs, against the FMA peak at its width;
+/// "instances" lists every width raced.
 void write_kernel_json(const char* path,
                        const hacc::perfmodel::TileKernelModel& model,
                        const std::vector<KernelSample>& samples) {

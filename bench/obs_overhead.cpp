@@ -7,8 +7,8 @@
 //
 // best-of-N reps each — base/full reps interleave so slow host drift
 // cancels instead of masquerading as overhead — and reports the steps/sec
-// of both plus the overhead percentage. The acceptance bar (enforced by
-// scripts/perf_gate.py from BENCH_obs.json) is overhead < 2% absolute:
+// of both plus the overhead percentage (also in BENCH_obs.json). The
+// acceptance bar is overhead < 2% absolute:
 // per-leaf timing is one util::now_ns pair around kernel work that dwarfs
 // it, metric publication is a handful of atomic stores per step, and a
 // scrape never takes a lock a rank thread holds. The scrape cadence

@@ -9,8 +9,8 @@
 // best-of-N reps each, interleaved so slow host drift cancels instead of
 // masquerading as overhead. Each timed step includes the health_check gate,
 // because that is where the audit aggregates ride the (single) allreduce.
-// The acceptance bar (enforced by scripts/perf_gate.py from BENCH_sdc.json)
-// is overhead < 3% absolute at the default cadence: the checksum is one
+// The acceptance bar (the overhead is also in BENCH_sdc.json) is
+// overhead < 3% absolute at the default cadence: the checksum is one
 // FNV-1a sweep over rank-local actives, duplicate execution re-evaluates a
 // couple of leaves against work that touched every leaf, and the mass sum
 // is a grid reduction the deposit phase dwarfs.

@@ -8,8 +8,8 @@
 // hot-set workload — 80% halo id lookups (90% of them from a small hot
 // set), 10% spectrum windows, 10% region cutouts — from several driver
 // threads. Reported: sustained QPS, p50/p99 in-process latency, and the
-// block-cache hit rate; all land in BENCH_serve.json for bench_all.sh and
-// the perf gate (serve.qps / serve.p99_ms / serve.hit_rate).
+// block-cache hit rate; all land in BENCH_serve.json for bench_all.sh
+// (serve.qps / serve.p99_ms / serve.hit_rate).
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -278,7 +278,7 @@ int main() {
 
   // The acceptance bar: >= 10k QPS with p99 < 5 ms on the hot-set
   // workload, >= 90% cache hit rate. Report, don't abort — absolute rates
-  // drift with host load; the perf gate owns the comparison.
+  // drift with host load.
   if (r.qps() < 10000 || r.stats.p99_ms_all >= 5.0 ||
       r.cache.hit_rate() < 0.90)
     std::printf("\nWARNING: below target (>=10k QPS, p99 < 5 ms, "

@@ -20,7 +20,7 @@ BUILD="${1:-build}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 # Benches that emit BENCH_*.json (micro_kernels & friends are stdout-only).
-EMITTERS="${HACC_BENCH_ONLY:-fft_scaling io_bandwidth step_breakdown force_kernel recovery chaos_campaign serve_load obs_overhead sdc_overhead campaign_throughput}"
+EMITTERS="${HACC_BENCH_ONLY:-fft_scaling io_bandwidth force_kernel recovery chaos_campaign serve_load obs_overhead sdc_overhead campaign_throughput}"
 
 if [[ "${HACC_BENCH_SKIP_RUN:-0}" != "1" ]]; then
   echo "== bench_all: configure + build (${BUILD}) =="
@@ -74,8 +74,5 @@ with open(out, "w") as f:
 print(f"wrote {out}: {len(summary['benches'])} bench(es): "
       + ", ".join(sorted(summary["benches"])))
 PY
-
-echo "== bench_all: perf gate =="
-python3 scripts/perf_gate.py "$BUILD"
 
 echo "== bench_all: done =="

@@ -242,12 +242,4 @@ printf '{"event":"fini' >> "$CAMP_TMP/hacc_bench_campaign_faulty/campaign.jsonl"
 python3 scripts/campaign_summary.py "$CAMP_TMP/hacc_bench_campaign_faulty" \
   >/dev/null
 
-# Perf gate (advisory): if bench JSON from a previous bench_all.sh run is
-# lying around, diff it against the committed baseline. Warns only — set
-# HACC_PERF_STRICT=1 to make a >10% regression fail the gate.
-if [[ -f "$BUILD/BENCH_step.json" || -f "$BUILD/BENCH_kernel.json" ]]; then
-  echo "== perf gate (advisory) =="
-  python3 scripts/perf_gate.py "$BUILD"
-fi
-
 echo "== check.sh: all green =="

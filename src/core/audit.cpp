@@ -23,7 +23,7 @@ inline bool component_mismatch(float recomputed, float stored,
 
 /// Compare one leaf's particles against the stored accumulators; the
 /// neighbor list has already been gathered by the caller.
-void check_leaf(const tree::ParticleArray& p, const tree::RcbNode& node,
+void check_leaf(const tree::ParticleArray& p, const tree::Node& node,
                 const tree::NeighborList& list,
                 const tree::ShortRangeKernel& kernel, float mass_scale,
                 std::span<const float> ax, std::span<const float> ay,
@@ -93,12 +93,12 @@ std::uint64_t acceleration_checksum(const tree::ParticleArray& particles,
 }
 
 DuplicateExecutionResult duplicate_execution_check(
-    const tree::RcbTree& tree, const tree::ShortRangeKernel& kernel,
+    const tree::LeafPartition& partition, const tree::ShortRangeKernel& kernel,
     std::span<const float> ax, std::span<const float> ay,
     std::span<const float> az, float mass_scale, const AuditConfig& config,
     std::uint64_t draw_key) {
   DuplicateExecutionResult out;
-  const auto& leaves = tree.leaves();
+  const auto& leaves = partition.leaves();
   if (leaves.empty() || config.sample_leaves <= 0) return out;
   Philox::Stream draw(Philox(config.seed, draw_key));
   tree::NeighborList list;
@@ -112,9 +112,9 @@ DuplicateExecutionResult duplicate_execution_check(
   for (std::size_t s = 0; s < samples; ++s) {
     const std::uint32_t leaf =
         exhaustive ? leaves[s] : leaves[draw.index(leaves.size())];
-    tree.gather_neighbors(leaf, kernel.rmax, list);
+    partition.gather_neighbors(leaf, kernel.rmax, list);
     ++out.sampled_leaves;
-    check_leaf(tree.particles(), tree.nodes()[leaf], list, kernel,
+    check_leaf(partition.particles(), partition.nodes()[leaf], list, kernel,
                mass_scale, ax, ay, az, config, out);
   }
   return out;

@@ -22,11 +22,12 @@
 //   * energy drift tracker — the global kinetic energy is compared across
 //     audited steps; a jump beyond a generous factor flags exponent-scale
 //     velocity corruption that momentum sums can cancel away.
-//   * sampled duplicate execution — a few randomly chosen RCB leaves are
-//     re-run through the scalar reference kernel against a freshly
+//   * sampled duplicate execution — a few randomly chosen leaves of the
+//     short-range partition (RCB leaves, or chaining-mesh cells for P3M)
+//     are re-run through the scalar reference kernel against a freshly
 //     gathered neighbor list and compared with the accumulated short-range
 //     forces within tolerance. Catches FPU/accumulator corruption inside
-//     the force phase itself, for every HACC_KERNEL variant.
+//     the force phase itself, for every HACC_KERNEL variant and solver.
 //
 // All findings are *local accumulations*: Simulation::health_check() folds
 // them into its existing single allreduce, so the whole audit suite adds
@@ -40,8 +41,8 @@
 #include <string>
 
 #include "tree/force_kernel.h"
+#include "tree/leaf_partition.h"
 #include "tree/particles.h"
-#include "tree/rcb_tree.h"
 
 namespace hacc::core {
 
@@ -54,9 +55,7 @@ struct AuditConfig {
   /// Supervisor *acts* on accumulated findings.
   int cadence = 1;
   bool checksum = true;        ///< payload-invariance FNV-1a window
-  bool mass_conservation = true;
   bool duplicate_execution = true;
-  bool energy_tracker = true;
   /// Leaves re-executed through the scalar kernel per audited step.
   int sample_leaves = 2;
   /// Relative tolerance on |grid sum - active count| / active count. CIC
@@ -109,13 +108,14 @@ struct DuplicateExecutionResult {
   std::string detail;
 };
 
-/// Re-run `config.sample_leaves` seeded-random leaves of `tree` through the
-/// scalar reference kernel (fresh neighbor gather, evaluate_neighbor_list)
-/// and compare against the accumulated short-range forces ax/ay/az (indexed
-/// like the tree-permuted particle array). `draw_key` (e.g. the step
-/// number) varies the sample across calls while keeping it reproducible.
+/// Re-run `config.sample_leaves` seeded-random leaves of `partition`
+/// through the scalar reference kernel (fresh neighbor gather,
+/// evaluate_neighbor_list) and compare against the accumulated short-range
+/// forces ax/ay/az (indexed like the permuted particle array). `draw_key`
+/// (e.g. the step number) varies the sample across calls while keeping it
+/// reproducible.
 DuplicateExecutionResult duplicate_execution_check(
-    const tree::RcbTree& tree, const tree::ShortRangeKernel& kernel,
+    const tree::LeafPartition& partition, const tree::ShortRangeKernel& kernel,
     std::span<const float> ax, std::span<const float> ay,
     std::span<const float> az, float mass_scale, const AuditConfig& config,
     std::uint64_t draw_key);

@@ -11,6 +11,7 @@
 #include "mesh/cic.h"
 #include "obs/obs.h"
 #include "obs/reduce.h"
+#include "p3m/chaining_mesh.h"
 #include "tree/interaction_batch.h"
 
 namespace hacc::core {
@@ -211,7 +212,7 @@ void Simulation::deposit_density(mesh::DistGrid& rho,
     }
     if (!flips.empty()) counters_.add(kCtrMemoryFlips, flips.size());
   }
-  if (config_.audit.cadence > 0 && config_.audit.mass_conservation) {
+  if (config_.audit.cadence > 0) {
     audit_.grid_mass += rho.interior_sum();
     audit_.deposits += 1.0;
   }
@@ -264,35 +265,31 @@ void Simulation::apply_short_kick(double coeff) {
   sr_ax_.assign(particles_.size(), 0.0f);
   sr_ay_.assign(particles_.size(), 0.0f);
   sr_az_.assign(particles_.size(), 0.0f);
-  if (config_.solver == ShortRangeSolver::kTreePP) {
-    std::unique_ptr<tree::RcbTree> rcb;
-    {
-      obs::PhaseScope scope(&counters_, kPhaseTreeBuild);
-      rcb = std::make_unique<tree::RcbTree>(
+  // The leaf partition: the RCB tree, or P3M's chaining mesh with cells of
+  // the hand-over radius. Either permutes particles_ in place.
+  std::unique_ptr<tree::LeafPartition> partition;
+  {
+    obs::PhaseScope scope(&counters_, kPhaseTreeBuild);
+    if (config_.solver == ShortRangeSolver::kTreePP)
+      partition = std::make_unique<tree::RcbTree>(
           particles_, tree::RcbConfig{config_.leaf_size});
-    }
-    obs::PhaseScope scope(&counters_, kPhaseSrKernel);
-    stats_ = tree::compute_short_range(*rcb, kernel_, sr_ax_, sr_ay_, sr_az_,
-                                       mass_scale_, kernel_variant_,
-                                       &sr_workspace_);
-    obs::add_counter(kCtrInteractions, stats_.interactions);
-    obs::add_counter(kCtrWalkVisits, stats_.walk_visits);
-    if (audit_.dup_pending) {
-      audit_.dup_pending = false;
-      obs::PhaseScope audit_scope(&counters_, kPhaseAudit);
-      const DuplicateExecutionResult dup = duplicate_execution_check(
-          *rcb, kernel_, sr_ax_, sr_ay_, sr_az_, mass_scale_, config_.audit,
-          static_cast<std::uint64_t>(steps_taken_ + 1));
-      audit_.dup_mismatches += static_cast<double>(dup.mismatches);
-      audit_.dup_samples += static_cast<double>(dup.checked);
-    }
-  } else {
-    obs::PhaseScope scope(&counters_, kPhaseSrKernel);
-    stats_ = p3m::compute_short_range_p3m(particles_, kernel_, sr_ax_, sr_ay_,
-                                          sr_az_, mass_scale_, {},
-                                          kernel_variant_);
-    obs::add_counter(kCtrInteractions, stats_.interactions);
-    obs::add_counter(kCtrWalkVisits, stats_.walk_visits);
+    else
+      partition = std::make_unique<p3m::ChainingMesh>(particles_, kernel_.rmax);
+  }
+  obs::PhaseScope scope(&counters_, kPhaseSrKernel);
+  stats_ = tree::compute_short_range(*partition, kernel_, sr_ax_, sr_ay_,
+                                     sr_az_, mass_scale_, kernel_variant_,
+                                     &sr_workspace_);
+  obs::add_counter(kCtrInteractions, stats_.interactions);
+  obs::add_counter(kCtrWalkVisits, stats_.walk_visits);
+  if (audit_.dup_pending) {
+    audit_.dup_pending = false;
+    obs::PhaseScope audit_scope(&counters_, kPhaseAudit);
+    const DuplicateExecutionResult dup = duplicate_execution_check(
+        *partition, kernel_, sr_ax_, sr_ay_, sr_az_, mass_scale_,
+        config_.audit, static_cast<std::uint64_t>(steps_taken_ + 1));
+    audit_.dup_mismatches += static_cast<double>(dup.mismatches);
+    audit_.dup_samples += static_cast<double>(dup.checked);
   }
   const auto c = static_cast<float>(coeff);
   for (std::size_t i = 0; i < particles_.size(); ++i) {
@@ -420,7 +417,6 @@ void Simulation::audit_begin_step() {
   }
   audit_.stash_valid = false;  // consumed; re-stashed at end of step
   audit_.dup_pending = audit.cadence > 0 && audit.duplicate_execution &&
-                       config_.solver == ShortRangeSolver::kTreePP &&
                        audit_due(steps_taken_ + 1);
 }
 
@@ -788,8 +784,7 @@ Simulation::HealthReport Simulation::health_check() {
   }
   report.audited = audit_due(steps_taken_);
   if (report.audited) {
-    if (config_.audit.energy_tracker && prev_audit_kinetic_ > 0 &&
-        report.kinetic > 0)
+    if (prev_audit_kinetic_ > 0 && report.kinetic > 0)
       report.kinetic_jump = report.kinetic / prev_audit_kinetic_;
     prev_audit_kinetic_ = report.kinetic;
     // This gate consumed the accumulated findings; publish them to the

@@ -61,7 +61,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
-#include "p3m/chaining_mesh.h"
 #include "serve/insitu.h"
 #include "tree/force_matcher.h"
 #include "tree/rcb_tree.h"

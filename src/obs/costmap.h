@@ -1,14 +1,14 @@
-// Per-RCB-leaf cost attribution: the measured signal the roadmap's
+// Per-leaf cost attribution: the measured signal the roadmap's
 // cost-based rebalancer needs.
 //
-// The short-range kernels (tree/rcb_tree.cpp, p3m/chaining_mesh.cpp)
-// already count interactions per leaf; when a CostMap is bound
-// (obs::Binding third argument), they additionally time each leaf's kernel
-// evaluation and record {leaf box, particles, interactions, kernel ns}
-// here. One record per leaf per step — contention on the mutex is
-// negligible next to the kernel work it brackets, and the backing vector
-// keeps its capacity across begin_step() so the steady state allocates
-// nothing after the first step.
+// tree::compute_short_range (tree/leaf_partition.cpp, for RCB leaves and
+// chaining-mesh cells alike) already counts interactions per leaf; when a
+// CostMap is bound (obs::Binding third argument), it additionally times
+// each leaf's kernel evaluation and records {leaf box, particles,
+// interactions, kernel ns} here. One record per leaf per step — contention
+// on the mutex is negligible next to the kernel work it brackets, and the
+// backing vector keeps its capacity across begin_step() so the steady state
+// allocates nothing after the first step.
 //
 // summarize() collapses a step's leaves into the imbalance numbers the
 // ledger streams (see ledger.h: CostMapRecord / reduce_cost_map for the

@@ -7,8 +7,7 @@
 // substep per particle (the paper's headline weak-scaling invariant,
 // Table II), momentum drift, counter deltas, and peak RSS. Simulation::run
 // appends one record per step and writes `ledger.jsonl` on rank 0 plus a
-// human-readable phase table at end of run; bench/step_breakdown turns the
-// same records into BENCH_step.json for the perf trajectory.
+// human-readable phase table at end of run.
 #pragma once
 
 #include <array>

@@ -9,33 +9,40 @@
 // analysis quoted in the paper (0.1% power-spectrum agreement), which this
 // repository reproduces in bench/solver_agreement.
 //
-// The same ShortRangeKernel and the same contiguous-neighbor-list inner
-// loop are used, so P3M and the RCB tree differ *only* in how neighbor
-// lists are produced.
+// The chaining mesh is a leaf partition (tree/leaf_partition.h) like the
+// RCB tree: its leaves are the non-empty cells and its gather copies the
+// 27 neighbor cells. tree::compute_short_range and the duplicate-execution
+// audit run it unchanged, so P3M and PPTreePM differ *only* in how leaves
+// and neighbor lists are produced.
 #pragma once
 
-#include <span>
+#include <array>
 
-#include "tree/force_kernel.h"
+#include "tree/leaf_partition.h"
 #include "tree/particles.h"
-#include "tree/rcb_tree.h"  // InteractionStats
 
 namespace hacc::p3m {
 
-struct P3mConfig {
-  /// Chaining-mesh cell size; must be >= the kernel hand-over radius so a
-  /// 27-cell neighborhood covers every interaction.
-  float cell_size = 3.0f;
-};
+class ChainingMesh final : public tree::LeafPartition {
+ public:
+  /// Bin the particles into cubic cells of side `cell` over their bounding
+  /// box and permute the SoA into cell order (a stable counting sort, so a
+  /// cell keeps its particles' relative order). `cell` must be at least
+  /// the gather radius: it is max_rcut(). nodes() holds every cell, in
+  /// x-major order, with its cell box and index range.
+  ChainingMesh(tree::ParticleArray& particles, float cell);
 
-/// Compute short-range forces for every particle by chaining-mesh direct
-/// summation. ax/ay/az are overwritten; neighbor masses are scaled by
-/// `mass_scale` (folded into the kernel evaluation). OpenMP-threaded over
-/// cells. `variant` picks the tile-batched or scalar inner loop.
-tree::InteractionStats compute_short_range_p3m(
-    const tree::ParticleArray& particles, const tree::ShortRangeKernel& kernel,
-    std::span<float> ax, std::span<float> ay, std::span<float> az,
-    float mass_scale = 1.0f, const P3mConfig& config = {},
-    tree::KernelVariant variant = tree::default_kernel_variant());
+  /// Copy the particles of the (up to) 27 cells around `leaf_node` into
+  /// `out`: every particle within `rcut` <= cell side of the cell, and
+  /// more. The neighborhood is clipped at the mesh edge, with no periodic
+  /// wrap (overloading provides the replicas). `visits` (optional) counts
+  /// the cells copied, empty ones included.
+  void gather_neighbors(std::uint32_t leaf_node, float rcut,
+                        tree::NeighborList& out,
+                        std::size_t* visits = nullptr) const override;
+
+ private:
+  std::array<int, 3> ncells_{};
+};
 
 }  // namespace hacc::p3m

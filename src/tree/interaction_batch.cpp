@@ -289,59 +289,6 @@ std::size_t runnable_tile_kernels() noexcept {
 
 #endif  // HACC_HAVE_VECTOR_EXT
 
-/// Block targets into tiles and evaluate. `target_index(k)` maps the k-th
-/// target (0..count-1) to its absolute index in `p` and ax/ay/az; padding
-/// lanes of a ragged final tile replicate the last target and their
-/// results are discarded.
-template <typename IndexFn>
-void run_tiles_batched(const TileKernel& tile, const ShortRangeKernel& kernel,
-                       const ParticleArray& p, NeighborList& list,
-                       float mass_scale, std::size_t count,
-                       IndexFn target_index, std::span<float> ax,
-                       std::span<float> ay, std::span<float> az) {
-  const std::size_t n_pad = pad_list(list, tile.tile_neighbors());
-  TileArgs args{.kernel = &kernel,
-                .mass_scale = mass_scale,
-                .xn = list.x.data(),
-                .yn = list.y.data(),
-                .zn = list.z.data(),
-                .mn = list.m.data(),
-                .n_pad = n_pad};
-  for (std::size_t t0 = 0; t0 < count; t0 += kTileTargets) {
-    const std::size_t nt = std::min(kTileTargets, count - t0);
-    for (std::size_t k = 0; k < kTileTargets; ++k) {
-      const std::size_t i = target_index(t0 + std::min(k, nt - 1));
-      args.tx[k] = p.x[i];
-      args.ty[k] = p.y[i];
-      args.tz[k] = p.z[i];
-    }
-    tile.fn(args);
-    for (std::size_t k = 0; k < nt; ++k) {
-      const std::size_t i = target_index(t0 + k);
-      ax[i] = args.fx[k];
-      ay[i] = args.fy[k];
-      az[i] = args.fz[k];
-    }
-  }
-}
-
-template <typename IndexFn>
-void run_targets_scalar(const ShortRangeKernel& kernel,
-                        const ParticleArray& p, const NeighborList& list,
-                        float mass_scale, std::size_t count,
-                        IndexFn target_index, std::span<float> ax,
-                        std::span<float> ay, std::span<float> az) {
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t i = target_index(k);
-    const Force3 f = evaluate_neighbor_list(
-        kernel, p.x[i], p.y[i], p.z[i], list.x.data(), list.y.data(),
-        list.z.data(), list.m.data(), list.size(), mass_scale);
-    ax[i] = f.x;
-    ay[i] = f.y;
-    az[i] = f.z;
-  }
-}
-
 }  // namespace
 
 std::span<const TileKernel> tile_kernels() noexcept {
@@ -359,16 +306,37 @@ const TileKernel* tile_kernel_for(KernelVariant variant) noexcept {
                                                               : nullptr;
 }
 
+// Targets are blocked into tiles of kTileTargets. Padding lanes of a ragged
+// final tile replicate the last target and their results are discarded.
 void evaluate_leaf(const TileKernel& tile, const ShortRangeKernel& kernel,
                    const ParticleArray& p, std::uint32_t first,
                    std::uint32_t count, NeighborList& list, float mass_scale,
                    std::span<float> ax, std::span<float> ay,
                    std::span<float> az) {
-  const auto index = [first](std::size_t k) {
-    return static_cast<std::size_t>(first) + k;
-  };
-  run_tiles_batched(tile, kernel, p, list, mass_scale, count, index, ax, ay,
-                    az);
+  const std::size_t n_pad = pad_list(list, tile.tile_neighbors());
+  TileArgs args{.kernel = &kernel,
+                .mass_scale = mass_scale,
+                .xn = list.x.data(),
+                .yn = list.y.data(),
+                .zn = list.z.data(),
+                .mn = list.m.data(),
+                .n_pad = n_pad};
+  const std::size_t end = std::size_t{first} + count;
+  for (std::size_t t0 = first; t0 < end; t0 += kTileTargets) {
+    const std::size_t nt = std::min(kTileTargets, end - t0);
+    for (std::size_t k = 0; k < kTileTargets; ++k) {
+      const std::size_t i = t0 + std::min(k, nt - 1);
+      args.tx[k] = p.x[i];
+      args.ty[k] = p.y[i];
+      args.tz[k] = p.z[i];
+    }
+    tile.fn(args);
+    for (std::size_t k = 0; k < nt; ++k) {
+      ax[t0 + k] = args.fx[k];
+      ay[t0 + k] = args.fy[k];
+      az[t0 + k] = args.fz[k];
+    }
+  }
 }
 
 void evaluate_leaf(KernelVariant variant, const ShortRangeKernel& kernel,
@@ -381,29 +349,14 @@ void evaluate_leaf(KernelVariant variant, const ShortRangeKernel& kernel,
                   az);
     return;
   }
-  const auto index = [first](std::size_t k) {
-    return static_cast<std::size_t>(first) + k;
-  };
-  run_targets_scalar(kernel, p, list, mass_scale, count, index, ax, ay, az);
-}
-
-void evaluate_leaf_indexed(KernelVariant variant,
-                           const ShortRangeKernel& kernel,
-                           const ParticleArray& p,
-                           std::span<const std::uint32_t> targets,
-                           NeighborList& list, float mass_scale,
-                           std::span<float> ax, std::span<float> ay,
-                           std::span<float> az) {
-  const auto index = [targets](std::size_t k) {
-    return static_cast<std::size_t>(targets[k]);
-  };
-  if (const TileKernel* tile = tile_kernel_for(variant)) {
-    run_tiles_batched(*tile, kernel, p, list, mass_scale, targets.size(),
-                      index, ax, ay, az);
-    return;
+  for (std::size_t i = first; i < std::size_t{first} + count; ++i) {
+    const Force3 f = evaluate_neighbor_list(
+        kernel, p.x[i], p.y[i], p.z[i], list.x.data(), list.y.data(),
+        list.z.data(), list.m.data(), list.size(), mass_scale);
+    ax[i] = f.x;
+    ay[i] = f.y;
+    az[i] = f.z;
   }
-  run_targets_scalar(kernel, p, list, mass_scale, targets.size(), index, ax,
-                     ay, az);
 }
 
 }  // namespace hacc::tree

@@ -39,8 +39,8 @@
 #include <span>
 
 #include "tree/force_kernel.h"
+#include "tree/leaf_partition.h"
 #include "tree/particles.h"
-#include "tree/rcb_tree.h"
 
 namespace hacc::tree {
 
@@ -90,16 +90,5 @@ void evaluate_leaf(const TileKernel& tile, const ShortRangeKernel& kernel,
                    std::uint32_t count, NeighborList& list, float mass_scale,
                    std::span<float> ax, std::span<float> ay,
                    std::span<float> az);
-
-/// As evaluate_leaf, for a non-contiguous target set given by `targets`
-/// (absolute indices into `p` and ax/ay/az) — the chaining-mesh cells of
-/// the P3M solver, which are index-sorted rather than array-partitioned.
-void evaluate_leaf_indexed(KernelVariant variant,
-                           const ShortRangeKernel& kernel,
-                           const ParticleArray& p,
-                           std::span<const std::uint32_t> targets,
-                           NeighborList& list, float mass_scale,
-                           std::span<float> ax, std::span<float> ay,
-                           std::span<float> az);
 
 }  // namespace hacc::tree

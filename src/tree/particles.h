@@ -102,7 +102,13 @@ class ParticleArray {
       if (y[a] != y[b]) return y[a] < y[b];
       return z[a] < z[b];
     });
-    for_each_array(*this, [&order](auto& v) { gather(v, order); });
+    permute(order);
+  }
+
+  /// Reorder every array so that particle k becomes the particle at
+  /// order[k]; `order` is a permutation of [0, size()).
+  void permute(std::span<const std::size_t> order) {
+    for_each_array(*this, [order](auto& v) { gather(v, order); });
   }
 
   /// Consistency check: every array has the same length.
@@ -144,7 +150,7 @@ class ParticleArray {
 
   template <typename T>
   static void gather(aligned_vector<T>& v,
-                     const std::vector<std::size_t>& order) {
+                     std::span<const std::size_t> order) {
     aligned_vector<T> out;
     out.reserve(v.size());
     for (const std::size_t i : order) out.push_back(v[i]);

@@ -1,23 +1,13 @@
 #include "tree/rcb_tree.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stack>
-
-#include "obs/costmap.h"
-#include "obs/obs.h"
-#include "tree/interaction_batch.h"
-#include "util/telemetry.h"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace hacc::tree {
 
 RcbTree::RcbTree(ParticleArray& particles, RcbConfig config)
-    : particles_(&particles) {
+    : LeafPartition(particles, std::numeric_limits<float>::infinity()) {
   HACC_CHECK(particles.consistent());
   HACC_CHECK_MSG(config.leaf_size >= 1, "leaf_size must be >= 1");
   build(config);
@@ -49,7 +39,7 @@ const float* coord_array(const ParticleArray& p, int dim) {
 }
 
 /// Squared distance between two nodes' boxes (0 when they overlap).
-float box_distance2(const RcbNode& a, const RcbNode& b) noexcept {
+float box_distance2(const Node& a, const Node& b) noexcept {
   float d2 = 0;
   for (std::size_t d = 0; d < 3; ++d) {
     const float gap = std::max({0.0f, a.lo[d] - b.hi[d], b.lo[d] - a.hi[d]});
@@ -113,7 +103,7 @@ void RcbTree::build(RcbConfig config) {
     std::int32_t node;
     std::size_t depth;
   };
-  nodes_.push_back(RcbNode{{}, {}, 0, count, -1, -1});
+  nodes_.push_back(Node{{}, {}, 0, count, -1, -1});
   compute_box(*particles_, 0, count, nodes_[0].lo, nodes_[0].hi);
   std::stack<Work> work;
   work.push({0, 1});
@@ -122,7 +112,7 @@ void RcbTree::build(RcbConfig config) {
     const Work w = work.top();
     work.pop();
     depth_ = std::max(depth_, w.depth);
-    RcbNode node = nodes_[static_cast<std::size_t>(w.node)];
+    Node node = nodes_[static_cast<std::size_t>(w.node)];
     // Depth cap guards against adversarial distributions where center-of-
     // mass splits shave off O(1) particles per level.
     if (node.count <= config.leaf_size || w.depth > 96) {
@@ -155,8 +145,8 @@ void RcbTree::build(RcbConfig config) {
       leaves_.push_back(static_cast<std::uint32_t>(w.node));
       continue;
     }
-    RcbNode lchild{{}, {}, node.first, below, -1, -1};
-    RcbNode rchild{{}, {}, node.first + below, node.count - below, -1, -1};
+    Node lchild{{}, {}, node.first, below, -1, -1};
+    Node rchild{{}, {}, node.first + below, node.count - below, -1, -1};
     compute_box(*particles_, lchild.first, lchild.count, lchild.lo, lchild.hi);
     compute_box(*particles_, rchild.first, rchild.count, rchild.lo, rchild.hi);
     const auto li = static_cast<std::int32_t>(nodes_.size());
@@ -175,9 +165,8 @@ void RcbTree::gather_neighbors(std::uint32_t leaf_node, float rcut,
                                std::size_t* visits) const {
   out.clear();
   if (nodes_.empty()) return;
-  const RcbNode& leaf = nodes_[leaf_node];
+  const Node& leaf = nodes_[leaf_node];
   const float rcut2 = rcut * rcut;
-  const ParticleArray& p = *particles_;
   std::size_t visited = 0;
 
   // The traversal stack is part of the (per-thread) list scratch: its
@@ -188,84 +177,18 @@ void RcbTree::gather_neighbors(std::uint32_t leaf_node, float rcut,
   if (stack.capacity() < 64) stack.reserve(64);
   stack.push_back(0);
   while (!stack.empty()) {
-    const RcbNode& node = nodes_[static_cast<std::size_t>(stack.back())];
+    const Node& node = nodes_[static_cast<std::size_t>(stack.back())];
     stack.pop_back();
     ++visited;
     if (box_distance2(node, leaf) > rcut2) continue;
     if (node.is_leaf()) {
-      const std::size_t base = out.size();
-      const std::size_t add = node.count;
-      out.x.resize(base + add);
-      out.y.resize(base + add);
-      out.z.resize(base + add);
-      out.m.resize(base + add);
-      std::copy_n(p.x.data() + node.first, add, out.x.data() + base);
-      std::copy_n(p.y.data() + node.first, add, out.y.data() + base);
-      std::copy_n(p.z.data() + node.first, add, out.z.data() + base);
-      std::copy_n(p.mass.data() + node.first, add, out.m.data() + base);
+      out.append(*particles_, node.first, node.count);
     } else {
       stack.push_back(node.left);
       stack.push_back(node.right);
     }
   }
   if (visits != nullptr) *visits += visited;
-}
-
-InteractionStats compute_short_range(const RcbTree& tree,
-                                     const ShortRangeKernel& kernel,
-                                     std::span<float> ax, std::span<float> ay,
-                                     std::span<float> az, float mass_scale,
-                                     KernelVariant variant,
-                                     ShortRangeWorkspace* ws) {
-  const ParticleArray& p = tree.particles();
-  HACC_CHECK(ax.size() == p.size() && ay.size() == p.size() &&
-             az.size() == p.size());
-  const auto& leaves = tree.leaves();
-  InteractionStats stats;
-  stats.leaves = leaves.size();
-  stats.particles = p.size();
-
-  ShortRangeWorkspace local;
-  ShortRangeWorkspace& w = ws != nullptr ? *ws : local;
-#ifdef _OPENMP
-  w.prepare_lists(static_cast<std::size_t>(omp_get_max_threads()));
-#else
-  w.prepare_lists(1);
-#endif
-
-  // Cost attribution: the thread-local binding does not propagate into the
-  // OpenMP workers, so capture the rank thread's cost map here and share
-  // the pointer (CostMap::record is thread-safe, one call per leaf).
-  obs::CostMap* cost = obs::cost_map();
-
-  std::size_t interactions = 0, walk_visits = 0;
-#pragma omp parallel reduction(+ : interactions, walk_visits)
-  {
-#ifdef _OPENMP
-    NeighborList& list = w.lists[static_cast<std::size_t>(omp_get_thread_num())];
-#else
-    NeighborList& list = w.lists[0];
-#endif
-#pragma omp for schedule(dynamic, 1)
-    for (std::size_t li = 0; li < leaves.size(); ++li) {
-      const RcbNode& leaf = tree.nodes()[leaves[li]];
-      tree.gather_neighbors(leaves[li], kernel.rmax, list, &walk_visits);
-      // True gathered count, before the batched path pads the list.
-      const std::size_t true_n = list.size();
-      const std::uint64_t t0 = cost != nullptr ? util::now_ns() : 0;
-      evaluate_leaf(variant, kernel, p, leaf.first, leaf.count, list,
-                    mass_scale, ax, ay, az);
-      const std::size_t pp = static_cast<std::size_t>(leaf.count) * true_n;
-      if (cost != nullptr)
-        cost->record(obs::LeafCost{leaf.lo, leaf.hi, leaf.count, pp,
-                                   util::now_ns() - t0});
-      interactions += pp;
-    }
-  }
-  w.record_high_water();
-  stats.interactions = interactions;
-  stats.walk_visits = walk_visits;
-  return stats;
 }
 
 }  // namespace hacc::tree

@@ -25,8 +25,10 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "comm/comm.h"
@@ -38,6 +40,7 @@
 #include "cosmology/background.h"
 #include "obs/counters.h"
 #include "obs/obs.h"
+#include "p3m/chaining_mesh.h"
 #include "tree/force_kernel.h"
 #include "tree/rcb_tree.h"
 #include "util/rng.h"
@@ -215,30 +218,48 @@ TEST(MemoryFaults, PinnedBitAndElasticVictimRemap) {
 
 // ---- sampled duplicate execution -------------------------------------------
 
-class DupExecVariant : public ::testing::TestWithParam<KernelVariant> {};
-INSTANTIATE_TEST_SUITE_P(Kernels, DupExecVariant,
-                         ::testing::Values(KernelVariant::kScalar,
-                                           KernelVariant::kBatched),
-                         [](const auto& info) {
-                           return tree::kernel_variant_name(info.param);
-                         });
+/// Duplicate execution over {kernel variant} x {leaf partition}: the RCB
+/// tree, or the chaining mesh with cells of the hand-over radius.
+class DupExecVariant
+    : public ::testing::TestWithParam<std::tuple<KernelVariant, bool>> {
+ protected:
+  static KernelVariant variant() { return std::get<0>(GetParam()); }
+  static bool chaining_mesh() { return std::get<1>(GetParam()); }
+  /// The partition under test over `p`; `leaf_size` sizes the tree.
+  static std::unique_ptr<tree::LeafPartition> build(
+      ParticleArray& p, const ShortRangeKernel& kernel,
+      std::size_t leaf_size) {
+    if (chaining_mesh())
+      return std::make_unique<p3m::ChainingMesh>(p, kernel.rmax);
+    return std::make_unique<RcbTree>(p, RcbConfig{leaf_size});
+  }
+};
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, DupExecVariant,
+    ::testing::Combine(::testing::Values(KernelVariant::kScalar,
+                                         KernelVariant::kBatched),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(tree::kernel_variant_name(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_ChainingMesh" : "_RcbTree");
+    });
 
 TEST_P(DupExecVariant, CleanStateNeverFalsePositivesAcross50Draws) {
   ParticleArray p = random_particles(400, 12.0f, 17);
   ShortRangeKernel kernel;
   kernel.softening = 0.05f;
   kernel.fgrid = tree::default_fgrid_poly5();
-  RcbTree tree(p, RcbConfig{32});
+  const auto part = build(p, kernel, 32);
   std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
-  compute_short_range(tree, kernel, ax, ay, az, /*mass_scale=*/1.0f,
-                      GetParam());
+  compute_short_range(*part, kernel, ax, ay, az, /*mass_scale=*/1.0f,
+                      variant());
 
   AuditConfig config;
   config.sample_leaves = 4;
   std::size_t checked = 0;
   for (std::uint64_t draw = 1; draw <= 50; ++draw) {
     const DuplicateExecutionResult r = duplicate_execution_check(
-        tree, kernel, ax, ay, az, 1.0f, config, draw);
+        *part, kernel, ax, ay, az, 1.0f, config, draw);
     EXPECT_EQ(r.mismatches, 0u) << "draw " << draw << ": " << r.detail;
     EXPECT_EQ(r.sampled_leaves, 4u);
     checked += r.checked;
@@ -247,16 +268,19 @@ TEST_P(DupExecVariant, CleanStateNeverFalsePositivesAcross50Draws) {
 }
 
 TEST_P(DupExecVariant, CatchesFlippedMantissaAndExponentBits) {
-  // One fat leaf holds every particle, so the seeded sample always covers
-  // the victim and detection is deterministic, not probabilistic.
+  // An exhaustive budget re-executes every leaf, so the sample always
+  // covers the victim and detection is deterministic, not probabilistic:
+  // one fat tree leaf holds every particle; the mesh sweeps all its cells.
   ParticleArray p = random_particles(300, 8.0f, 19);
   ShortRangeKernel kernel;
   kernel.softening = 0.05f;
   kernel.fgrid = tree::default_fgrid_poly5();
-  RcbTree tree(p, RcbConfig{512});
-  ASSERT_EQ(tree.leaves().size(), 1u);
+  const auto part = build(p, kernel, 512);
+  if (!chaining_mesh()) {
+    ASSERT_EQ(part->leaves().size(), 1u);
+  }
   std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
-  compute_short_range(tree, kernel, ax, ay, az, 1.0f, GetParam());
+  compute_short_range(*part, kernel, ax, ay, az, 1.0f, variant());
 
   // Victim: the largest stored force component (a mantissa flip of a
   // near-zero component hides below the absolute tolerance by design).
@@ -266,17 +290,17 @@ TEST_P(DupExecVariant, CatchesFlippedMantissaAndExponentBits) {
   ASSERT_GT(std::fabs(ax[k]), 1e-2f);
 
   AuditConfig config;
-  config.sample_leaves = 1;
+  config.sample_leaves = static_cast<int>(part->leaves().size());
   for (const int bit : {18, 27}) {  // mid-mantissa; exponent
     flip_float_bit(ax[k], bit);
     const DuplicateExecutionResult r = duplicate_execution_check(
-        tree, kernel, ax, ay, az, 1.0f, config, /*draw_key=*/7);
+        *part, kernel, ax, ay, az, 1.0f, config, /*draw_key=*/7);
     EXPECT_GE(r.mismatches, 1u) << "bit " << bit;
     EXPECT_FALSE(r.detail.empty()) << "bit " << bit;
     flip_float_bit(ax[k], bit);  // restore
   }
   const DuplicateExecutionResult clean = duplicate_execution_check(
-      tree, kernel, ax, ay, az, 1.0f, config, 7);
+      *part, kernel, ax, ay, az, 1.0f, config, 7);
   EXPECT_EQ(clean.mismatches, 0u) << clean.detail;
 }
 
@@ -285,15 +309,15 @@ TEST_P(DupExecVariant, MultiLeafSweepCatchesFlips) {
   ShortRangeKernel kernel;
   kernel.softening = 0.05f;
   kernel.fgrid = tree::default_fgrid_poly5();
-  RcbTree tree(p, RcbConfig{32});
-  ASSERT_GT(tree.leaves().size(), 4u);
+  const auto part = build(p, kernel, 32);
+  ASSERT_GT(part->leaves().size(), 4u);
   std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
-  compute_short_range(tree, kernel, ax, ay, az, 1.0f, GetParam());
+  compute_short_range(*part, kernel, ax, ay, az, 1.0f, variant());
 
   AuditConfig config;
   config.sample_leaves = 4;
   const DuplicateExecutionResult clean =
-      duplicate_execution_check(tree, kernel, ax, ay, az, 1.0f, config, 3);
+      duplicate_execution_check(*part, kernel, ax, ay, az, 1.0f, config, 3);
   EXPECT_EQ(clean.mismatches, 0u) << clean.detail;
   EXPECT_EQ(clean.sampled_leaves, 4u);
 
@@ -303,10 +327,10 @@ TEST_P(DupExecVariant, MultiLeafSweepCatchesFlips) {
   for (std::size_t i = 0; i < p.size(); ++i)
     if (std::fabs(ay[i]) > std::fabs(ay[k])) k = i;
   flip_float_bit(ay[k], 20);
-  config.sample_leaves = static_cast<int>(tree.leaves().size());
+  config.sample_leaves = static_cast<int>(part->leaves().size());
   const DuplicateExecutionResult r =
-      duplicate_execution_check(tree, kernel, ax, ay, az, 1.0f, config, 3);
-  EXPECT_EQ(r.sampled_leaves, tree.leaves().size());
+      duplicate_execution_check(*part, kernel, ax, ay, az, 1.0f, config, 3);
+  EXPECT_EQ(r.sampled_leaves, part->leaves().size());
   EXPECT_GE(r.mismatches, 1u);
 }
 
@@ -320,29 +344,36 @@ TEST(AuditCost, HealthGateWithAuditsCostsExactlyOneAllreduce) {
   cfg.subcycles = 2;
   cfg.overload = 2.0;
   cosmology::Cosmology cosmo;
-  comm::Machine::run(2, [&](comm::Comm& c) {
-    Simulation sim(c, cosmo, cfg);
-    sim.initialize();
-    sim.step();
-    obs::Counters counters;
-    {
-      obs::Binding bind(nullptr, &counters);
-      const auto health = sim.health_check();
-      EXPECT_TRUE(health.audited);  // default cadence 1: full suite ran
-    }
-    // SimMPI's allreduce = one reduce + one bcast; every other collective
-    // class must be silent. The whole audit suite rides that one gate.
-    using comm::telemetry::Op;
-    const auto calls = [&](Op op) {
-      return counters.value(comm::telemetry::ids(op).calls);
-    };
-    EXPECT_EQ(calls(Op::kReduce), 1u);
-    EXPECT_EQ(calls(Op::kBcast), 1u);
-    for (const Op op : {Op::kBarrier, Op::kGather, Op::kAllgather,
-                        Op::kGatherv, Op::kAlltoall, Op::kScan,
-                        Op::kNeighborAlltoall})
-      EXPECT_EQ(calls(op), 0u) << comm::telemetry::op_name(op);
-  });
+  for (const auto solver :
+       {ShortRangeSolver::kTreePP, ShortRangeSolver::kP3m}) {
+    cfg.solver = solver;
+    comm::Machine::run(2, [&](comm::Comm& c) {
+      SCOPED_TRACE(solver == ShortRangeSolver::kP3m ? "P3M" : "PPTreePM");
+      Simulation sim(c, cosmo, cfg);
+      sim.initialize();
+      sim.step();
+      obs::Counters counters;
+      {
+        obs::Binding bind(nullptr, &counters);
+        const auto health = sim.health_check();
+        EXPECT_TRUE(health.audited);  // default cadence 1: full suite ran
+        // Duplicate execution re-ran leaves of either solver's partition.
+        EXPECT_GT(health.dup_samples, 0u);
+      }
+      // SimMPI's allreduce = one reduce + one bcast; every other collective
+      // class must be silent. The whole audit suite rides that one gate.
+      using comm::telemetry::Op;
+      const auto calls = [&](Op op) {
+        return counters.value(comm::telemetry::ids(op).calls);
+      };
+      EXPECT_EQ(calls(Op::kReduce), 1u);
+      EXPECT_EQ(calls(Op::kBcast), 1u);
+      for (const Op op : {Op::kBarrier, Op::kGather, Op::kAllgather,
+                          Op::kGatherv, Op::kAlltoall, Op::kScan,
+                          Op::kNeighborAlltoall})
+        EXPECT_EQ(calls(op), 0u) << comm::telemetry::op_name(op);
+    });
+  }
 }
 
 // ---- end-to-end: detect, roll back in place, finish bit-for-bit ------------

@@ -643,46 +643,64 @@ TEST(Simulation, TimersCoverTheExpectedPhases) {
   cfg.steps = 1;
   cfg.overload = 2.0;
   cosmology::Cosmology cosmo;
-  comm::Machine::run(1, [&](comm::Comm& c) {
-    Simulation sim(c, cosmo, cfg);
-    sim.initialize();
-    sim.step();
-    sim.record_step_ledger();
-    const TimerRegistry t = sim.timers();
-    for (const char* phase : {"poisson", "sr-kernel", "tree-build", "stream",
-                              "refresh", "cic", "lr-kick"}) {
-      EXPECT_GT(t.count(phase), 0u) << phase;
-    }
-    // The cold solve that rebuilds the acceleration of the initialized
-    // state, plus the step's one solve at its closing boundary.
-    EXPECT_EQ(t.count("poisson"), 2u);
-    EXPECT_GT(sim.last_stats().interactions, 0u);
+  const NameId sr_kernel = intern_name("sr-kernel");
+  for (const auto solver :
+       {ShortRangeSolver::kTreePP, ShortRangeSolver::kP3m}) {
+    cfg.solver = solver;
+    comm::Machine::run(1, [&](comm::Comm& c) {
+      SCOPED_TRACE(solver == ShortRangeSolver::kP3m ? "P3M" : "PPTreePM");
+      Simulation sim(c, cosmo, cfg);
+      sim.tracer().set_enabled(true);
+      sim.initialize();
+      sim.step();
+      sim.record_step_ledger();
+      const TimerRegistry t = sim.timers();
+      // "tree-build" times the leaf partition: the RCB build, or P3M's cell
+      // binning.
+      for (const char* phase : {"poisson", "sr-kernel", "tree-build", "stream",
+                                "refresh", "cic", "lr-kick"}) {
+        EXPECT_GT(t.count(phase), 0u) << phase;
+      }
+      // The trace holds one sr-kernel span per timed kernel phase, so a
+      // trace summed by name reports the kernel's time and calls once.
+      const auto events = sim.tracer().snapshot();
+      EXPECT_EQ(static_cast<std::size_t>(std::count_if(
+                    events.begin(), events.end(),
+                    [&](const obs::Tracer::Event& e) {
+                      return e.name == sr_kernel;
+                    })),
+                t.count("sr-kernel"));
+      // The cold solve that rebuilds the acceleration of the initialized
+      // state, plus the step's one solve at its closing boundary.
+      EXPECT_EQ(t.count("poisson"), 2u);
+      EXPECT_GT(sim.last_stats().interactions, 0u);
 
-    // The ledger, timers() and /metrics are views of one sink: on one rank
-    // (the first record also carries "init") they agree to the nanosecond.
-    ASSERT_EQ(sim.ledger().records().size(), 1u);
-    const obs::StepRecord& rec = sim.ledger().records().back();
-    EXPECT_NEAR(rec.wall.mean, t.total("step"), 1e-9);
-    EXPECT_GT(rec.phases.count("poisson.fft"), 0u);
-    const obs::MetricsSource src{0, &sim.counters(), nullptr, ""};
-    const std::string text =
-        obs::export_prometheus(std::span<const obs::MetricsSource>(&src, 1));
-    auto exported_ns = [&](const std::string& phase) {
-      const std::string key =
-          "hacc_phase_ns_total{phase=\"" + phase + "\",rank=\"0\"} ";
-      const std::size_t at = text.find(key);
-      return at == std::string::npos
-                 ? -1.0
-                 : std::stod(text.substr(at + key.size()));
-    };
-    EXPECT_NEAR(exported_ns("step"), t.total("step") * 1e9, 1.0);
-    for (const auto& [phase, stat] : rec.phases) {
-      EXPECT_NEAR(stat.mean, t.total(phase), 1e-9) << phase;
-      EXPECT_NEAR(exported_ns(phase), t.total(phase) * 1e9, 1.0) << phase;
-    }
-    for (const auto& [name, stat] : rec.counters)
-      EXPECT_NE(name.rfind("phase.", 0), 0u) << name;
-  });
+      // The ledger, timers() and /metrics are views of one sink: on one rank
+      // (the first record also carries "init") they agree to the nanosecond.
+      ASSERT_EQ(sim.ledger().records().size(), 1u);
+      const obs::StepRecord& rec = sim.ledger().records().back();
+      EXPECT_NEAR(rec.wall.mean, t.total("step"), 1e-9);
+      EXPECT_GT(rec.phases.count("poisson.fft"), 0u);
+      const obs::MetricsSource src{0, &sim.counters(), nullptr, ""};
+      const std::string text =
+          obs::export_prometheus(std::span<const obs::MetricsSource>(&src, 1));
+      auto exported_ns = [&](const std::string& phase) {
+        const std::string key =
+            "hacc_phase_ns_total{phase=\"" + phase + "\",rank=\"0\"} ";
+        const std::size_t at = text.find(key);
+        return at == std::string::npos
+                   ? -1.0
+                   : std::stod(text.substr(at + key.size()));
+      };
+      EXPECT_NEAR(exported_ns("step"), t.total("step") * 1e9, 1.0);
+      for (const auto& [phase, stat] : rec.phases) {
+        EXPECT_NEAR(stat.mean, t.total(phase), 1e-9) << phase;
+        EXPECT_NEAR(exported_ns(phase), t.total(phase) * 1e9, 1.0) << phase;
+      }
+      for (const auto& [name, stat] : rec.counters)
+        EXPECT_NE(name.rfind("phase.", 0), 0u) << name;
+    });
+  }
 }
 
 TEST(Simulation, PowerSpectrumReusesTheSolverTransform) {

@@ -8,6 +8,7 @@
 #include <array>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <numbers>
 #include <numeric>
 #include <set>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "alloc_hook.h"
+#include "p3m/chaining_mesh.h"
 #include "tree/direct.h"
 #include "tree/force_kernel.h"
 #include "tree/interaction_batch.h"
@@ -180,7 +182,7 @@ TEST_P(RcbLeafSizes, LeavesPartitionParticles) {
   // Every particle index covered exactly once by the leaves.
   std::vector<int> covered(p.size(), 0);
   for (auto leaf : tree.leaves()) {
-    const RcbNode& n = tree.nodes()[leaf];
+    const Node& n = tree.nodes()[leaf];
     EXPECT_TRUE(n.is_leaf());
     for (std::uint32_t i = n.first; i < n.first + n.count; ++i)
       ++covered[i];
@@ -225,8 +227,8 @@ TEST(RcbTree, ChildrenSpatiallyDisjointAlongSplit) {
   RcbTree tree(p, RcbConfig{32});
   for (const auto& n : tree.nodes()) {
     if (n.is_leaf()) continue;
-    const RcbNode& l = tree.nodes()[static_cast<std::size_t>(n.left)];
-    const RcbNode& r = tree.nodes()[static_cast<std::size_t>(n.right)];
+    const Node& l = tree.nodes()[static_cast<std::size_t>(n.left)];
+    const Node& r = tree.nodes()[static_cast<std::size_t>(n.right)];
     EXPECT_EQ(l.count + r.count, n.count);
     EXPECT_EQ(l.first, n.first);
     EXPECT_EQ(r.first, n.first + l.count);
@@ -294,7 +296,7 @@ TEST(RcbTree, GatherNeighborsFindsExactlyTheBallPlusLeaf) {
   const float rcut = 3.0f;
   NeighborList list;
   for (auto leaf_id : tree.leaves()) {
-    const RcbNode& leaf = tree.nodes()[leaf_id];
+    const Node& leaf = tree.nodes()[leaf_id];
     tree.gather_neighbors(leaf_id, rcut, list);
     // Everything within rcut of the leaf box must be present...
     std::size_t required = 0;
@@ -398,37 +400,52 @@ TEST(TreeForce, FatterLeavesMoreInteractionsFewerWalkVisits) {
   EXPECT_LT(s_fat.walk_visits, s_small.walk_visits);
 }
 
+/// One of the two leaf partitions over `p` that compute_short_range runs:
+/// the RCB tree with `leaf_size` leaves, or the chaining mesh with cells
+/// of `rmax`.
+std::unique_ptr<LeafPartition> build_partition(bool chaining_mesh,
+                                               ParticleArray& p,
+                                               std::size_t leaf_size,
+                                               float rmax) {
+  if (chaining_mesh) return std::make_unique<p3m::ChainingMesh>(p, rmax);
+  return std::make_unique<RcbTree>(p, RcbConfig{leaf_size});
+}
+
 TEST(TreeForce, VariantsAgreeAndStatsAreIdentical) {
   // Batched and scalar dispatch must feed the kernel the exact same
   // interaction set (identical InteractionStats — padding is invisible)
-  // and agree on forces to float-summation-order rounding.
-  ParticleArray p = random_particles(3000, 12.0f, 21);
-  RcbTree tree(p, RcbConfig{64});
+  // and agree on forces to float-summation-order rounding, on both leaf
+  // partitions.
   ShortRangeKernel kernel;
   kernel.fgrid = default_fgrid_poly5();
-  std::vector<float> sx(p.size()), sy(p.size()), sz(p.size());
-  std::vector<float> bx(p.size()), by(p.size()), bz(p.size());
-  const auto stats_s = compute_short_range(tree, kernel, sx, sy, sz, 0.73f,
-                                           KernelVariant::kScalar);
-  const auto stats_b = compute_short_range(tree, kernel, bx, by, bz, 0.73f,
-                                           KernelVariant::kBatched);
-  EXPECT_EQ(stats_s.leaves, stats_b.leaves);
-  EXPECT_EQ(stats_s.particles, stats_b.particles);
-  EXPECT_EQ(stats_s.interactions, stats_b.interactions);
-  EXPECT_EQ(stats_s.walk_visits, stats_b.walk_visits);
-  double max_rel = 0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    const double mag =
-        std::sqrt(static_cast<double>(sx[i]) * sx[i] +
-                  static_cast<double>(sy[i]) * sy[i] +
-                  static_cast<double>(sz[i]) * sz[i]);
-    const double dx = static_cast<double>(bx[i]) - sx[i];
-    const double dy = static_cast<double>(by[i]) - sy[i];
-    const double dz = static_cast<double>(bz[i]) - sz[i];
-    const double diff = std::sqrt(dx * dx + dy * dy + dz * dz);
-    if (mag > 1e-20) max_rel = std::max(max_rel, diff / mag);
+  for (const bool chaining_mesh : {false, true}) {
+    SCOPED_TRACE(chaining_mesh ? "ChainingMesh" : "RcbTree");
+    ParticleArray p = random_particles(3000, 12.0f, 21);
+    const auto part = build_partition(chaining_mesh, p, 64, kernel.rmax);
+    std::vector<float> sx(p.size()), sy(p.size()), sz(p.size());
+    std::vector<float> bx(p.size()), by(p.size()), bz(p.size());
+    const auto stats_s = compute_short_range(*part, kernel, sx, sy, sz,
+                                             0.73f, KernelVariant::kScalar);
+    const auto stats_b = compute_short_range(*part, kernel, bx, by, bz,
+                                             0.73f, KernelVariant::kBatched);
+    EXPECT_EQ(stats_s.leaves, stats_b.leaves);
+    EXPECT_EQ(stats_s.particles, stats_b.particles);
+    EXPECT_EQ(stats_s.interactions, stats_b.interactions);
+    EXPECT_EQ(stats_s.walk_visits, stats_b.walk_visits);
+    double max_rel = 0;
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      const double mag =
+          std::sqrt(static_cast<double>(sx[i]) * sx[i] +
+                    static_cast<double>(sy[i]) * sy[i] +
+                    static_cast<double>(sz[i]) * sz[i]);
+      const double dx = static_cast<double>(bx[i]) - sx[i];
+      const double dy = static_cast<double>(by[i]) - sy[i];
+      const double dz = static_cast<double>(bz[i]) - sz[i];
+      const double diff = std::sqrt(dx * dx + dy * dy + dz * dz);
+      if (mag > 1e-20) max_rel = std::max(max_rel, diff / mag);
+    }
+    EXPECT_LE(max_rel, 1e-5);
   }
-  EXPECT_LE(max_rel, 1e-5);
 }
 
 TEST(TreeForce, SteadyStateShortRangeIsAllocationFree) {
@@ -437,23 +454,28 @@ TEST(TreeForce, SteadyStateShortRangeIsAllocationFree) {
   // neighbor list and walk stack is reserved to the high-water marks,
   // including those of threads that got no leaf during warm-up. The
   // clustered set gives leaves very different neighbor counts, so dynamic
-  // scheduling moves fat lists between threads from call to call.
-  ParticleArray p = random_particles(4000, 14.0f, 22, /*clustered=*/true);
-  RcbTree tree(p, RcbConfig{48});
+  // scheduling moves fat lists between threads from call to call. Both
+  // leaf partitions run through the same compute_short_range and workspace.
   ShortRangeKernel kernel;
   kernel.fgrid = default_fgrid_poly5();
-  std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
-  ShortRangeWorkspace ws;
-  for (const auto variant : {KernelVariant::kBatched, KernelVariant::kScalar}) {
-    // Warm-up populates the workspace (and the OpenMP team, first time).
-    compute_short_range(tree, kernel, ax, ay, az, 1.0f, variant, &ws);
-    alloc_hook::count.store(0);
-    alloc_hook::armed.store(true);
-    compute_short_range(tree, kernel, ax, ay, az, 1.0f, variant, &ws);
-    alloc_hook::armed.store(false);
-    EXPECT_EQ(alloc_hook::count.load(), 0u)
-        << "steady-state allocation in variant "
-        << kernel_variant_name(variant);
+  for (const bool chaining_mesh : {false, true}) {
+    SCOPED_TRACE(chaining_mesh ? "ChainingMesh" : "RcbTree");
+    ParticleArray p = random_particles(4000, 14.0f, 22, /*clustered=*/true);
+    const auto part = build_partition(chaining_mesh, p, 48, kernel.rmax);
+    std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
+    ShortRangeWorkspace ws;
+    for (const auto variant :
+         {KernelVariant::kBatched, KernelVariant::kScalar}) {
+      // Warm-up populates the workspace (and the OpenMP team, first time).
+      compute_short_range(*part, kernel, ax, ay, az, 1.0f, variant, &ws);
+      alloc_hook::count.store(0);
+      alloc_hook::armed.store(true);
+      compute_short_range(*part, kernel, ax, ay, az, 1.0f, variant, &ws);
+      alloc_hook::armed.store(false);
+      EXPECT_EQ(alloc_hook::count.load(), 0u)
+          << "steady-state allocation in variant "
+          << kernel_variant_name(variant);
+    }
   }
 }
 
