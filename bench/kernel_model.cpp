@@ -78,9 +78,15 @@ int main() {
         std::printf("  %-14s %6.2fs  (%4.1f%%)\n", row.name.c_str(),
                     row.seconds, 100.0 * row.fraction);
       }
-      std::printf("  mean neighbor-list size of final step: %.0f "
-                  "(paper: ~500-2500)\n",
-                  sim.last_stats().mean_neighbors());
+      // The paper's list size is the fat leaf's shared list; the kernel
+      // runs each sub-leaf against that list culled to its box + r_cut.
+      const tree::InteractionStats& st = sim.last_stats();
+      std::printf("  mean neighbor-list size of final step: %.0f listed "
+                  "(paper: ~500-2500), %.0f fed to the kernel\n",
+                  st.particles ? static_cast<double>(st.listed) /
+                                     static_cast<double>(st.particles)
+                               : 0.0,
+                  st.mean_neighbors());
     }
   });
   return 0;

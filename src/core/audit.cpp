@@ -96,12 +96,13 @@ DuplicateExecutionResult duplicate_execution_check(
     const tree::LeafPartition& partition, const tree::ShortRangeKernel& kernel,
     std::span<const float> ax, std::span<const float> ay,
     std::span<const float> az, float mass_scale, const AuditConfig& config,
-    std::uint64_t draw_key) {
+    std::uint64_t draw_key, tree::NeighborList* scratch) {
   DuplicateExecutionResult out;
   const auto& leaves = partition.leaves();
   if (leaves.empty() || config.sample_leaves <= 0) return out;
   Philox::Stream draw(Philox(config.seed, draw_key));
-  tree::NeighborList list;
+  tree::NeighborList local;
+  tree::NeighborList& list = scratch != nullptr ? *scratch : local;
   // A budget that covers the whole leaf set means "audit everything":
   // sweep exhaustively rather than drawing with replacement (which would
   // leave ~1/e of the leaves uncovered even at budget == leaf count).

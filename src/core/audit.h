@@ -113,11 +113,15 @@ struct DuplicateExecutionResult {
 /// evaluate_neighbor_list) and compare against the accumulated short-range
 /// forces ax/ay/az (indexed like the permuted particle array). `draw_key`
 /// (e.g. the step number) varies the sample across calls while keeping it
-/// reproducible.
+/// reproducible. The oracle runs over the whole gathered list, not the
+/// kernel's culled sub-leaf lists, so it also checks that the cull dropped
+/// no pair inside the cutoff. `scratch` (optional) holds the gather: a
+/// caller that keeps one across calls makes the audit allocation-free in
+/// steady state.
 DuplicateExecutionResult duplicate_execution_check(
     const tree::LeafPartition& partition, const tree::ShortRangeKernel& kernel,
     std::span<const float> ax, std::span<const float> ay,
     std::span<const float> az, float mass_scale, const AuditConfig& config,
-    std::uint64_t draw_key);
+    std::uint64_t draw_key, tree::NeighborList* scratch = nullptr);
 
 }  // namespace hacc::core

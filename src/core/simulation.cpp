@@ -37,6 +37,9 @@ const obs::PhaseIds kPhaseInsitu = obs::phase_ids("insitu");
 const obs::PhaseIds kPhaseAudit = obs::phase_ids("audit");
 
 const NameId kCtrInteractions = obs::counter_id("tree.pp_interactions");
+// Pairs the gathers listed before the cull: beside tree.pp_interactions it
+// shows how much of the walk's output the kernel never saw.
+const NameId kCtrListed = obs::counter_id("tree.pp_listed");
 const NameId kCtrWalkVisits = obs::counter_id("tree.walk_visits");
 // Vector lanes of the short-range kernel this rank runs (1: scalar loop), so
 // every ledger record and /metrics scrape names the width behind its times.
@@ -281,13 +284,15 @@ void Simulation::apply_short_kick(double coeff) {
                                      sr_az_, mass_scale_, kernel_variant_,
                                      &sr_workspace_);
   obs::add_counter(kCtrInteractions, stats_.interactions);
+  obs::add_counter(kCtrListed, stats_.listed);
   obs::add_counter(kCtrWalkVisits, stats_.walk_visits);
   if (audit_.dup_pending) {
     audit_.dup_pending = false;
     obs::PhaseScope audit_scope(&counters_, kPhaseAudit);
     const DuplicateExecutionResult dup = duplicate_execution_check(
         *partition, kernel_, sr_ax_, sr_ay_, sr_az_, mass_scale_,
-        config_.audit, static_cast<std::uint64_t>(steps_taken_ + 1));
+        config_.audit, static_cast<std::uint64_t>(steps_taken_ + 1),
+        &audit_list_);
     audit_.dup_mismatches += static_cast<double>(dup.mismatches);
     audit_.dup_samples += static_cast<double>(dup.checked);
   }

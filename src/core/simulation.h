@@ -403,6 +403,9 @@ class Simulation {
   // the persistent workspace that keeps the kernel phase allocation-free.
   tree::KernelVariant kernel_variant_ = tree::KernelVariant::kBatched;
   tree::ShortRangeWorkspace sr_workspace_;
+  // The duplicate-execution audit's gather, kept so the audit phase
+  // allocates nothing in steady state.
+  tree::NeighborList audit_list_;
   // Observability: per-rank sinks (phase times live in counters_), the run
   // ledger, and the counter baseline record_step_ledger() differences
   // against.

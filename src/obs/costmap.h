@@ -28,7 +28,7 @@ struct LeafCost {
   std::array<float, 3> hi{};
   std::uint32_t particles = 0;    ///< targets in the leaf
   std::uint64_t interactions = 0;  ///< pairwise interactions evaluated
-  std::uint64_t kernel_ns = 0;     ///< wall time inside evaluate_leaf
+  std::uint64_t kernel_ns = 0;     ///< wall time culling + evaluate_leaf
 };
 
 class CostMap {

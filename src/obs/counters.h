@@ -11,7 +11,7 @@
 // Taxonomy in use (see DESIGN.md §observability for the full table):
 //   comm.<op>.bytes_sent / msgs_sent / bytes_recv / msgs_recv / calls
 //   fft.transpose.bytes, fft.transforms
-//   tree.pp_interactions, tree.walk_visits
+//   tree.pp_interactions, tree.pp_listed, tree.walk_visits
 //   refresh.migrated + refresh.active / refresh.passive (gauges)
 //   gio.bytes_written, gio.bytes_read
 //   mem.peak_rss_bytes (gauge)

@@ -74,6 +74,7 @@ ChainingMesh::ChainingMesh(ParticleArray& p, float cell)
     node.count = start[c + 1] - start[c];
     if (node.count > 0) leaves_.push_back(static_cast<std::uint32_t>(c));
   }
+  build_sub_leaves();
 }
 
 void ChainingMesh::gather_neighbors(std::uint32_t leaf_node, float /*rcut*/,

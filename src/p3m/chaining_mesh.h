@@ -13,7 +13,8 @@
 // RCB tree: its leaves are the non-empty cells and its gather copies the
 // 27 neighbor cells. tree::compute_short_range and the duplicate-execution
 // audit run it unchanged, so P3M and PPTreePM differ *only* in how leaves
-// and neighbor lists are produced.
+// and neighbor lists are produced. Each cell is cut into RCB sub-leaves
+// like a tree leaf, so P3M's 27-cell list is culled per sub-leaf too.
 #pragma once
 
 #include <array>
@@ -26,10 +27,10 @@ namespace hacc::p3m {
 class ChainingMesh final : public tree::LeafPartition {
  public:
   /// Bin the particles into cubic cells of side `cell` over their bounding
-  /// box and permute the SoA into cell order (a stable counting sort, so a
-  /// cell keeps its particles' relative order). `cell` must be at least
-  /// the gather radius: it is max_rcut(). nodes() holds every cell, in
-  /// x-major order, with its cell box and index range.
+  /// box and permute the SoA into cell order (a counting sort), then cut
+  /// each cell's range into sub-leaves. `cell` must be at least the gather
+  /// radius: it is max_rcut(). nodes() holds every cell, in x-major order,
+  /// with its cell box and index range.
   ChainingMesh(tree::ParticleArray& particles, float cell);
 
   /// Copy the particles of the (up to) 27 cells around `leaf_node` into

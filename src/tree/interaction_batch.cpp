@@ -45,7 +45,35 @@ struct TileArgs {
   float fx[kTileTargets] = {}, fy[kTileTargets] = {}, fz[kTileTargets] = {};
 };
 
+/// One cull's operands: the n entries of `in` against the box [lo, hi].
+struct CullArgs {
+  const float* in[4] = {};  ///< x, y, z, m of the list to cull
+  std::size_t n = 0;
+  float lo[3] = {}, hi[3] = {};
+  float rmax2 = 0.0f;
+  float* out[4] = {};  ///< x, y, z, m, with room for n + 2W entries
+};
+
 namespace {
+
+/// maxps's max: a > b ? a : b (b when either is NaN), at every width.
+inline float max_ps(float a, float b) noexcept { return a > b ? a : b; }
+
+/// The cull one entry at a time, for builds without the tile path. Same
+/// arithmetic as cull_list, and the same branchless compaction: every
+/// entry is written at k, and k advances past the kept ones.
+std::size_t cull_scalar(const CullArgs& a) noexcept {
+  std::size_t k = 0;
+  for (std::size_t j = 0; j < a.n; ++j) {
+    float g[3];
+    for (std::size_t d = 0; d < 3; ++d)
+      g[d] = max_ps(max_ps(a.lo[d] - a.in[d][j], a.in[d][j] - a.hi[d]), 0.0f);
+    const float d2 = g[0] * g[0] + g[1] * g[1] + g[2] * g[2];
+    for (std::size_t c = 0; c < 4; ++c) a.out[c][k] = a.in[c][j];
+    k += d2 < a.rmax2 ? 1 : 0;
+  }
+  return k;
+}
 
 /// Zero-pad the gathered list to a `tile` multiple so tile passes need no
 /// remainder handling. Zero mass => zero contribution; the branchless
@@ -73,6 +101,22 @@ std::size_t pad_list(NeighborList& list, std::size_t tile) {
 // place: a wide vector passed or returned by value between the template
 // and a primitive would change the ABI (-Wpsabi).
 
+/// Store the lanes of v[0..4) set in `bits` at out[c] + k, in order, and
+/// return k + their count: the narrow widths' compaction. Branchless: every
+/// lane is written at k and k advances past the kept ones, so up to W
+/// entries past the last kept one are written.
+template <class V, std::size_t W>
+inline std::size_t store_lanes(unsigned bits, const V (&v)[4],
+                               float* const (&out)[4], std::size_t k) noexcept {
+  float lane[4][W];
+  std::memcpy(lane, v, sizeof(lane));
+  for (std::size_t l = 0; l < W; ++l) {
+    for (std::size_t c = 0; c < 4; ++c) out[c][k] = lane[c][l];
+    k += (bits >> l) & 1u;
+  }
+  return k;
+}
+
 /// The build's baseline ISA, 4 lanes (SSE2 on x86-64).
 struct Lanes4 {
   static constexpr std::size_t kLanes = 4;
@@ -91,6 +135,31 @@ struct Lanes4 {
   static inline void in_range(V& f, const V& s, const V& rmax2) noexcept {
     const M in = (s < rmax2) & (s > V{});
     f = (V)((M)f & in);
+  }
+  /// a = max(a, b) per lane, as maxps: a > b ? a : b.
+  static inline void max(V& a, const V& b) noexcept {
+#if defined(__SSE2__)
+    a = (V)_mm_max_ps((__m128)a, (__m128)b);
+#else
+    for (std::size_t l = 0; l < kLanes; ++l) a[l] = a[l] > b[l] ? a[l] : b[l];
+#endif
+  }
+  /// Bit l set where v[l] < bound[l].
+  static inline unsigned below(const V& v, const V& bound) noexcept {
+#if defined(__SSE2__)
+    return static_cast<unsigned>(
+        _mm_movemask_ps(_mm_cmplt_ps((__m128)v, (__m128)bound)));
+#else
+    unsigned bits = 0;
+    for (std::size_t l = 0; l < kLanes; ++l)
+      bits |= (v[l] < bound[l] ? 1u : 0u) << l;
+    return bits;
+#endif
+  }
+  static inline std::size_t store_kept(unsigned bits, const V (&v)[4],
+                                       float* const (&out)[4],
+                                       std::size_t k) noexcept {
+    return store_lanes<V, kLanes>(bits, v, out, k);
   }
 };
 
@@ -113,6 +182,20 @@ struct Lanes8 {
                                     _CMP_GT_OQ));
     f = (V)_mm256_and_ps(in, (__m256)f);
   }
+  [[gnu::target(HACC_TARGET_AVX2)]] static inline void max(
+      V& a, const V& b) noexcept {
+    a = (V)_mm256_max_ps((__m256)a, (__m256)b);
+  }
+  [[gnu::target(HACC_TARGET_AVX2)]] static inline unsigned below(
+      const V& v, const V& bound) noexcept {
+    return static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_cmp_ps((__m256)v, (__m256)bound, _CMP_LT_OQ)));
+  }
+  static inline std::size_t store_kept(unsigned bits, const V (&v)[4],
+                                       float* const (&out)[4],
+                                       std::size_t k) noexcept {
+    return store_lanes<V, kLanes>(bits, v, out, k);
+  }
 };
 
 struct Lanes16 {
@@ -130,6 +213,23 @@ struct Lanes16 {
         _mm512_cmp_ps_mask((__m512)s, (__m512)rmax2, _CMP_LT_OQ) &
         _mm512_cmp_ps_mask((__m512)s, _mm512_setzero_ps(), _CMP_GT_OQ);
     f = (V)_mm512_maskz_mov_ps(in, (__m512)f);
+  }
+  [[gnu::target(HACC_TARGET_AVX512)]] static inline void max(
+      V& a, const V& b) noexcept {
+    a = (V)_mm512_maskz_max_ps(__mmask16(0xFFFF), (__m512)a, (__m512)b);
+  }
+  [[gnu::target(HACC_TARGET_AVX512)]] static inline unsigned below(
+      const V& v, const V& bound) noexcept {
+    return _mm512_cmp_ps_mask((__m512)v, (__m512)bound, _CMP_LT_OQ);
+  }
+  /// vcompressps: the kept lanes packed low, stored as one full vector.
+  [[gnu::target(HACC_TARGET_AVX512)]] static inline std::size_t store_kept(
+      unsigned bits, const V (&v)[4], float* const (&out)[4],
+      std::size_t k) noexcept {
+    const auto keep = static_cast<__mmask16>(bits);
+    for (std::size_t c = 0; c < 4; ++c)
+      _mm512_storeu_ps(out[c] + k, _mm512_maskz_compress_ps(keep, (__m512)v[c]));
+    return k + static_cast<std::size_t>(__builtin_popcount(bits));
   }
 };
 #endif  // HACC_HAVE_WIDE_TILES
@@ -243,10 +343,55 @@ inline void evaluate_tile(TileArgs& a) noexcept {
   }
 }
 
+/// The cull at width W (see the header): keep entry j iff its squared
+/// distance to the box is below rmax2, with cull_scalar's arithmetic. A
+/// ragged last pass loads a zero-padded copy and masks its dead lanes, so
+/// nothing past the input's end is read.
+template <class Isa>
+inline std::size_t cull_list(const CullArgs& a) noexcept {
+  using V = typename Isa::V;
+  constexpr std::size_t W = Isa::kLanes;
+  V lo[3], hi[3], rmax2, zero{};
+  for (std::size_t d = 0; d < 3; ++d) {
+    vsplat<V, W>(lo[d], a.lo[d]);
+    vsplat<V, W>(hi[d], a.hi[d]);
+  }
+  vsplat<V, W>(rmax2, a.rmax2);
+  std::size_t k = 0;
+  for (std::size_t j = 0; j < a.n; j += W) {
+    const std::size_t live = std::min(W, a.n - j);
+    V v[4];
+    if (live == W) {
+      for (std::size_t c = 0; c < 4; ++c) vload(v[c], a.in[c] + j);
+    } else {
+      float tail[4][W] = {};
+      for (std::size_t c = 0; c < 4; ++c) {
+        std::copy_n(a.in[c] + j, live, tail[c]);
+        vload(v[c], tail[c]);
+      }
+    }
+    V g[3];
+    for (std::size_t d = 0; d < 3; ++d) {
+      g[d] = lo[d] - v[d];
+      const V past = v[d] - hi[d];
+      Isa::max(g[d], past);
+      Isa::max(g[d], zero);
+    }
+    const V d2 = g[0] * g[0] + g[1] * g[1] + g[2] * g[2];
+    unsigned bits = Isa::below(d2, rmax2);
+    if (live < W) bits &= (1u << live) - 1u;
+    k = Isa::store_kept(bits, v, a.out, k);
+  }
+  return k;
+}
+
 // One instance per ISA: flatten inlines the template and its primitives
 // into a function compiled for that ISA.
 [[gnu::flatten]] void tile_baseline(TileArgs& a) noexcept {
   evaluate_tile<Lanes4>(a);
+}
+[[gnu::flatten]] std::size_t cull_baseline(const CullArgs& a) noexcept {
+  return cull_list<Lanes4>(a);
 }
 
 #if HACC_HAVE_WIDE_TILES
@@ -254,20 +399,28 @@ inline void evaluate_tile(TileArgs& a) noexcept {
     TileArgs& a) noexcept {
   evaluate_tile<Lanes8>(a);
 }
+[[gnu::target(HACC_TARGET_AVX2), gnu::flatten]] std::size_t cull_avx2(
+    const CullArgs& a) noexcept {
+  return cull_list<Lanes8>(a);
+}
 
 [[gnu::target(HACC_TARGET_AVX512), gnu::flatten]] void tile_avx512(
     TileArgs& a) noexcept {
   evaluate_tile<Lanes16>(a);
+}
+[[gnu::target(HACC_TARGET_AVX512), gnu::flatten]] std::size_t cull_avx512(
+    const CullArgs& a) noexcept {
+  return cull_list<Lanes16>(a);
 }
 #endif
 
 /// Every compiled instance, narrowest first. Each needs the ISA of the one
 /// before it, so the instances a host runs are a prefix.
 constexpr TileKernel kTileKernels[] = {
-    {"baseline", Lanes4::kLanes, &tile_baseline},
+    {"baseline", Lanes4::kLanes, &tile_baseline, &cull_baseline},
 #if HACC_HAVE_WIDE_TILES
-    {"avx2", Lanes8::kLanes, &tile_avx2},
-    {"avx512", Lanes16::kLanes, &tile_avx512},
+    {"avx2", Lanes8::kLanes, &tile_avx2, &cull_avx2},
+    {"avx512", Lanes16::kLanes, &tile_avx512, &cull_avx512},
 #endif
 };
 
@@ -304,6 +457,44 @@ const TileKernel* tile_kernel_for(KernelVariant variant) noexcept {
   const auto tiles = tile_kernels();
   return variant == KernelVariant::kBatched && !tiles.empty() ? &tiles.back()
                                                               : nullptr;
+}
+
+namespace {
+
+/// Run `cull` from `in` into `out`. `out` is first sized for the input plus
+/// `overhang`, the entries a cull may write past its last kept one (and
+/// the tile kernel's padding after them), then cut to the kept count, so
+/// nothing is written past its size().
+void run_cull(std::size_t (*cull)(const CullArgs&) noexcept,
+              std::size_t overhang, const NeighborList& in, const Node& box,
+              float rmax2, NeighborList& out) {
+  const std::size_t n = in.size();
+  for (auto* v : {&out.x, &out.y, &out.z, &out.m}) v->resize(n + overhang);
+  CullArgs args{.in = {in.x.data(), in.y.data(), in.z.data(), in.m.data()},
+                .n = n,
+                .lo = {box.lo[0], box.lo[1], box.lo[2]},
+                .hi = {box.hi[0], box.hi[1], box.hi[2]},
+                .rmax2 = rmax2,
+                .out = {out.x.data(), out.y.data(), out.z.data(),
+                        out.m.data()}};
+  const std::size_t kept = cull(args);
+  for (auto* v : {&out.x, &out.y, &out.z, &out.m}) v->resize(kept);
+}
+
+}  // namespace
+
+void cull_neighbors(const TileKernel& tile, const NeighborList& in,
+                    const Node& box, float rmax2, NeighborList& out) {
+  run_cull(tile.cull, tile.tile_neighbors(), in, box, rmax2, out);
+}
+
+void cull_neighbors(const NeighborList& in, const Node& box, float rmax2,
+                    NeighborList& out) {
+  if (const TileKernel* tile = tile_kernel_for(KernelVariant::kBatched)) {
+    cull_neighbors(*tile, in, box, rmax2, out);
+    return;
+  }
+  run_cull(&cull_scalar, 0, in, box, rmax2, out);
 }
 
 // Targets are blocked into tiles of kTileTargets. Padding lanes of a ragged

@@ -30,8 +30,19 @@
 // relative), and the scalar variant remains bit-for-bit the historical
 // kernel.
 //
+// The neighbor cull (cull_neighbors) runs at the same widths, through the
+// same instance table, before the kernel: compute_short_range culls each
+// fat leaf's list to every sub-leaf's tight box + r_cut. It keeps entry j
+// iff d2 < rmax^2, where d2 = (gx^2 + gy^2) + gz^2 with per-axis gap
+// g = max(lo - x, x - hi, 0) to the box, in float with contraction off.
+// For any target in the box each |dx| >= g, and float subtraction,
+// multiplication and addition are monotone, so d2 <= the kernel's own s for
+// every target in the box: every dropped pair would have been masked to
+// exactly 0. The kept set is bit-identical at every width, so both variants
+// get the same list.
+//
 // Compilers without GNU vector extensions run the scalar loop for both
-// variants.
+// variants, and a scalar cull.
 #pragma once
 
 #include <cstddef>
@@ -46,9 +57,13 @@ namespace hacc::tree {
 
 /// Targets per interaction tile (rows sharing one neighbor tile).
 inline constexpr std::size_t kTileTargets = 4;
+static_assert(kSubLeafSize % kTileTargets == 0,
+              "a full sub-leaf fills whole target tiles");
 
 /// One tile's operands (interaction_batch.cpp).
 struct TileArgs;
+/// One cull's operands (interaction_batch.cpp).
+struct CullArgs;
 
 /// One compiled width of the tile kernel.
 struct TileKernel {
@@ -57,6 +72,8 @@ struct TileKernel {
   /// Forces of kTileTargets targets against a neighbor list padded to a
   /// tile_neighbors() multiple.
   void (*fn)(TileArgs& tile) noexcept;
+  /// The neighbor cull at this width; returns the entries kept.
+  std::size_t (*cull)(const CullArgs& args) noexcept;
 
   /// Neighbors per tile pass (two W-wide vectors): the list pads to this.
   std::size_t tile_neighbors() const noexcept { return 2 * lanes; }
@@ -71,6 +88,17 @@ std::span<const TileKernel> tile_kernels() noexcept;
 /// The tile instance `variant` runs: the widest for kBatched; null for
 /// kScalar, or when there is no tile path, where the scalar loop runs.
 const TileKernel* tile_kernel_for(KernelVariant variant) noexcept;
+
+/// Keep the entries of `in` whose squared distance to `box` (its lo/hi) is
+/// below `rmax2`, in order, in `out`: a superset of the pairs inside the
+/// cutoff for every target in the box (see the header comment). Runs at
+/// the widest tile instance, or the scalar loop when there is none.
+void cull_neighbors(const NeighborList& in, const Node& box, float rmax2,
+                    NeighborList& out);
+
+/// cull_neighbors at the given tile instance's width.
+void cull_neighbors(const TileKernel& tile, const NeighborList& in,
+                    const Node& box, float rmax2, NeighborList& out);
 
 /// Evaluate short-range forces of the contiguous target range
 /// [first, first+count) of `p` against the shared neighbor list, writing

@@ -17,12 +17,12 @@
 // split coordinate and records the swaps; phase 2 applies them to the six
 // position/velocity arrays; phase 3 to the remaining arrays. Separating the
 // phases turns the data movement into streaming passes that prefetch well
-// and avoid read-after-write hazards.
+// and avoid read-after-write hazards. The split step (rcb_split,
+// three_phase_partition) lives in tree/leaf_partition.h, which also runs it
+// below the fat leaves to cut the kernel's sub-leaves.
 #pragma once
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "tree/leaf_partition.h"
 #include "tree/particles.h"
@@ -36,7 +36,7 @@ struct RcbConfig {
 };
 
 /// The RCB tree as a leaf partition: nodes() is the whole tree (node 0 the
-/// root), leaves() its fat leaves.
+/// root), leaves() its fat leaves, each cut into sub_leaves().
 class RcbTree final : public LeafPartition {
  public:
   /// Build over the particles, permuting the SoA in place.
@@ -56,15 +56,5 @@ class RcbTree final : public LeafPartition {
 
   std::size_t depth_ = 0;
 };
-
-/// The paper's three-phase partition of [first, first+count) about `split`
-/// along `dim` (phase 1 records swaps scanning the split coordinate, phase
-/// 2 applies them to the six position/velocity arrays, phase 3 to the
-/// rest). Returns the size of the "below" side. `swaps` is caller-provided
-/// scratch.
-std::uint32_t three_phase_partition(
-    ParticleArray& particles, std::uint32_t first, std::uint32_t count,
-    int dim, float split,
-    std::vector<std::pair<std::uint32_t, std::uint32_t>>& swaps);
 
 }  // namespace hacc::tree

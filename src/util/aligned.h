@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 namespace hacc {
@@ -47,9 +48,38 @@ struct AlignedAllocator {
 };
 
 /// Vector with 64-byte-aligned storage; the standard container for all
-/// particle component arrays and neighbor lists in this codebase.
+/// particle component arrays in this codebase.
 template <typename T>
 using aligned_vector = std::vector<T, AlignedAllocator<T>>;
+
+/// AlignedAllocator whose value-less construct() default-initializes, so
+/// resize() leaves new trivial elements unset instead of zeroing them: for
+/// scratch that is always written before it is read.
+template <typename T, std::size_t Align = kAlignment>
+struct ScratchAllocator : AlignedAllocator<T, Align> {
+  template <typename U>
+  struct rebind {
+    using other = ScratchAllocator<U, Align>;
+  };
+
+  ScratchAllocator() noexcept = default;
+  template <typename U>
+  ScratchAllocator(const ScratchAllocator<U, Align>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// Aligned vector whose resize() does not zero: the neighbor lists, which
+/// are resized and then filled.
+template <typename T>
+using scratch_vector = std::vector<T, ScratchAllocator<T>>;
 
 /// True if `p` is aligned to `Align` bytes.
 inline bool is_aligned(const void* p, std::size_t align = kAlignment) {

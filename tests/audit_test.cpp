@@ -7,7 +7,9 @@
 //   * sampled duplicate execution never false-positives on clean state
 //     across 50 seeded draws for BOTH kernel variants, and catches a
 //     flipped mantissa or exponent bit of a stored force at both variants
-//     (one fat leaf, and a sweep over a multi-leaf tree);
+//     (one fat leaf, and a sweep over a multi-leaf tree); with a kept
+//     scratch list it allocates nothing in steady state (this binary
+//     replaces the global allocator to count, see alloc_hook.h);
 //   * the health gate (audits included) costs exactly ONE allreduce;
 //   * end-to-end: a seeded bit flip at step N — in the particle payload or
 //     in the long-range acceleration carried across the step boundary — is
@@ -31,6 +33,7 @@
 #include <tuple>
 #include <vector>
 
+#include "alloc_hook.h"
 #include "comm/comm.h"
 #include "comm/fault.h"
 #include "comm/telemetry.h"
@@ -332,6 +335,34 @@ TEST_P(DupExecVariant, MultiLeafSweepCatchesFlips) {
       duplicate_execution_check(*part, kernel, ax, ay, az, 1.0f, config, 3);
   EXPECT_EQ(r.sampled_leaves, part->leaves().size());
   EXPECT_GE(r.mismatches, 1u);
+}
+
+TEST_P(DupExecVariant, SteadyStateAuditIsAllocationFree) {
+  // Simulation keeps one scratch list for the audit's gather, so an audited
+  // step allocates nothing once the list has grown. An exhaustive budget
+  // visits every leaf in the warm-up, so the second call needs no more
+  // capacity than the first.
+  ParticleArray p = random_particles(600, 12.0f, 29);
+  ShortRangeKernel kernel;
+  kernel.softening = 0.05f;
+  kernel.fgrid = tree::default_fgrid_poly5();
+  const auto part = build(p, kernel, 32);
+  std::vector<float> ax(p.size()), ay(p.size()), az(p.size());
+  compute_short_range(*part, kernel, ax, ay, az, 1.0f, variant());
+
+  AuditConfig config;
+  config.sample_leaves = static_cast<int>(part->leaves().size());
+  tree::NeighborList scratch;
+  (void)duplicate_execution_check(*part, kernel, ax, ay, az, 1.0f, config, 5,
+                                  &scratch);
+  alloc_hook::count.store(0);
+  alloc_hook::armed.store(true);
+  const DuplicateExecutionResult r = duplicate_execution_check(
+      *part, kernel, ax, ay, az, 1.0f, config, 5, &scratch);
+  alloc_hook::armed.store(false);
+  EXPECT_EQ(alloc_hook::count.load(), 0u);
+  EXPECT_EQ(r.mismatches, 0u) << r.detail;
+  EXPECT_EQ(r.checked, p.size());
 }
 
 // ---- the health gate stays a single allreduce ------------------------------

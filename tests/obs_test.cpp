@@ -625,6 +625,10 @@ TEST(SimulationLedger, FourRankRunWritesLedgerAndTrace) {
                   1e-12 * rec.wall.mean);
       // The instrumented layers fed counters during the step.
       EXPECT_GT(rec.counters.count("tree.pp_interactions"), 0u);
+      // The gathers' pairs before the cull: never fewer than the kernel's.
+      ASSERT_GT(rec.counters.count("tree.pp_listed"), 0u);
+      EXPECT_GE(rec.counters.at("tree.pp_listed").mean,
+                rec.counters.at("tree.pp_interactions").mean);
       EXPECT_GT(rec.counters.count("fft.transpose.bytes"), 0u);
       EXPECT_GT(rec.counters.count("comm.alltoall.bytes_sent"), 0u);
       EXPECT_GT(rec.peak_rss_bytes, 0u);

@@ -431,7 +431,10 @@ TEST(TreeForce, VariantsAgreeAndStatsAreIdentical) {
     EXPECT_EQ(stats_s.leaves, stats_b.leaves);
     EXPECT_EQ(stats_s.particles, stats_b.particles);
     EXPECT_EQ(stats_s.interactions, stats_b.interactions);
+    EXPECT_EQ(stats_s.listed, stats_b.listed);
     EXPECT_EQ(stats_s.walk_visits, stats_b.walk_visits);
+    // The cull feeds the kernel a strict subset of the gathered pairs.
+    EXPECT_LT(stats_b.interactions, stats_b.listed);
     double max_rel = 0;
     for (std::size_t i = 0; i < p.size(); ++i) {
       const double mag =
@@ -445,6 +448,58 @@ TEST(TreeForce, VariantsAgreeAndStatsAreIdentical) {
       if (mag > 1e-20) max_rel = std::max(max_rel, diff / mag);
     }
     EXPECT_LE(max_rel, 1e-5);
+  }
+}
+
+TEST(TreeForce, SubLeavesTileEachLeaf) {
+  // Every leaf of either partition is cut into sub-leaves that cover its
+  // index range contiguously and in order. Each holds at most kSubLeafSize
+  // particles unless its RCB split is degenerate, and each box is the
+  // tight box of its particles. The clustered set adds a clump of
+  // coincident particles, whose sub-leaf cannot be split.
+  ShortRangeKernel kernel;
+  for (const bool chaining_mesh : {false, true}) {
+    SCOPED_TRACE(chaining_mesh ? "ChainingMesh" : "RcbTree");
+    ParticleArray p = random_particles(3000, 14.0f, 27, /*clustered=*/true);
+    for (std::uint64_t i = 0; i < 40; ++i)
+      p.push_back(4.25f, 9.5f, 2.75f, 0, 0, 0, 1.0f, 3000 + i);
+    const auto part = build_partition(chaining_mesh, p, 64, kernel.rmax);
+    std::size_t unsplittable = 0;
+    for (std::size_t li = 0; li < part->leaves().size(); ++li) {
+      const Node& leaf = part->nodes()[part->leaves()[li]];
+      const auto subs = part->sub_leaves(li);
+      ASSERT_FALSE(subs.empty());
+      std::uint32_t next = leaf.first;
+      for (const Node& sub : subs) {
+        EXPECT_TRUE(sub.is_leaf());
+        EXPECT_EQ(sub.first, next);
+        EXPECT_GT(sub.count, 0u);
+        next = sub.first + sub.count;
+        if (sub.count > kSubLeafSize) {
+          // Only a degenerate split may leave a fat sub-leaf: splitting a
+          // copy moves nothing and is refused.
+          ParticleArray copy = p;
+          Node below, above;
+          SwapList swaps;
+          EXPECT_FALSE(rcb_split(copy, sub, below, above, swaps));
+          ++unsplittable;
+        }
+        std::array<float, 3> lo{p.x[sub.first], p.y[sub.first],
+                                p.z[sub.first]};
+        std::array<float, 3> hi = lo;
+        for (std::uint32_t i = sub.first; i < sub.first + sub.count; ++i) {
+          const std::array<float, 3> q{p.x[i], p.y[i], p.z[i]};
+          for (std::size_t d = 0; d < 3; ++d) {
+            lo[d] = std::min(lo[d], q[d]);
+            hi[d] = std::max(hi[d], q[d]);
+          }
+        }
+        EXPECT_EQ(sub.lo, lo);
+        EXPECT_EQ(sub.hi, hi);
+      }
+      EXPECT_EQ(next, leaf.first + leaf.count);
+    }
+    EXPECT_GE(unsplittable, 1u) << "the coincident clump is one sub-leaf";
   }
 }
 
@@ -790,6 +845,147 @@ TEST(InteractionBatch, BatchedLeavesTrueInteractionsVisible) {
     for (std::size_t j = 0; j < true_n; ++j)
       EXPECT_EQ(list.x[j], 1.5f + 0.1f * static_cast<float>(j)) << tile.isa;
   }
+}
+
+/// s for a target at t and a neighbor at q, exactly as
+/// evaluate_neighbor_list computes it.
+float pair_s(const std::array<float, 3>& t, const std::array<float, 3>& q) {
+  const float dx = q[0] - t[0];
+  const float dy = q[1] - t[1];
+  const float dz = q[2] - t[2];
+  return dx * dx + dy * dy + dz * dz;
+}
+
+TEST(InteractionBatch, CullKeepsEveryPairInsideTheCutoff) {
+  // The cull may drop a neighbor only if the kernel would mask it for every
+  // target in the box. Neighbors sit at random, and within a few ulps of
+  // rmax from the box's faces, edges and corners, where rounding decides.
+  // For each neighbor the nearest point of the box is a possible target,
+  // and every target's s is at least that point's; so the kept set must be
+  // exactly the neighbors whose nearest-point s is below rmax^2 (then no
+  // target sees a dropped pair in range), in input order. The corners and
+  // random interior targets are checked directly too. Every instance must
+  // keep the identical list.
+  const float rmax = ShortRangeKernel{}.rmax;
+  const float rmax2 = ShortRangeKernel{}.rmax2();
+  Philox rng(4242);
+  Philox::Stream s(rng);
+  const auto tiles = all_tiles();
+  // [close_lo, close_hi): within 8 ulps of rmax^2 on either side.
+  float close_lo = rmax2, close_hi = rmax2;
+  for (int i = 0; i < 8; ++i) {
+    close_lo = std::nextafter(close_lo, 0.0f);
+    close_hi = std::nextafter(close_hi, 1e30f);
+  }
+  std::size_t kept_total = 0, dropped_total = 0, close_in = 0, close_out = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    Node box;
+    for (std::size_t d = 0; d < 3; ++d) {
+      box.lo[d] = static_cast<float>(s.uniform(-5, 5));
+      // Some boxes are flat along an axis (a sub-leaf of coplanar points).
+      const float extent = trial % 5 == 0 && d == 1
+                               ? 0.0f
+                               : static_cast<float>(s.uniform(0, 2.5));
+      box.hi[d] = box.lo[d] + extent;
+    }
+    const auto nudge = [&](float v) {  // a few ulps either way
+      const int k = static_cast<int>(s.index(9)) - 4;
+      for (int i = 0; i < std::abs(k); ++i)
+        v = std::nextafter(v, k > 0 ? 1e30f : -1e30f);
+      return v;
+    };
+    NeighborList in;
+    const std::size_t n = 1 + s.index(400);  // ragged against every width
+    for (std::size_t j = 0; j < n; ++j) {
+      std::array<float, 3> q;
+      const std::size_t kind = s.index(4);  // random, face, edge, corner
+      // The point of the box to start from: random on the box, with `kind`
+      // axes pushed to a face.
+      for (std::size_t d = 0; d < 3; ++d)
+        q[d] = static_cast<float>(s.uniform(box.lo[d], box.hi[d]));
+      if (kind == 0) {
+        for (std::size_t d = 0; d < 3; ++d)
+          q[d] = static_cast<float>(
+              s.uniform(box.lo[d] - 1.5 * rmax, box.hi[d] + 1.5 * rmax));
+      } else {
+        // Step out of `kind` faces by rmax / sqrt(kind), nudged by ulps.
+        const float step =
+            rmax / std::sqrt(static_cast<float>(kind));
+        const std::size_t skip = s.index(3);  // the axis left on the box
+        std::size_t pushed = 0;
+        for (std::size_t d = 0; d < 3 && pushed < kind; ++d) {
+          if (kind < 3 && d == skip) continue;
+          const bool up = s.index(2) == 1;
+          q[d] = nudge(up ? box.hi[d] + step : box.lo[d] - step);
+          ++pushed;
+        }
+      }
+      in.x.push_back(q[0]);
+      in.y.push_back(q[1]);
+      in.z.push_back(q[2]);
+      in.m.push_back(static_cast<float>(j) + 0.5f);  // tags the entry
+    }
+    // The reference: every entry whose nearest box point sees it in range.
+    std::vector<std::size_t> expect;
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::array<float, 3> q{in.x[j], in.y[j], in.z[j]};
+      std::array<float, 3> nearest;
+      for (std::size_t d = 0; d < 3; ++d)
+        nearest[d] = std::clamp(q[d], box.lo[d], box.hi[d]);
+      const float s_near = pair_s(nearest, q);
+      if (s_near < rmax2) expect.push_back(j);
+      close_in += s_near >= close_lo && s_near < rmax2 ? 1 : 0;
+      close_out += s_near >= rmax2 && s_near < close_hi ? 1 : 0;
+    }
+    std::vector<std::array<float, 3>> targets;
+    for (int c = 0; c < 8; ++c)
+      targets.push_back({(c & 1) ? box.hi[0] : box.lo[0],
+                         (c & 2) ? box.hi[1] : box.lo[1],
+                         (c & 4) ? box.hi[2] : box.lo[2]});
+    for (int t = 0; t < 8; ++t) {
+      std::array<float, 3> r;
+      for (std::size_t d = 0; d < 3; ++d)
+        r[d] = static_cast<float>(s.uniform(box.lo[d], box.hi[d]));
+      targets.push_back(r);
+    }
+    NeighborList first;
+    for (const TileKernel& tile : tiles) {
+      SCOPED_TRACE(tile.isa);
+      NeighborList out;
+      cull_neighbors(tile, in, box, rmax2, out);
+      ASSERT_EQ(out.size(), expect.size()) << "trial " << trial;
+      std::vector<bool> kept(n, false);
+      for (std::size_t k = 0; k < out.size(); ++k) {
+        const auto j = static_cast<std::size_t>(out.m[k]);
+        ASSERT_EQ(j, expect[k]) << "trial " << trial;
+        EXPECT_EQ(out.x[k], in.x[j]);
+        EXPECT_EQ(out.y[k], in.y[j]);
+        EXPECT_EQ(out.z[k], in.z[j]);
+        kept[j] = true;
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        if (kept[j]) continue;
+        for (const auto& t : targets)
+          EXPECT_GE(pair_s(t, {in.x[j], in.y[j], in.z[j]}), rmax2)
+              << "trial " << trial << " dropped j=" << j;
+      }
+      if (&tile == &tiles.front()) {
+        first = out;
+      } else {
+        EXPECT_EQ(out.x, first.x);
+        EXPECT_EQ(out.y, first.y);
+        EXPECT_EQ(out.z, first.z);
+        EXPECT_EQ(out.m, first.m);
+      }
+    }
+    kept_total += expect.size();
+    dropped_total += n - expect.size();
+  }
+  // Both sides of the cutoff were exercised, down to the last few ulps.
+  EXPECT_GT(kept_total, 1000u);
+  EXPECT_GT(dropped_total, 1000u);
+  EXPECT_GT(close_in, 20u);
+  EXPECT_GT(close_out, 20u);
 }
 
 TEST(KernelVariantDispatch, ParseAndEnvOverride) {
