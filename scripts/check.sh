@@ -20,7 +20,9 @@
 #    p3m_test. The tile kernel reads 2W floats per pass (32 at 16 lanes)
 #    from a list padded in place, the neighbor cull stores whole vectors
 #    past its last kept entry, and the tests run every width this host
-#    supports.
+#    supports. Then the FOF halo finder under ASan (cosmology_test's
+#    HaloFinder suite): its linker walks per-cell runs of one sorted array
+#    with a cursor per neighbor row, where an off-by-one read would hide.
 # 3. Configure a third tree with -DHACC_SANITIZE=thread and run obs_test and
 #    comm_test — the tracer ring, the counter atomics and the comm telemetry
 #    thread-locals are all shared across SimMPI rank threads, so TSan gates
@@ -93,9 +95,10 @@ echo "== omp matrix: short-range allocation gate x10 at 8 threads =="
 OMP_NUM_THREADS=8 "$BUILD/tests/tree_test" --gtest_repeat=10 \
   --gtest_filter='TreeForce.SteadyStateShortRangeIsAllocationFree'
 
-echo "== asan: configure + build io_test gio_test tree_test p3m_test (${ASAN_BUILD}) =="
+echo "== asan: configure + build io_test gio_test tree_test p3m_test cosmology_test (${ASAN_BUILD}) =="
 cmake -B "$ASAN_BUILD" -S . -DHACC_SANITIZE=address >/dev/null
-cmake --build "$ASAN_BUILD" -j "$JOBS" --target io_test gio_test tree_test p3m_test
+cmake --build "$ASAN_BUILD" -j "$JOBS" \
+  --target io_test gio_test tree_test p3m_test cosmology_test
 
 echo "== asan: io_test =="
 "$ASAN_BUILD/tests/io_test"
@@ -104,6 +107,8 @@ echo "== asan: gio_test =="
 echo "== asan: short-range kernel (every tile width, tree walk, P3M) =="
 "$ASAN_BUILD/tests/tree_test" --gtest_filter='InteractionBatch.*:TreeForce.*'
 "$ASAN_BUILD/tests/p3m_test"
+echo "== asan: FOF halo finder (occupied-cell linker, subhalos) =="
+"$ASAN_BUILD/tests/cosmology_test" --gtest_filter='HaloFinder.*'
 
 TSAN_BUILD="${BUILD}-tsan"
 echo "== tsan: configure + build obs_test comm_test (${TSAN_BUILD}) =="

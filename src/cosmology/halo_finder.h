@@ -8,8 +8,13 @@
 // re-linking each halo's members at a fraction of the parent linking
 // length (a simple, deterministic stand-in for HACC's subhalo machinery).
 //
-// Implementation: chaining mesh for neighbor candidates + union-find with
-// path compression; periodic distances on the simulation box.
+// Implementation: candidate pairs come from a periodic chaining mesh of
+// cells no smaller than the linking length, indexed over its occupied
+// cells only (one sort by cell key), so memory is O(particles) whatever
+// the box/linking-length ratio; union-find with path halving joins the
+// pairs within the linking length (periodic distances on the box). Group
+// sizes are counted before any member list is allocated, so only halos
+// of at least `min_members` get one.
 #pragma once
 
 #include <array>
@@ -44,7 +49,8 @@ std::vector<Halo> find_halos(const tree::ParticleArray& particles,
                              const FofConfig& config);
 
 /// Split one halo into subhalos by re-linking its members at
-/// `sub_linking_fraction` times the parent linking length.
+/// `sub_linking_fraction` times the parent linking length. Costs
+/// O(members), not O(particles).
 std::vector<Halo> find_subhalos(const tree::ParticleArray& particles,
                                 const Halo& halo, const FofConfig& config,
                                 double sub_linking_fraction = 0.5,

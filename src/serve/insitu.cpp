@@ -17,6 +17,7 @@ namespace {
 const NameId kCtrCatalogs = obs::counter_id("insitu.catalogs_written");
 const NameId kCtrHalos = obs::counter_id("insitu.halos");
 const NameId kCtrSliceRows = obs::counter_id("insitu.slice_particles");
+const obs::PhaseIds kPhaseFof = obs::phase_ids("insitu.fof");
 
 std::string catalog_path(const std::string& dir, int step,
                          const char* product) {
@@ -57,21 +58,25 @@ InSituReport write_catalogs(comm::Comm& comm, const InSituConfig& cfg,
   comm.barrier();  // the directory exists before any writer opens a tmp file
 
   if (cfg.halos) {
-    // Single-rank FOF over the gathered snapshot, in canonical id order so
-    // membership sums — and the bytes below — are rank-count-invariant.
-    tree::ParticleArray snap = gio::gather_actives(comm, local_actives);
+    // Single-rank FOF over the gathered snapshot. The rows below are
+    // rank-count-invariant in any gather order: the linked pairs depend
+    // only on positions, members are summed in id order and a halo's id is
+    // its minimum member id.
+    const tree::ParticleArray snap = gio::gather_actives(comm, local_actives);
     std::uint64_t total = snap.size();
     total = comm.bcast_value(total, 0);
     std::vector<cosmology::Halo> halos;
     if (comm.rank() == 0 && total > 0) {
-      snap.sort_by_id();
       cosmology::FofConfig fof;
       fof.linking_length = cfg.linking_length;
       fof.min_members = cfg.min_members;
       fof.box = static_cast<double>(meta.grid);
       fof.mean_spacing = static_cast<double>(meta.grid) /
                          std::cbrt(static_cast<double>(total));
-      halos = cosmology::find_halos(snap, fof);
+      {
+        obs::PhaseScope scope(kPhaseFof);
+        halos = cosmology::find_halos(snap, fof);
+      }
       // Catalog order: ascending halo id (min member particle id) — a total,
       // reproducible order independent of the mass sort's float values.
       std::sort(halos.begin(), halos.end(),

@@ -16,9 +16,11 @@
 //   catalog_<step>.slice.gio     x y z vx vy vz id   (a z-slab cutout)
 //
 // Determinism: the halo catalog is byte-stable across rank and thread
-// counts — the gathered snapshot is sorted into canonical id order before
-// FOF runs, halo members are summed in id order, and halos are written
-// sorted by halo id (the minimum member particle id).
+// counts, whatever order the gather leaves the snapshot in — FOF's linked
+// pairs depend only on positions, halo members are summed in id order, and
+// halos are written sorted by halo id (the minimum member particle id).
+// FOF is timed as the phase `insitu.fof`; Simulation::run_insitu() nests
+// it in its `insitu` phase.
 #pragma once
 
 #include <cstdint>

@@ -10,6 +10,9 @@
 //   alloc_hook::armed.store(false);
 //   EXPECT_EQ(alloc_hook::count.load(), 0u);
 //
+// `bytes` sums the requested sizes while armed, for memory budgets (reset
+// it with `count`).
+//
 // The replacements are global definitions: include this header from exactly
 // one translation unit of a test binary.
 #pragma once
@@ -22,10 +25,13 @@
 namespace alloc_hook {
 inline std::atomic<bool> armed{false};
 inline std::atomic<std::size_t> count{0};
+inline std::atomic<std::size_t> bytes{0};
 
-inline void note() {
-  if (armed.load(std::memory_order_relaxed))
+inline void note(std::size_t size) {
+  if (armed.load(std::memory_order_relaxed)) {
     count.fetch_add(1, std::memory_order_relaxed);
+    bytes.fetch_add(size, std::memory_order_relaxed);
+  }
 }
 }  // namespace alloc_hook
 
@@ -37,13 +43,13 @@ inline void note() {
 #endif
 
 void* operator new(std::size_t size) {
-  alloc_hook::note();
+  alloc_hook::note(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
-  alloc_hook::note();
+  alloc_hook::note(size);
   const auto a = static_cast<std::size_t>(align);
   if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
   throw std::bad_alloc();

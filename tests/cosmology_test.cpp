@@ -10,6 +10,8 @@
 #include <map>
 #include <mutex>
 #include <numbers>
+#include <numeric>
+#include <set>
 #include <utility>
 
 #include "comm/comm.h"
@@ -22,6 +24,8 @@
 #include "mesh/cic.h"
 #include "mesh/kernels.h"
 #include "util/rng.h"
+
+#include "alloc_hook.h"
 
 namespace hacc::cosmology {
 namespace {
@@ -656,6 +660,254 @@ TEST(HaloFinder, SubhalosSplitMerger) {
   ASSERT_EQ(halos.size(), 1u);  // bridge merges everything
   auto subs = find_subhalos(p, halos[0], cfg, 0.5, 50);
   EXPECT_EQ(subs.size(), 2u);  // sub-linking severs the bridge
+}
+
+// ---- halo finder against an all-pairs oracle ---------------------------------
+
+/// The finder's pair test, written out: float difference, promoted to
+/// double, wrapped to the nearest periodic image, squares summed x, y, z.
+bool within(const std::array<float, 3>& a, const std::array<float, 3>& b,
+            double radius, double box) {
+  auto wrap = [box](double d) {
+    return d > 0.5 * box ? d - box : d < -0.5 * box ? d + box : d;
+  };
+  const double dx = wrap(a[0] - b[0]);
+  const double dy = wrap(a[1] - b[1]);
+  const double dz = wrap(a[2] - b[2]);
+  return dx * dx + dy * dy + dz * dz <= radius * radius;
+}
+
+std::array<float, 3> position(const tree::ParticleArray& p, std::size_t i) {
+  return {p.x[i], p.y[i], p.z[i]};
+}
+
+using Partition = std::set<std::vector<std::uint64_t>>;
+
+/// Connected components of `members` under `within`, testing all O(N²)
+/// pairs, as sets of particle ids.
+Partition brute_force_groups(const tree::ParticleArray& p,
+                             const std::vector<std::uint32_t>& members,
+                             double radius, double box) {
+  std::vector<std::size_t> parent(members.size());
+  std::iota(parent.begin(), parent.end(), std::size_t{0});
+  auto find = [&](std::size_t v) {
+    while (parent[v] != v) v = parent[v] = parent[parent[v]];
+    return v;
+  };
+  for (std::size_t a = 0; a < members.size(); ++a)
+    for (std::size_t b = a + 1; b < members.size(); ++b)
+      if (within(position(p, members[a]), position(p, members[b]), radius,
+                 box))
+        parent[find(a)] = find(b);
+  std::map<std::size_t, std::vector<std::uint64_t>> groups;
+  for (std::size_t k = 0; k < members.size(); ++k)
+    groups[find(k)].push_back(p.id[members[k]]);
+  Partition out;
+  for (auto& [root, ids] : groups) {
+    std::sort(ids.begin(), ids.end());
+    out.insert(ids);
+  }
+  return out;
+}
+
+Partition partition_of(const tree::ParticleArray& p,
+                       const std::vector<Halo>& halos) {
+  Partition out;
+  for (const Halo& h : halos) {
+    std::vector<std::uint64_t> ids;
+    for (auto i : h.members) ids.push_back(p.id[i]);
+    std::sort(ids.begin(), ids.end());
+    out.insert(ids);
+  }
+  return out;
+}
+
+/// One finder configuration: box, mean spacing and linking length b.
+struct LinkCase {
+  double box, spacing, b;
+  const char* what;
+  double radius() const { return b * spacing; }
+};
+
+/// Chaining meshes of 80 and 25 cells per axis; 3 cells (r > box/4, and
+/// r > box/3, where floor(box/r) = 2 is raised to 3); and box/r = 2048,
+/// above the 1625 cells per axis a 32-bit cell key can address.
+const LinkCase kLinkCases[] = {
+    {32.0, 2.0, 0.2, "n=80"},
+    {17.5, 1.25, 0.55, "n=25"},
+    {8.0, 5.0, 0.5, "n=3"},
+    {8.0, 6.0, 0.5, "n=3, box/r < 3"},
+    {2048.0, 5.0, 0.2, "box/r above the key cap"},
+};
+
+/// Particles 0 and the largest float below the box on every axis: they
+/// link across every periodic face, edge and corner at once.
+void add_box_extremes(tree::ParticleArray& p, double box) {
+  const float top = std::nextafter(static_cast<float>(box), 0.0f);
+  for (int corner = 0; corner < 8; ++corner)
+    p.push_back(corner & 1 ? top : 0.0f, corner & 2 ? top : 0.0f,
+                corner & 4 ? top : 0.0f, 0, 0, 0, 1.0f, p.size());
+}
+
+/// `count` uniform particles, or, when `clustered`, Gaussian blobs of
+/// width 1.5 r (one centered on the box corner) over a uniform background.
+tree::ParticleArray link_sample(const LinkCase& c, std::uint64_t seed,
+                                bool clustered) {
+  const double box = c.box;
+  const double r = c.radius();
+  // About one neighbor within r per particle, at most 1500 particles.
+  const double ball = 4.0 / 3.0 * std::numbers::pi * r * r * r;
+  const auto count = static_cast<std::size_t>(
+      std::clamp(box * box * box / ball, 8.0, 1500.0));
+  Philox rng(seed);
+  Philox::Stream s(rng);
+  tree::ParticleArray p;
+  auto wrap = [box](double v) {
+    v = std::fmod(v, box);
+    if (v < 0) v += box;
+    const auto f = static_cast<float>(v);
+    return f < static_cast<float>(box) ? f : 0.0f;
+  };
+  auto add = [&](double x, double y, double z) {
+    p.push_back(wrap(x), wrap(y), wrap(z), 0, 0, 0, 1.0f, p.size());
+  };
+  for (std::size_t i = 0; i < count; ++i)
+    add(s.uniform(0, box), s.uniform(0, box), s.uniform(0, box));
+  if (clustered) {
+    for (int blob = 0; blob < 6; ++blob) {
+      const double cx = blob == 0 ? 0.0 : s.uniform(0, box);
+      const double cy = blob == 0 ? 0.0 : s.uniform(0, box);
+      const double cz = blob == 0 ? 0.0 : s.uniform(0, box);
+      for (std::size_t i = 0; i < std::min<std::size_t>(count, 60); ++i)
+        add(cx + 1.5 * r * s.gaussian(), cy + 1.5 * r * s.gaussian(),
+            cz + 1.5 * r * s.gaussian());
+    }
+  }
+  add_box_extremes(p, box);
+  return p;
+}
+
+/// A pair straddling the periodic faces of the axes in `wrapped` (a face,
+/// an edge or a corner of the box) at the linking radius: `step` 0 puts
+/// b at the farthest float that still links, +1 one float closer, -1 one
+/// float farther, where the pair no longer links.
+std::array<std::array<float, 3>, 2> straddling_pair(
+    const LinkCase& c, const std::array<bool, 3>& wrapped, int step) {
+  const double box = c.box;
+  const double r = c.radius();
+  const int k = static_cast<int>(wrapped[0]) + wrapped[1] + wrapped[2];
+  const double per_axis = r / std::sqrt(static_cast<double>(k));
+  std::array<float, 3> a{}, b{};
+  int axis = -1;
+  for (int d = 0; d < 3; ++d) {
+    const auto u = static_cast<std::size_t>(d);
+    if (wrapped[u]) {
+      if (axis < 0) axis = d;
+      a[u] = static_cast<float>(0.25 * per_axis);
+      b[u] = static_cast<float>(box - 0.75 * per_axis);
+    } else {
+      a[u] = b[u] = static_cast<float>(0.5 * box);
+    }
+  }
+  // b near the top face, a near 0: lowering b's coordinate moves it out.
+  float& t = b[static_cast<std::size_t>(axis)];
+  const float in = static_cast<float>(box), out = 0.0f;
+  for (int i = 0; i < 10000 && !within(a, b, r, box); ++i)
+    t = std::nextafter(t, in);
+  for (int i = 0; i < 10000; ++i) {
+    const float saved = t;
+    t = std::nextafter(t, out);
+    if (!within(a, b, r, box)) {
+      t = saved;
+      break;
+    }
+  }
+  if (step > 0) t = std::nextafter(t, in);
+  if (step < 0) t = std::nextafter(t, out);
+  return {a, b};
+}
+
+TEST(HaloFinder, MatchesBruteForceLinking) {
+  for (const LinkCase& c : kLinkCases) {
+    FofConfig cfg;
+    cfg.box = c.box;
+    cfg.mean_spacing = c.spacing;
+    cfg.linking_length = c.b;
+    cfg.min_members = 1;  // every component, singletons included
+    std::vector<tree::ParticleArray> samples;
+    for (std::uint64_t seed : {1u, 2u, 3u})
+      for (bool clustered : {false, true})
+        samples.push_back(link_sample(c, seed * 7 + clustered, clustered));
+    // Pairs at the linking radius across faces, edges and corners, alone
+    // or over a background too sparse to link them another way.
+    const std::array<bool, 3> kWrapped[] = {
+        {true, false, false}, {false, true, false}, {false, false, true},
+        {true, true, false},  {true, false, true},  {false, true, true},
+        {true, true, true}};
+    const double ball = 4.0 / 3.0 * std::numbers::pi *
+                        std::pow(4.0 * c.radius(), 3);
+    const auto background = static_cast<std::size_t>(
+        std::min(c.box * c.box * c.box / ball, 200.0));
+    for (const auto& wrapped : kWrapped)
+      for (int step : {1, 0, -1}) {
+        const auto pair = straddling_pair(c, wrapped, step);
+        ASSERT_EQ(within(pair[0], pair[1], c.radius(), c.box), step >= 0)
+            << c.what;
+        tree::ParticleArray p;
+        Philox rng(static_cast<std::uint64_t>(step + 5));
+        Philox::Stream s(rng);
+        for (std::size_t i = 0; i < background; ++i)
+          p.push_back(static_cast<float>(s.uniform(0, 0.9 * c.box)),
+                      static_cast<float>(s.uniform(0, 0.9 * c.box)),
+                      static_cast<float>(s.uniform(0, 0.9 * c.box)), 0, 0, 0,
+                      1.0f, p.size());
+        for (const auto& q : pair)
+          p.push_back(q[0], q[1], q[2], 0, 0, 0, 1.0f, p.size());
+        samples.push_back(std::move(p));
+      }
+
+    for (const tree::ParticleArray& p : samples) {
+      std::vector<std::uint32_t> all(p.size());
+      std::iota(all.begin(), all.end(), 0u);
+      const Partition want = brute_force_groups(p, all, c.radius(), c.box);
+      EXPECT_EQ(partition_of(p, find_halos(p, cfg)), want)
+          << c.what << ", " << p.size() << " particles";
+
+      // The subhalo path over a subset, given in descending index order.
+      Halo subset;
+      for (std::uint32_t i = static_cast<std::uint32_t>(p.size()); i-- > 0;)
+        if (i % 3 != 0) subset.members.push_back(i);
+      const double fraction = 0.7;
+      const Partition want_sub = brute_force_groups(
+          p, subset.members, c.b * c.spacing * fraction, c.box);
+      EXPECT_EQ(partition_of(p, find_subhalos(p, subset, cfg, fraction, 1)),
+                want_sub)
+          << c.what << ", subset of " << subset.members.size();
+    }
+  }
+}
+
+TEST(HaloFinder, MemoryScalesWithParticlesNotCells) {
+  // Box 32 at linking radius 0.4 is an 80³ chaining mesh: one container
+  // per mesh cell would request ~12 MB here, ~6 kB per particle. The
+  // finder may ask for 128 B per particle plus the halos it returns.
+  const double box = 32.0;
+  const tree::ParticleArray p = two_blobs(box, 1000, 12);
+  FofConfig cfg;
+  cfg.box = box;
+  cfg.mean_spacing = 2.0;  // linking radius 0.4
+  cfg.min_members = 10;
+  alloc_hook::count.store(0);
+  alloc_hook::bytes.store(0);
+  alloc_hook::armed.store(true);
+  const std::vector<Halo> halos = find_halos(p, cfg);
+  alloc_hook::armed.store(false);
+  ASSERT_EQ(halos.size(), 2u);
+  std::size_t returned = halos.capacity() * sizeof(Halo);
+  for (const Halo& h : halos)
+    returned += h.members.capacity() * sizeof(std::uint32_t);
+  EXPECT_LE(alloc_hook::bytes.load(), 128 * p.size() + returned)
+      << alloc_hook::count.load() << " allocations";
 }
 
 TEST(HaloFinder, MassFunctionIsCumulative) {

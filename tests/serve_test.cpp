@@ -453,9 +453,10 @@ std::vector<CatalogStore::HaloRecord> catalog_at_width(int nranks,
 
 TEST(InSituServe, HaloCatalogIsBitStableAcrossRankCounts) {
   // The same global snapshot, partitioned 1/2/4 ways, must produce
-  // bit-identical halo records: the pipeline gathers, sorts into canonical
-  // id order, sums members in id order, and writes halos sorted by id, so
-  // no float ever sees a width-dependent summation order.
+  // bit-identical halo records: the gather's order differs per width, but
+  // FOF links by position only, sums members in id order, and the halos
+  // are written sorted by id, so no float ever sees a width-dependent
+  // summation order.
   const std::string d1 = temp_dir("hacc_serve_det1");
   const std::string d2 = temp_dir("hacc_serve_det2");
   const std::string d4 = temp_dir("hacc_serve_det4");
@@ -518,6 +519,46 @@ TEST(InSituServe, RepeatedRunsProduceByteIdenticalCatalogFiles) {
   EXPECT_EQ(compared, 6);
   fs::remove_all(da);
   fs::remove_all(db);
+}
+
+TEST(InSituServe, FofIsAPhaseOfTheInSituStep) {
+  // A ledgered run with catalogs every step: each step record carries
+  // FOF's phase `insitu.fof`, timed on rank 0 inside its `insitu` phase,
+  // and rank 0 counts one call per catalog step.
+  const std::string dir = temp_dir("hacc_serve_fof_phase");
+  core::SimulationConfig cfg = serve_config(dir + "/catalogs");
+  cfg.insitu.cadence = 1;
+  cfg.ledger_path = dir + "/ledger.jsonl";
+  cosmology::Cosmology cosmo;
+  const obs::PhaseIds fof = obs::phase_ids("insitu.fof");
+  const obs::PhaseIds insitu = obs::phase_ids("insitu");
+  std::uint64_t fof_calls = 0;
+  comm::Machine::run(4, [&](comm::Comm& c) {
+    core::Simulation sim(c, cosmo, cfg);
+    sim.initialize();
+    sim.run();
+    const obs::Counters& counters = sim.counters();
+    if (c.rank() != 0) {
+      EXPECT_EQ(counters.value(fof.calls), 0u);
+      return;
+    }
+    fof_calls = counters.value(fof.calls);
+    EXPECT_GT(counters.value(fof.ns), 0u);
+    EXPECT_LE(counters.value(fof.ns), counters.value(insitu.ns));
+    const auto& records = sim.ledger().records();
+    ASSERT_EQ(records.size(), static_cast<std::size_t>(cfg.steps));
+    for (const auto& rec : records) {
+      ASSERT_EQ(rec.phases.count("insitu"), 1u);
+      ASSERT_EQ(rec.phases.count("insitu.fof"), 1u);
+      const obs::PhaseStat& step_fof = rec.phases.at("insitu.fof");
+      EXPECT_GT(step_fof.max, 0.0);
+      EXPECT_LE(step_fof.max, rec.phases.at("insitu").max);
+    }
+  });
+  const CatalogStore store(dir + "/catalogs");
+  EXPECT_EQ(store.steps().size(), static_cast<std::size_t>(cfg.steps));
+  EXPECT_EQ(fof_calls, store.steps().size());
+  fs::remove_all(dir);
 }
 
 // ---- CRC refusal through the full read path --------------------------------
