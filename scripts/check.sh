@@ -68,6 +68,23 @@ BUILD="${1:-build}"
 ASAN_BUILD="${BUILD}-asan"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
+# run_filtered BINARY FILTER [ARGS...]: run BINARY on the tests FILTER
+# selects, and fail when it selects none. gtest runs zero tests and exits 0
+# when --gtest_filter matches nothing, so a renamed suite would otherwise
+# drop out of this gate silently. The list is captured before it is
+# searched: under pipefail, grep -q closing the pipe early could fail the
+# listing side.
+run_filtered() {
+  local bin="$1" filter="$2" listed
+  shift 2
+  listed="$("$bin" --gtest_filter="$filter" --gtest_list_tests)"
+  if ! grep -q '^  ' <<<"$listed"; then
+    echo "check.sh: --gtest_filter='$filter' selects no test in $bin" >&2
+    exit 1
+  fi
+  "$bin" --gtest_filter="$filter" "$@"
+}
+
 echo "== tier-1: configure + build (${BUILD}) =="
 cmake -B "$BUILD" -S . >/dev/null
 cmake --build "$BUILD" -j "$JOBS"
@@ -79,21 +96,21 @@ echo "== omp matrix: allocation gates + determinism at 1 and ${JOBS} threads =="
 for threads in 1 "$JOBS"; do
   echo "-- OMP_NUM_THREADS=${threads} --"
   export OMP_NUM_THREADS="$threads"
-  "$BUILD/tests/fft_test" --gtest_filter='Pencil.SteadyStateTransformsDoNotAllocate'
-  "$BUILD/tests/tree_test" --gtest_filter='TreeForce.SteadyStateShortRangeIsAllocationFree'
-  "$BUILD/tests/core_test" \
-    --gtest_filter='Simulation.CheckpointRestartReproducesRun:Simulation.OneLongRangeSolvePerWarmStep'
-  "$BUILD/tests/audit_test" \
-    --gtest_filter='SdcRollback.AccelerationFlipDetectedAndRolledBackBitForBit:*DupExecVariant.SteadyStateAuditIsAllocationFree*'
-  "$BUILD/tests/integration_test" \
-    --gtest_filter='FaultMatrix.KilledRankAndCorruptCheckpointRecoverBitForBit'
-  "$BUILD/tests/serve_test" \
-    --gtest_filter='InSituServe.HaloCatalogIsBitStableAcrossRankCounts:InSituServe.RepeatedRunsProduceByteIdenticalCatalogFiles'
+  run_filtered "$BUILD/tests/fft_test" 'Pencil.SteadyStateTransformsDoNotAllocate'
+  run_filtered "$BUILD/tests/tree_test" 'TreeForce.SteadyStateShortRangeIsAllocationFree'
+  run_filtered "$BUILD/tests/core_test" \
+    'Simulation.CheckpointRestartReproducesRun:Simulation.OneLongRangeSolvePerWarmStep'
+  run_filtered "$BUILD/tests/audit_test" \
+    'SdcRollback.AccelerationFlipDetectedAndRolledBackBitForBit:*DupExecVariant.SteadyStateAuditIsAllocationFree*'
+  run_filtered "$BUILD/tests/integration_test" \
+    'FaultMatrix.KilledRankAndCorruptCheckpointRecoverBitForBit'
+  run_filtered "$BUILD/tests/serve_test" \
+    'InSituServe.HaloCatalogIsBitStableAcrossRankCounts:InSituServe.RepeatedRunsProduceByteIdenticalCatalogFiles'
 done
 unset OMP_NUM_THREADS
 echo "== omp matrix: short-range allocation gate x10 at 8 threads =="
-OMP_NUM_THREADS=8 "$BUILD/tests/tree_test" --gtest_repeat=10 \
-  --gtest_filter='TreeForce.SteadyStateShortRangeIsAllocationFree'
+OMP_NUM_THREADS=8 run_filtered "$BUILD/tests/tree_test" \
+  'TreeForce.SteadyStateShortRangeIsAllocationFree' --gtest_repeat=10
 
 echo "== asan: configure + build io_test gio_test tree_test p3m_test cosmology_test (${ASAN_BUILD}) =="
 cmake -B "$ASAN_BUILD" -S . -DHACC_SANITIZE=address >/dev/null
@@ -105,10 +122,10 @@ echo "== asan: io_test =="
 echo "== asan: gio_test =="
 "$ASAN_BUILD/tests/gio_test"
 echo "== asan: short-range kernel (every tile width, tree walk, P3M) =="
-"$ASAN_BUILD/tests/tree_test" --gtest_filter='InteractionBatch.*:TreeForce.*'
+run_filtered "$ASAN_BUILD/tests/tree_test" 'InteractionBatch.*:TreeForce.*'
 "$ASAN_BUILD/tests/p3m_test"
 echo "== asan: FOF halo finder (occupied-cell linker, subhalos) =="
-"$ASAN_BUILD/tests/cosmology_test" --gtest_filter='HaloFinder.*'
+run_filtered "$ASAN_BUILD/tests/cosmology_test" 'HaloFinder.*'
 
 TSAN_BUILD="${BUILD}-tsan"
 echo "== tsan: configure + build obs_test comm_test (${TSAN_BUILD}) =="
@@ -123,10 +140,10 @@ OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/comm_test"
 echo "== tsan: build fft_test mesh_test (${TSAN_BUILD}) =="
 cmake --build "$TSAN_BUILD" -j "$JOBS" --target fft_test mesh_test
 echo "== tsan: spectral path (pencil transposes, remap, Poisson, BlockFft) =="
-OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/fft_test" \
-  --gtest_filter='Pencil.*:*PencilTest.*'
-OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/mesh_test" \
-  --gtest_filter='Redistributor.*:*PoissonRanks.*:*BlockFftRanks.*'
+OMP_NUM_THREADS=1 run_filtered "$TSAN_BUILD/tests/fft_test" \
+  'Pencil.*:*PencilTest.*'
+OMP_NUM_THREADS=1 run_filtered "$TSAN_BUILD/tests/mesh_test" \
+  'Redistributor.*:*PoissonRanks.*:*BlockFftRanks.*'
 
 # Fault matrix: injection/detection/recovery suites under both sanitizers.
 FAULT_FILTER='FaultInjection.*:Detection.*:GioVerify.*:FaultMatrix.*:Supervisor.*:CheckpointSet.*:*HealthCheck*'
@@ -135,21 +152,21 @@ cmake --build "$ASAN_BUILD" -j "$JOBS" --target core_test integration_test
 cmake --build "$TSAN_BUILD" -j "$JOBS" --target core_test integration_test
 
 echo "== fault matrix: asan =="
-"$ASAN_BUILD/tests/gio_test" --gtest_filter="$FAULT_FILTER"
-"$ASAN_BUILD/tests/core_test" --gtest_filter="$FAULT_FILTER"
-"$ASAN_BUILD/tests/integration_test" --gtest_filter="$FAULT_FILTER"
+run_filtered "$ASAN_BUILD/tests/gio_test" "$FAULT_FILTER"
+run_filtered "$ASAN_BUILD/tests/core_test" "$FAULT_FILTER"
+run_filtered "$ASAN_BUILD/tests/integration_test" "$FAULT_FILTER"
 
 echo "== fault matrix: tsan =="
-OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/comm_test" --gtest_filter="$FAULT_FILTER"
-OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/core_test" --gtest_filter="$FAULT_FILTER"
-OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/integration_test" --gtest_filter="$FAULT_FILTER"
+OMP_NUM_THREADS=1 run_filtered "$TSAN_BUILD/tests/comm_test" "$FAULT_FILTER"
+OMP_NUM_THREADS=1 run_filtered "$TSAN_BUILD/tests/core_test" "$FAULT_FILTER"
+OMP_NUM_THREADS=1 run_filtered "$TSAN_BUILD/tests/integration_test" "$FAULT_FILTER"
 
 # Overload exchanges under TSan: migrate() and replicate() pack on the
 # caller thread but neighbor_alltoallv crosses SimMPI rank threads, so the
 # OverloadRanks suite (migrate/replicate exchange counts included) is the
 # race gate for both particle exchanges.
 echo "== tsan: overload migrate + replicate exchanges =="
-OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/core_test" --gtest_filter='*Overload*'
+OMP_NUM_THREADS=1 run_filtered "$TSAN_BUILD/tests/core_test" '*Overload*'
 
 # Chaos campaign: elastic shrink + a seeded campaign subset. Fixed seeds
 # (HACC_CHAOS_SEED base, 5 campaigns) keep the sanitizer passes deterministic
@@ -172,18 +189,18 @@ cmake --build "$TSAN_BUILD" -j "$JOBS" --target serve_test
 echo "== serve: asan (full suite) =="
 "$ASAN_BUILD/tests/serve_test"
 echo "== serve: tsan (cache hammer + threaded query service) =="
-OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/serve_test" \
-  --gtest_filter='BlockCache.*:InSituServe.RunStreamsCatalogsAndAnswersQueries:InSituServe.DamagedCatalogRefusesThatQueryOnly'
+OMP_NUM_THREADS=1 run_filtered "$TSAN_BUILD/tests/serve_test" \
+  'BlockCache.*:InSituServe.RunStreamsCatalogsAndAnswersQueries:InSituServe.DamagedCatalogRefusesThatQueryOnly'
 
 # Observatory: metrics endpoint smoke in the normal build, then the whole
 # metrics/cost-attribution/watchdog surface under TSan — the scraper threads
 # read the same atomics the rank threads write.
 echo "== observatory: metrics endpoint smoke =="
-"$BUILD/tests/serve_test" --gtest_filter='MetricsEndpoint.*'
+run_filtered "$BUILD/tests/serve_test" 'MetricsEndpoint.*'
 echo "== observatory: tsan (metrics + costmap + watchdog + endpoint) =="
-OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/obs_test" \
-  --gtest_filter='Metrics.*:CostMap.*:Watchdog.*:Reduce.CostMapReduceNamesStragglerRank:SimulationObservatory.*'
-OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/serve_test" --gtest_filter='MetricsEndpoint.*'
+OMP_NUM_THREADS=1 run_filtered "$TSAN_BUILD/tests/obs_test" \
+  'Metrics.*:CostMap.*:Watchdog.*:Reduce.CostMapReduceNamesStragglerRank:SimulationObservatory.*'
+OMP_NUM_THREADS=1 run_filtered "$TSAN_BUILD/tests/serve_test" 'MetricsEndpoint.*'
 
 # The trace summarizer must stay graceful on the traces a dead run leaves
 # behind: empty arrays, truncated JSON, events missing fields.
@@ -214,8 +231,8 @@ cmake --build "$TSAN_BUILD" -j "$JOBS" --target audit_test
 echo "== sdc: asan (full audit suite) =="
 "$ASAN_BUILD/tests/audit_test"
 echo "== sdc: tsan (audit units + one in-place rollback campaign) =="
-OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/audit_test" \
-  --gtest_filter='ParticleChecksum.*:MemoryFaults.*:AuditCost.*:SdcRollback.ParticleFlipDetectedAndRolledBackInPlaceBitForBit'
+OMP_NUM_THREADS=1 run_filtered "$TSAN_BUILD/tests/audit_test" \
+  'ParticleChecksum.*:MemoryFaults.*:AuditCost.*:SdcRollback.ParticleFlipDetectedAndRolledBackInPlaceBitForBit'
 
 # Campaign orchestrator: the multi-run scheduler under both sanitizers. The
 # orchestrator-kill/replay test exercises journal append/fsync/reseal across
@@ -230,9 +247,9 @@ cmake --build "$ASAN_BUILD" -j "$JOBS" --target campaign_test
 cmake --build "$TSAN_BUILD" -j "$JOBS" --target campaign_test
 
 echo "== campaign: asan (journal + kill/replay + isolation) =="
-"$ASAN_BUILD/tests/campaign_test" --gtest_filter="$CAMPAIGN_FILTER"
+run_filtered "$ASAN_BUILD/tests/campaign_test" "$CAMPAIGN_FILTER"
 echo "== campaign: tsan (journal + kill/replay + isolation) =="
-OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/campaign_test" --gtest_filter="$CAMPAIGN_FILTER"
+OMP_NUM_THREADS=1 run_filtered "$TSAN_BUILD/tests/campaign_test" "$CAMPAIGN_FILTER"
 
 # campaign_summary.py must render a real journal — produced here by the
 # throughput bench with KEEP=1 — and stay graceful on the torn tail a killed

@@ -649,14 +649,6 @@ void Simulation::read_checkpoint(const std::string& path) {
   audit_end_step();
 }
 
-void Simulation::rollback(const std::string& path) {
-  // In-place restore: same machine, same width, no teardown — the elastic
-  // gio read routes blocks to the live ranks and the refresh rebuilds the
-  // passive layer. read_checkpoint also re-arms the audit window and marks
-  // the acceleration stale.
-  read_checkpoint(path);
-}
-
 Simulation::EnergyDiagnostics Simulation::energy() {
   const mesh::DistGrid& delta = density_contrast();
   // force_ is scratch between steps (the acceleration lives on the

@@ -22,11 +22,10 @@
 // half-kick of actives and passives from those stored accelerations — no
 // deposit, solve or interpolation. The stored acceleration is valid from
 // the end of a step() to the opening kick of the next; initialize(),
-// read_checkpoint()/rollback() and mutable_particles() mark it stale, and
-// the next step() then rebuilds it (migrate, solve, replicate — no kick)
-// before its opening kick. The boundary state therefore depends only on
-// the id-ordered actives, which keeps restart bit-for-bit at the launch
-// width.
+// read_checkpoint() and mutable_particles() mark it stale, and the next
+// step() then rebuilds it (migrate, solve, replicate — no kick) before its
+// opening kick. The boundary state therefore depends only on the
+// id-ordered actives, which keeps restart bit-for-bit at the launch width.
 //
 // Units and equations of motion (derivation in cosmology/background.h):
 // lengths in grid cells, tau = H0 t, p = a^2 dx/dtau. Then
@@ -286,13 +285,6 @@ class Simulation {
   };
   HealthReport health_check();
 
-  /// In-place SDC recovery: restore the checkpoint at `path` on the live
-  /// machine (elastic gio read + redistribution + overload refresh — no
-  /// Machine teardown) and reset the audit window so the restored state
-  /// seeds fresh baselines. Collective; throws if the checkpoint refuses
-  /// to read back clean.
-  void rollback(const std::string& path);
-
   /// Cosmic energy (Layzer-Irvine) diagnostics over active particles.
   /// kinetic  T = sum p^2 / (2 a^2),
   /// potential W = (1/2) sum Phi(x_i) with Phi = (3/2)(Omega_m/a) phi_c
@@ -316,7 +308,9 @@ class Simulation {
   /// particles are redistributed to their domain owners, and the
   /// overloading refresh rebuilds the passive layer. The long-range
   /// acceleration is not checkpointed: the next step() recomputes it.
-  /// Collective.
+  /// Also the in-place SDC recovery: on a live machine it restores without
+  /// a Machine teardown, and it re-arms the audit window so the restored
+  /// state seeds fresh baselines. Collective.
   void read_checkpoint(const std::string& path);
 
  private:
@@ -351,8 +345,8 @@ class Simulation {
   /// Local audit work at the end of a step: stash the post-refresh
   /// canonical checksum for the next step's window.
   void audit_end_step();
-  /// Drop the stash and accumulated findings (initialize/rollback): the
-  /// restored state seeds fresh baselines instead of tripping the window.
+  /// Drop the stash and accumulated findings (initialize, read_checkpoint):
+  /// the restored state seeds fresh baselines instead of tripping the window.
   void reset_audit_window();
   /// True when the gate after `step` falls on the audit cadence.
   bool audit_due(int step) const noexcept {

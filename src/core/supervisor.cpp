@@ -24,11 +24,24 @@ namespace {
 constexpr const char* kCkptPrefix = "ckpt_";
 constexpr const char* kCkptSuffix = ".gio";
 
-/// Durably record a completed rename in its directory: the fsync of the
-/// renamed *file* makes the bytes durable, but the directory entry created
-/// by the rename lives in the directory's own metadata — without this a
-/// power loss can roll the rename back and leave a stale (or no) pointer.
-void fsync_directory(const std::string& dir) {
+/// Durably replace `path` (a file in `dir`) with `body`: write and fsync
+/// `<path>.tmp`, rename it onto `path`, then fsync `dir`. The file's fsync
+/// makes the bytes durable, but the directory entry created by the rename
+/// lives in the directory's own metadata — without the second fsync a
+/// power loss can roll the rename back and leave a stale (or no) file.
+void write_durably(const std::string& dir, const std::string& path,
+                   const std::string& body) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::FILE* f = std::fopen(tmp.c_str(), "wb");
+    HACC_CHECK_MSG(f != nullptr, "cannot write " + tmp);
+    std::fwrite(body.data(), 1, body.size(), f);
+    std::fflush(f);
+    ::fsync(fileno(f));
+    std::fclose(f);
+  }
+  HACC_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
+                 "cannot publish " + path);
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return;  // best effort: not all filesystems allow dir opens
   ::fsync(fd);
@@ -51,19 +64,7 @@ std::string CheckpointSet::latest_path() const { return dir_ + "/latest"; }
 void CheckpointSet::publish(int step) {
   // Atomic pointer update: the `latest` file always names a checkpoint
   // that was completely written and verified, never a partial state.
-  const std::string tmp = latest_path() + ".tmp";
-  {
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    HACC_CHECK_MSG(f != nullptr, "cannot write " + tmp);
-    const std::string body = std::to_string(step) + "\n";
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fflush(f);
-    ::fsync(fileno(f));
-    std::fclose(f);
-  }
-  HACC_CHECK_MSG(std::rename(tmp.c_str(), latest_path().c_str()) == 0,
-                 "cannot publish " + latest_path());
-  fsync_directory(dir_);  // make the rename itself crash-durable
+  write_durably(dir_, latest_path(), std::to_string(step) + "\n");
   // Rotate: drop everything older than the last `keep_` checkpoints,
   // including their audit-verdict sidecars.
   const std::vector<int> steps = existing();
@@ -80,20 +81,7 @@ std::string CheckpointSet::verdict_path_for_step(int step) const {
 }
 
 void CheckpointSet::record_verdict(int step, const std::string& verdict) {
-  const std::string path = verdict_path_for_step(step);
-  const std::string tmp = path + ".tmp";
-  {
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    HACC_CHECK_MSG(f != nullptr, "cannot write " + tmp);
-    const std::string body = verdict + "\n";
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fflush(f);
-    ::fsync(fileno(f));
-    std::fclose(f);
-  }
-  HACC_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-                 "cannot publish " + path);
-  fsync_directory(dir_);
+  write_durably(dir_, verdict_path_for_step(step), verdict + "\n");
 }
 
 std::string CheckpointSet::verdict(int step) const {
@@ -133,6 +121,26 @@ std::vector<int> CheckpointSet::existing() const {
   }
   std::sort(steps.rbegin(), steps.rend());
   return steps;
+}
+
+int CheckpointSet::newest_restorable(
+    const std::function<void(int step, const std::string& why)>& on_reject)
+    const {
+  for (const int step : existing()) {
+    const std::string path = path_for_step(step);
+    // An audit verdict outranks the CRC: a "poisoned" checkpoint holds
+    // corruption *inside* its checksummed payload, so verify_file passing
+    // it proves nothing.
+    if (verdict(step) == "poisoned") {
+      on_reject(step, path + ": audit verdict poisoned");
+      continue;
+    }
+    const gio::VerifyReport vr = gio::verify_file(path);
+    if (vr.ok) return step;
+    on_reject(step, path + (vr.header_ok ? ": sub-block CRC mismatch"
+                                         : ": header unreadable"));
+  }
+  return -1;
 }
 
 int ElasticPolicy::next_width(int width, int failed_ranks,
@@ -346,23 +354,12 @@ void Supervisor::rank_main(comm::Comm& comm, const std::string& restore_path,
           std::this_thread::sleep_for(std::chrono::duration<double>(
               config_.rollback_backoff_s * t));
         if (root) {
-          for (const int cs : checkpoints_.existing()) {
-            const std::string path = checkpoints_.path_for_step(cs);
-            if (checkpoints_.verdict(cs) == "poisoned") {
-              if (t == 0)
-                emit(obs::EventRecord{"checkpoint_rejected", cs, attempt,
-                                      path + ": audit verdict poisoned"});
-              continue;
-            }
-            if (!gio::verify_file(path).ok) {
-              if (t == 0)
-                emit(obs::EventRecord{"checkpoint_rejected", cs, attempt,
-                                      path + ": failed re-verification"});
-              continue;
-            }
-            candidate = cs;
-            break;
-          }
+          candidate = checkpoints_.newest_restorable(
+              [&](int cs, const std::string& why) {
+                if (t == 0)
+                  emit(obs::EventRecord{"checkpoint_rejected", cs, attempt,
+                                        why});
+              });
         }
         candidate = comm.bcast_value(candidate, 0);
       }
@@ -380,7 +377,7 @@ void Supervisor::rank_main(comm::Comm& comm, const std::string& restore_path,
       // In-place restore on the live machine: no teardown, no relaunch. A
       // read failure here (the file died between verify and read) escapes
       // to run()'s catch and escalates exactly like any other rank fault.
-      sim.rollback(checkpoints_.path_for_step(candidate));
+      sim.read_checkpoint(checkpoints_.path_for_step(candidate));
       last_clean_audit = candidate;
       if (root) {
         ++report_.rollbacks;
@@ -447,26 +444,13 @@ SupervisorReport Supervisor::run() {
       // back clean. Resume mode (a campaign relaunching a run a previous
       // process advanced) takes the same path on the very first attempt.
       Timer verify_timer;
-      for (const int step : checkpoints_.existing()) {
-        const std::string path = checkpoints_.path_for_step(step);
-        // An audit verdict outranks the CRC: a "poisoned" checkpoint holds
-        // corruption *inside* its checksummed payload, so verify_file
-        // passing it proves nothing.
-        if (checkpoints_.verdict(step) == "poisoned") {
-          record_event("checkpoint_rejected", step, attempt,
-                       path + ": audit verdict poisoned");
-          continue;
-        }
-        const gio::VerifyReport vr = gio::verify_file(path);
-        if (vr.ok) {
-          restore = path;
-          restore_step = step;
-          record_event("restore", step, attempt, path);
-          break;
-        }
-        record_event("checkpoint_rejected", step, attempt,
-                     path + (vr.header_ok ? ": sub-block CRC mismatch"
-                                          : ": header unreadable"));
+      restore_step = checkpoints_.newest_restorable(
+          [&](int step, const std::string& why) {
+            record_event("checkpoint_rejected", step, attempt, why);
+          });
+      if (restore_step >= 0) {
+        restore = checkpoints_.path_for_step(restore_step);
+        record_event("restore", restore_step, attempt, restore);
       }
       report_.verify_seconds += verify_timer.elapsed();
       // A resume-mode warm start is a restore too (attempt > 0 relaunches

@@ -14,7 +14,9 @@
 //             health violation aborts the machine with a diagnosis
 //   recover:  re-verify the checkpoint chain newest-first (a checkpoint can
 //             be damaged *after* it was written), restore from the first
-//             good one, resume; capped retries with linear backoff.
+//             good one, resume; capped retries with linear backoff. One
+//             scan, CheckpointSet::newest_restorable, serves this relaunch
+//             and the in-place SDC rollback alike.
 //
 // Elastic degraded mode: at scale the realistic failure mode is *losing
 // capacity* — a replacement partition at the same width may simply not be
@@ -94,6 +96,17 @@ class CheckpointSet {
   /// the directory, not the pointer: recovery must see checkpoints even
   /// when `latest` itself was lost or points at a damaged file.
   std::vector<int> existing() const;
+
+  /// The restore-candidate scan both recovery paths share (the relaunch
+  /// and the in-place SDC rollback): walk existing() newest first, skip a
+  /// "poisoned" verdict, re-verify the rest with gio::verify_file, and
+  /// return the first step that reads back clean, or -1 when none does.
+  /// Each skipped step goes to `on_reject` with its reason,
+  /// "<path>: audit verdict poisoned | header unreadable | sub-block CRC
+  /// mismatch". Serial; call on one rank.
+  int newest_restorable(
+      const std::function<void(int step, const std::string& why)>& on_reject)
+      const;
 
  private:
   std::string dir_;

@@ -1,12 +1,15 @@
 #include "gio/gio.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "gio/crc64.h"
 #include "gio/wire.h"
@@ -31,39 +34,65 @@ constexpr int kDefaultAggregators = 4;
 constexpr int kTagGioData = -501;
 constexpr int kTagGioCrc = -502;
 
-struct FileCloser {
-  void operator()(std::FILE* f) const noexcept {
-    if (f != nullptr) std::fclose(f);
+/// One open file descriptor, closed on destruction. Every gio file access
+/// is a positioned read or write on one of these, so no call depends on a
+/// shared file offset and one descriptor serves concurrent readers.
+class Fd {
+ public:
+  Fd() = default;
+  explicit Fd(int fd) noexcept : fd_(fd) {}
+  ~Fd() {
+    if (fd_ >= 0) ::close(fd_);
   }
+  Fd(Fd&& o) noexcept : fd_(std::exchange(o.fd_, -1)) {}
+  Fd& operator=(Fd&& o) noexcept {
+    std::swap(fd_, o.fd_);
+    return *this;
+  }
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+
+  int get() const noexcept { return fd_; }
+
+ private:
+  int fd_ = -1;
 };
-using File = std::unique_ptr<std::FILE, FileCloser>;
 
-File open_file(const std::string& path, const char* mode) {
-  File f(std::fopen(path.c_str(), mode));
-  HACC_CHECK_MSG(f != nullptr, "cannot open " + path);
-  return f;
+Fd open_fd(const std::string& path, int flags) {
+  Fd fd(::open(path.c_str(), flags | O_CLOEXEC, 0666));
+  HACC_CHECK_MSG(fd.get() >= 0, "cannot open " + path);
+  return fd;
 }
 
-void seek_to(std::FILE* f, std::uint64_t offset) {
-  HACC_CHECK_MSG(std::fseek(f, static_cast<long>(offset), SEEK_SET) == 0,
-                 "seek failed");
+std::uint64_t file_size(int fd) {
+  struct stat st {};
+  HACC_CHECK(::fstat(fd, &st) == 0);
+  return static_cast<std::uint64_t>(st.st_size);
 }
 
-std::uint64_t file_size(std::FILE* f) {
-  HACC_CHECK(std::fseek(f, 0, SEEK_END) == 0);
-  const long n = std::ftell(f);
-  HACC_CHECK(n >= 0);
-  return static_cast<std::uint64_t>(n);
+/// Read exactly `bytes` at `offset`; false on a short read or an error.
+bool pread_all(int fd, void* data, std::size_t bytes, std::uint64_t offset) {
+  auto* p = static_cast<std::byte*>(data);
+  while (bytes > 0) {
+    const ::ssize_t n = ::pread(fd, p, bytes, static_cast<::off_t>(offset));
+    if (n <= 0) return false;
+    p += n;
+    bytes -= static_cast<std::size_t>(n);
+    offset += static_cast<std::uint64_t>(n);
+  }
+  return true;
 }
 
-void write_all(std::FILE* f, const void* data, std::size_t bytes) {
-  if (bytes == 0) return;  // fwrite(nullptr, ..) is UB even for 0 bytes
-  HACC_CHECK_MSG(std::fwrite(data, 1, bytes, f) == bytes, "short write");
-}
-
-bool read_all(std::FILE* f, void* data, std::size_t bytes) {
-  if (bytes == 0) return true;
-  return std::fread(data, 1, bytes, f) == bytes;
+void pwrite_all(int fd, const void* data, std::size_t bytes,
+                std::uint64_t offset) {
+  const auto* p = static_cast<const std::byte*>(data);
+  while (bytes > 0) {
+    const ::ssize_t n = ::pwrite(fd, p, bytes, static_cast<::off_t>(offset));
+    HACC_CHECK_MSG(n > 0, "short write");
+    p += n;
+    bytes -= static_cast<std::size_t>(n);
+    offset += static_cast<std::uint64_t>(n);
+  }
 }
 
 /// In-memory form of the header blob: everything a reader or writer needs
@@ -203,12 +232,11 @@ Layout parse_header(std::span<const std::byte> blob) {
 /// Try to load and CRC-validate a header blob at `offset`. Returns false on
 /// any inconsistency (never throws): corruption here must route the caller
 /// to the redundant copy, not abort.
-bool try_load_header(std::FILE* f, std::uint64_t offset, std::uint64_t fsize,
+bool try_load_header(int fd, std::uint64_t offset, std::uint64_t fsize,
                      std::vector<std::byte>& blob) {
   if (offset + kFixedHeaderBytes + kCrcBytes > fsize) return false;
-  if (std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0) return false;
   std::vector<std::byte> fixed(kFixedHeaderBytes);
-  if (!read_all(f, fixed.data(), fixed.size())) return false;
+  if (!pread_all(fd, fixed.data(), fixed.size(), offset)) return false;
   wire::Cursor c(fixed);
   if (c.u64() != kMagic) return false;
   if (c.u32() != kVersion) return false;
@@ -220,8 +248,8 @@ bool try_load_header(std::FILE* f, std::uint64_t offset, std::uint64_t fsize,
     return false;
   blob.resize(header_bytes);
   std::copy(fixed.begin(), fixed.end(), blob.begin());
-  if (!read_all(f, blob.data() + kFixedHeaderBytes,
-                header_bytes - kFixedHeaderBytes))
+  if (!pread_all(fd, blob.data() + kFixedHeaderBytes,
+                 header_bytes - kFixedHeaderBytes, offset + kFixedHeaderBytes))
     return false;
   wire::Cursor tail(std::span<const std::byte>(blob).subspan(header_bytes -
                                                              kCrcBytes));
@@ -230,28 +258,44 @@ bool try_load_header(std::FILE* f, std::uint64_t offset, std::uint64_t fsize,
 
 /// Load the primary header, falling back to the redundant copy via the
 /// footer. Throws only when both copies are unusable.
-std::vector<std::byte> load_header(std::FILE* f, bool& used_redundant) {
-  const std::uint64_t fsize = file_size(f);
+std::vector<std::byte> load_header(int fd, bool& used_redundant) {
+  const std::uint64_t fsize = file_size(fd);
   std::vector<std::byte> blob;
-  if (try_load_header(f, 0, fsize, blob)) {
+  if (try_load_header(fd, 0, fsize, blob)) {
     used_redundant = false;
     return blob;
   }
   // Primary is corrupt: locate the redundant copy through the footer.
   if (fsize >= kFooterBytes) {
     std::vector<std::byte> footer(kFooterBytes);
-    if (std::fseek(f, -static_cast<long>(kFooterBytes), SEEK_END) == 0 &&
-        read_all(f, footer.data(), footer.size())) {
+    if (pread_all(fd, footer.data(), footer.size(), fsize - kFooterBytes)) {
       wire::Cursor c(footer);
       const std::uint64_t redundant_offset = c.u64();
       if (c.u64() == kFooterMagic &&
-          try_load_header(f, redundant_offset, fsize, blob)) {
+          try_load_header(fd, redundant_offset, fsize, blob)) {
         used_redundant = true;
         return blob;
       }
     }
   }
   throw Error("gio: both header copies are corrupt or missing");
+}
+
+/// Read sub-block (block, var) into `out`, sized to its data bytes, and
+/// check it against its 8-byte CRC64 trailer. False on a short read or a
+/// CRC mismatch; never throws on either. The one place gio checks a
+/// trailer: read(), BlockFile::read_verified() and, through the latter,
+/// verify_file() all come here.
+bool read_sub_block(int fd, const Layout& lay, std::size_t block,
+                    std::size_t var, std::span<std::byte> out) {
+  const std::size_t s = lay.sub(block, var);
+  HACC_ASSERT(out.size() == lay.bytes[s]);
+  std::byte trailer[kCrcBytes];
+  if (!pread_all(fd, out.data(), out.size(), lay.offsets[s]) ||
+      !pread_all(fd, trailer, kCrcBytes, lay.offsets[s] + out.size()))
+    return false;
+  wire::Cursor c(std::span<const std::byte>(trailer, kCrcBytes));
+  return c.u64() == crc64(out.data(), out.size());
 }
 
 /// Wire form of a CRC failure, for the global fan-in of reports.
@@ -324,10 +368,10 @@ WriteStats write(comm::Comm& comm, const std::string& path,
   const std::string tmp = path + ".tmp";
   if (rank == 0) {
     const auto blob = serialize_header(lay);
-    File f = open_file(tmp, "wb");
-    write_all(f.get(), blob.data(), blob.size());
+    const Fd f = open_fd(tmp, O_WRONLY | O_CREAT | O_TRUNC);
+    pwrite_all(f.get(), blob.data(), blob.size(), 0);
   }
-  comm.barrier();  // the tmp file exists before anyone opens it r+
+  comm.barrier();  // the tmp file exists before any writer opens it
 
   if (rank != my_writer) {
     // Funnel every sub-block (and its CRC) to the aggregator. Per-source
@@ -340,7 +384,7 @@ WriteStats write(comm::Comm& comm, const std::string& path,
       comm.send_value(my_writer, kTagGioCrc, crcs[v]);
     }
   } else {
-    File f = open_file(tmp, "r+b");
+    const Fd f = open_fd(tmp, O_WRONLY);
     for (int src = 0; src < p; ++src) {
       if (group_of(src, m, p) != my_group) continue;
       for (std::size_t v = 0; v < vars.size(); ++v) {
@@ -358,11 +402,11 @@ WriteStats write(comm::Comm& comm, const std::string& path,
           crc = comm.recv_value<std::uint64_t>(src, kTagGioCrc);
           data = incoming.data();
         }
-        seek_to(f.get(), lay.offsets[lay.sub(b, v)]);
-        write_all(f.get(), data, nbytes);
+        const std::uint64_t offset = lay.offsets[lay.sub(b, v)];
+        pwrite_all(f.get(), data, nbytes, offset);
         std::vector<std::byte> trailer;
         wire::put_u64(trailer, crc);
-        write_all(f.get(), trailer.data(), trailer.size());
+        pwrite_all(f.get(), trailer.data(), trailer.size(), offset + nbytes);
       }
     }
   }
@@ -374,19 +418,16 @@ WriteStats write(comm::Comm& comm, const std::string& path,
     // happens once every rank's data is complete, so a crash mid-write
     // leaves `<path>.tmp`, never a truncated `path`.
     {
-      const auto blob = serialize_header(lay);
-      File f = open_file(tmp, "r+b");
-      seek_to(f.get(), lay.data_end);
-      write_all(f.get(), blob.data(), blob.size());
-      std::vector<std::byte> footer;
-      wire::put_u64(footer, lay.data_end);
-      wire::put_u64(footer, kFooterMagic);
-      write_all(f.get(), footer.data(), footer.size());
+      std::vector<std::byte> tail = serialize_header(lay);
+      wire::put_u64(tail, lay.data_end);  // footer
+      wire::put_u64(tail, kFooterMagic);
+      const Fd f = open_fd(tmp, O_WRONLY);
+      pwrite_all(f.get(), tail.data(), tail.size(), lay.data_end);
     }
     if (cfg.verify_after_write) {
-      // Read the tmp file back through the normal validation path before
-      // publishing it. On failure the tmp file stays behind for forensics
-      // and `path` still names the previous good file.
+      // Read the tmp file back, every sub-block through the routine every
+      // restore uses, before publishing it. On failure the tmp file stays
+      // behind for forensics and `path` still names the previous good file.
       const VerifyReport vr = verify_file(tmp);
       verify_seconds = vr.seconds;
       if (!vr.ok) {
@@ -426,13 +467,14 @@ ReadReport read(comm::Comm& comm, const std::string& path,
   Timer timer;
 
   // Rank 0 validates a header copy and broadcasts the blob; every rank
-  // parses the same bytes.
+  // parses the same bytes. Rank 0's descriptor then serves its own blocks.
+  Fd fd;
   std::vector<std::byte> blob;
   std::uint64_t used_redundant = 0;
   if (rank == 0) {
-    File f = open_file(path, "rb");
+    fd = open_fd(path, O_RDONLY);
     bool redundant = false;
-    blob = load_header(f.get(), redundant);
+    blob = load_header(fd.get(), redundant);
     used_redundant = redundant ? 1 : 0;
   }
   std::uint64_t blob_size = blob.size();
@@ -476,31 +518,18 @@ ReadReport read(comm::Comm& comm, const std::string& path,
 
   std::vector<PackedCorrupt> local_corrupt;
   if (b_lo < b_hi) {
-    File f = open_file(path, "rb");
+    if (rank != 0) fd = open_fd(path, O_RDONLY);
     for (std::uint64_t b = b_lo; b < b_hi; ++b) {
       report.local_particles += lay.counts[b];
       for (std::size_t v = 0; v < vars.size(); ++v) {
         const std::size_t fv = file_var[v];
-        const std::uint64_t nbytes = lay.bytes[lay.sub(b, fv)];
         auto& out = *vars[v].out;
         const std::size_t at = out.size();
-        out.resize(at + nbytes);
-        bool ok = std::fseek(f.get(),
-                             static_cast<long>(lay.offsets[lay.sub(b, fv)]),
-                             SEEK_SET) == 0 &&
-                  read_all(f.get(), out.data() + at, nbytes);
-        if (ok) {
-          std::byte trailer[kCrcBytes];
-          ok = read_all(f.get(), trailer, kCrcBytes);
-          if (ok) {
-            wire::Cursor c(std::span<const std::byte>(trailer, kCrcBytes));
-            ok = c.u64() == crc64(out.data() + at, nbytes);
-          }
-        }
-        if (!ok) {
+        out.resize(at + lay.bytes[lay.sub(b, fv)]);
+        const std::span<std::byte> sub = std::span(out).subspan(at);
+        if (!read_sub_block(fd.get(), lay, b, fv, sub)) {
           // Skip-and-report: zero-fill the damaged sub-block and carry on.
-          std::fill(out.begin() + static_cast<std::ptrdiff_t>(at), out.end(),
-                    std::byte{0});
+          std::fill(sub.begin(), sub.end(), std::byte{0});
           local_corrupt.push_back(
               PackedCorrupt{b, static_cast<std::uint32_t>(fv)});
         }
@@ -529,101 +558,45 @@ ReadReport read(comm::Comm& comm, const std::string& path,
 VerifyReport verify_file(const std::string& path) {
   Timer timer;
   VerifyReport report;
-  Layout lay;
-  {
-    File f(std::fopen(path.c_str(), "rb"));
-    if (f == nullptr) {
-      report.seconds = timer.elapsed();
-      return report;  // missing file: not verifiable, ok stays false
-    }
-    try {
-      bool redundant = false;
-      lay = parse_header(load_header(f.get(), redundant));
-      report.used_redundant_header = redundant;
-      report.header_ok = true;
-    } catch (const Error&) {
-      report.seconds = timer.elapsed();
-      return report;  // both header copies unusable
-    }
-    report.total_particles = lay.total;
-    report.blocks = lay.nblocks();
-    std::vector<std::byte> buf;
-    for (std::size_t b = 0; b < lay.nblocks(); ++b) {
-      for (std::size_t v = 0; v < lay.nvars(); ++v) {
-        const std::uint64_t nbytes = lay.bytes[lay.sub(b, v)];
-        buf.resize(nbytes + kCrcBytes);
-        bool ok = std::fseek(f.get(),
-                             static_cast<long>(lay.offsets[lay.sub(b, v)]),
-                             SEEK_SET) == 0 &&
-                  read_all(f.get(), buf.data(), buf.size());
-        if (ok) {
-          wire::Cursor c(std::span<const std::byte>(buf).subspan(nbytes));
-          ok = c.u64() == crc64(buf.data(), nbytes);
-        }
-        if (!ok) {
-          report.corrupt.push_back(CorruptRegion{
-              b, static_cast<std::uint32_t>(v), lay.var_names[v]});
-        }
-        report.bytes_scanned += nbytes;
-      }
+  std::optional<BlockFile> file;
+  try {
+    file.emplace(path);
+  } catch (const Error&) {
+    report.seconds = timer.elapsed();
+    return report;  // missing file or both header copies unusable
+  }
+  report.header_ok = true;
+  report.used_redundant_header = file->used_redundant_header();
+  report.total_particles = file->total_rows();
+  report.blocks = file->blocks();
+  std::vector<std::byte> buf;
+  for (std::size_t b = 0; b < file->blocks(); ++b) {
+    for (std::size_t v = 0; v < file->vars(); ++v) {
+      if (!file->read_verified(b, v, buf))
+        report.corrupt.push_back(CorruptRegion{
+            b, static_cast<std::uint32_t>(v), file->var_names()[v]});
+      report.bytes_scanned += file->sub_block_bytes(b, v);
     }
   }
-  report.ok = report.header_ok && report.corrupt.empty();
+  report.ok = report.corrupt.empty();
   report.seconds = timer.elapsed();
   return report;
-}
-
-FileInfo inspect(const std::string& path) {
-  File f = open_file(path, "rb");
-  bool redundant = false;
-  const auto blob = load_header(f.get(), redundant);
-  const Layout lay = parse_header(blob);
-  FileInfo info;
-  info.meta = lay.meta;
-  info.total_particles = lay.total;
-  info.header_bytes = lay.header_bytes;
-  info.file_bytes = lay.file_bytes();
-  info.used_redundant_header = redundant;
-  info.var_names = lay.var_names;
-  info.var_types = lay.var_types;
-  info.block_counts = lay.counts;
-  return info;
 }
 
 // ---- BlockFile -------------------------------------------------------------
 
 struct BlockFile::Impl {
   std::string path;
-  int fd = -1;
+  Fd fd;
   Layout lay;
   bool used_redundant = false;
-
-  ~Impl() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  void pread_all(void* dst, std::size_t bytes, std::uint64_t offset) const {
-    auto* p = static_cast<std::byte*>(dst);
-    while (bytes > 0) {
-      const ::ssize_t n = ::pread(fd, p, bytes, static_cast<::off_t>(offset));
-      HACC_CHECK_MSG(n > 0, "gio: pread failed on " + path);
-      p += n;
-      bytes -= static_cast<std::size_t>(n);
-      offset += static_cast<std::uint64_t>(n);
-    }
-  }
 };
 
 BlockFile::BlockFile(const std::string& path) : impl_(new Impl) {
   impl_->path = path;
-  // The header is parsed through the stdio path (redundant-copy fallback
-  // included); the descriptor below serves all subsequent data reads.
-  {
-    File f = open_file(path, "rb");
-    impl_->lay = parse_header(load_header(f.get(), impl_->used_redundant));
-  }
-  impl_->fd = ::open(path.c_str(), O_RDONLY);
-  HACC_CHECK_MSG(impl_->fd >= 0, "cannot open " + path);
+  impl_->fd = open_fd(path, O_RDONLY);
+  impl_->lay =
+      parse_header(load_header(impl_->fd.get(), impl_->used_redundant));
 }
 
 BlockFile::~BlockFile() = default;
@@ -676,51 +649,34 @@ void BlockFile::read_at(std::size_t block, std::size_t var,
   const std::size_t s = lay.sub(block, var);
   HACC_CHECK_MSG(offset + out.size() <= lay.bytes[s],
                  "gio: ranged read beyond sub-block");
-  impl_->pread_all(out.data(), out.size(), lay.offsets[s] + offset);
+  HACC_CHECK_MSG(pread_all(impl_->fd.get(), out.data(), out.size(),
+                           lay.offsets[s] + offset),
+                 "gio: pread failed on " + impl_->path);
 }
 
 bool BlockFile::read_verified(std::size_t block, std::size_t var,
                               std::vector<std::byte>& out) const {
-  const Layout& lay = impl_->lay;
-  HACC_CHECK(block < blocks() && var < vars());
-  const std::size_t s = lay.sub(block, var);
-  const std::uint64_t nbytes = lay.bytes[s];
-  out.resize(nbytes + kCrcBytes);
-  std::size_t got = 0;
-  std::uint64_t off = lay.offsets[s];
-  while (got < out.size()) {
-    const ::ssize_t n = ::pread(impl_->fd, out.data() + got, out.size() - got,
-                                static_cast<::off_t>(off));
-    if (n <= 0) return false;  // short read: truncated/unreadable, not fatal
-    got += static_cast<std::size_t>(n);
-    off += static_cast<std::uint64_t>(n);
-  }
-  wire::Cursor c(std::span<const std::byte>(out).subspan(nbytes));
-  const bool ok = c.u64() == crc64(out.data(), nbytes);
-  out.resize(nbytes);  // trailer is an implementation detail
-  return ok;
+  out.resize(sub_block_bytes(block, var));
+  return read_sub_block(impl_->fd.get(), impl_->lay, block, var, out);
 }
 
 namespace {
 void flip_byte_at(const std::string& path, std::uint64_t offset) {
-  File f = open_file(path, "r+b");
+  const Fd f = open_fd(path, O_RDWR);
   HACC_CHECK_MSG(offset < file_size(f.get()), "fault offset beyond file end");
-  seek_to(f.get(), offset);
   unsigned char c = 0;
-  HACC_CHECK(read_all(f.get(), &c, 1));
+  HACC_CHECK(pread_all(f.get(), &c, 1, offset));
   c ^= 0x5a;
-  seek_to(f.get(), offset);
-  write_all(f.get(), &c, 1);
+  pwrite_all(f.get(), &c, 1, offset);
 }
 }  // namespace
 
 void flip_byte_in_variable(const std::string& path, std::uint64_t block,
                            const std::string& var_name,
                            std::uint64_t byte_in_block) {
-  File f = open_file(path, "rb");
   bool redundant = false;
-  const Layout lay = parse_header(load_header(f.get(), redundant));
-  f.reset();
+  const Layout lay =
+      parse_header(load_header(open_fd(path, O_RDONLY).get(), redundant));
   const auto it =
       std::find(lay.var_names.begin(), lay.var_names.end(), var_name);
   HACC_CHECK_MSG(it != lay.var_names.end(), "no such gio variable");
@@ -728,7 +684,8 @@ void flip_byte_in_variable(const std::string& path, std::uint64_t block,
       static_cast<std::size_t>(std::distance(lay.var_names.begin(), it));
   HACC_CHECK_MSG(block < lay.nblocks(), "no such gio block");
   const std::size_t s = lay.sub(block, v);
-  HACC_CHECK_MSG(byte_in_block < lay.bytes[s], "fault beyond sub-block");
+  HACC_CHECK_MSG(byte_in_block < lay.bytes[s] + kCrcBytes,
+                 "fault beyond sub-block and its CRC trailer");
   flip_byte_at(path, lay.offsets[s] + byte_in_block);
 }
 

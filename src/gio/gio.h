@@ -136,19 +136,6 @@ struct ReadReport {
 ReadReport read(comm::Comm& comm, const std::string& path,
                 std::span<const ReadVar> vars);
 
-/// Header summary of a file (serial; used by tests and tools).
-struct FileInfo {
-  GlobalMeta meta;
-  std::uint64_t total_particles = 0;
-  std::uint64_t header_bytes = 0;
-  std::uint64_t file_bytes = 0;
-  bool used_redundant_header = false;
-  std::vector<std::string> var_names;
-  std::vector<VarType> var_types;
-  std::vector<std::uint64_t> block_counts;
-};
-FileInfo inspect(const std::string& path);
-
 /// Full-file integrity scan result (see verify_file).
 struct VerifyReport {
   bool ok = false;  ///< header usable AND every sub-block CRC clean
@@ -162,22 +149,24 @@ struct VerifyReport {
   double seconds = 0;
 };
 
-/// Serial full-file integrity scan: validate a header copy, then re-read
-/// every variable sub-block and check its CRC64 trailer. Never throws on
-/// corruption — an unusable file simply reports ok == false. Used by the
-/// write-then-verify path and by the Supervisor to pick the newest *good*
-/// checkpoint before restoring.
+/// Serial full-file integrity scan: open the file as a BlockFile (a header
+/// copy must validate) and read_verified() every variable sub-block, so a
+/// file passes through the same sub-block check read() applies on every
+/// restore. Never throws on corruption: a missing file or two dead header
+/// copies report ok == header_ok == false. Used by the write-then-verify
+/// path, by the Supervisor to pick the newest *good* checkpoint before
+/// restoring, and by CatalogStore::verify_all.
 VerifyReport verify_file(const std::string& path);
 
 // ---- ranged / partial block reads ------------------------------------------
 
 /// Serial random-access reader over one gio file: the header is parsed once
-/// at open, after which any (block, variable) sub-block — or any byte range
-/// inside one — can be read without touching the rest of the file. This is
-/// the granularity the collective read() path lacks (it always delivers a
-/// rank's whole block share), and it is what a read-optimized store needs:
-/// a query touching one column of one writer block costs exactly that
-/// column's bytes.
+/// at open (redundant-copy fallback included), after which any (block,
+/// variable) sub-block — or any byte range inside one — can be read without
+/// touching the rest of the file. A read-optimized store needs exactly
+/// that: a query touching one column of one writer block costs that
+/// column's bytes. read_verified() checks a sub-block through the same
+/// routine read() uses for each block of a rank's share.
 ///
 /// Reads go through pread(2) on a single file descriptor, so a const
 /// BlockFile is safe to share across threads with no locking — the query
@@ -215,9 +204,9 @@ class BlockFile {
   void read_at(std::size_t block, std::size_t var, std::uint64_t offset,
                std::span<std::byte> out) const;
 
-  /// Full sub-block read + CRC64 trailer check into `out` (resized).
-  /// Returns false on CRC mismatch or short read (contents unspecified);
-  /// never throws on corruption.
+  /// Full sub-block read + CRC64 trailer check into `out` (resized to the
+  /// sub-block's data bytes). Returns false on CRC mismatch or short read
+  /// (contents unspecified); never throws on corruption.
   bool read_verified(std::size_t block, std::size_t var,
                      std::vector<std::byte>& out) const;
 
@@ -228,7 +217,9 @@ class BlockFile {
 
 // ---- fault injection (tests prove detection/recovery) ----------------------
 
-/// XOR one byte of the given variable sub-block's data region.
+/// XOR one byte of the given variable sub-block: `byte_in_block` below the
+/// sub-block's data bytes n hits the data, n..n+7 its CRC64 trailer (so an
+/// empty block's sub-block, which is only its trailer, can be damaged too).
 void flip_byte_in_variable(const std::string& path, std::uint64_t block,
                            const std::string& var_name,
                            std::uint64_t byte_in_block = 0);

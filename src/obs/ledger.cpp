@@ -92,42 +92,42 @@ std::string step_record_json(const StepRecord& r) {
 
 CostMapRecord reduce_cost_map(comm::Comm& comm, const CostMap::Summary& mine,
                               int step, int root) {
-  // Plain interned labels for reduce_samples: registering a kind here
-  // would override the kind the owner of the cost.* slots gave them (the
-  // simulation publishes cost.kernel_ns as a per-step gauge).
-  static const NameId kKernelNs = intern_name("cost.kernel_ns");
-  static const NameId kInteractions = intern_name("cost.interactions");
-
-  // One POD summary per rank for the leaf-level fields (and the straggler
-  // argmax, which a min/mean/max reduction cannot recover).
+  // One POD summary per rank: the leaf-level fields, the straggler argmax
+  // (which a min/mean/max reduction cannot recover) and the per-rank
+  // kernel time and interaction count.
   struct WireSummary {
     std::uint64_t leaves, interactions, kernel_ns;
     double leaf_imbalance, top_decile_share;
   };
   const WireSummary w{mine.leaves, mine.interactions, mine.kernel_ns,
                       mine.leaf_imbalance, mine.top_decile_share};
-  std::vector<std::size_t> counts;
   const std::vector<WireSummary> all =
-      comm.gatherv(std::span<const WireSummary>(&w, 1), root, &counts);
-
-  // Per-rank kernel seconds / interactions through the shared reducer —
-  // rank_kernel_s.imbalance is the cross-rank straggler signal.
-  const std::array<std::pair<NameId, double>, 2> samples{
-      std::pair<NameId, double>{kKernelNs,
-                                static_cast<double>(mine.kernel_ns) / 1e9},
-      std::pair<NameId, double>{kInteractions,
-                                static_cast<double>(mine.interactions)}};
-  const std::vector<Reduced> reduced = reduce_samples(comm, samples, root);
+      comm.gatherv(std::span<const WireSummary>(&w, 1), root);
 
   CostMapRecord rec;
   rec.step = step;
   if (comm.rank() != root) return rec;
 
-  for (const Reduced& r : reduced) {
-    const PhaseStat s{r.min, r.mean, r.max, r.imbalance()};
-    if (r.name == kKernelNs) rec.rank_kernel_s = s;
-    if (r.name == kInteractions) rec.rank_interactions = s;
-  }
+  // Per-rank kernel seconds / interactions, min/mean/max with the sum
+  // taken in rank order and mean = sum / P, as obs::reduce_samples reduces
+  // — rank_kernel_s.imbalance is the cross-rank straggler signal.
+  const auto over_ranks = [&](auto value_of) {
+    double lo = value_of(all[0]), hi = lo, sum = 0;
+    for (const WireSummary& s : all) {
+      const double v = value_of(s);
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+      sum += v;
+    }
+    const double mean = sum / static_cast<double>(all.size());
+    return PhaseStat{lo, mean, hi, mean > 0 ? hi / mean : 0.0};
+  };
+  rec.rank_kernel_s = over_ranks([](const WireSummary& s) {
+    return static_cast<double>(s.kernel_ns) / 1e9;
+  });
+  rec.rank_interactions = over_ranks([](const WireSummary& s) {
+    return static_cast<double>(s.interactions);
+  });
   std::uint64_t kernel_ns = 0;
   for (std::size_t r = 0; r < all.size(); ++r) {
     rec.leaves += all[r].leaves;

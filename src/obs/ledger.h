@@ -97,9 +97,9 @@ struct CostMapRecord {
 };
 
 /// Reduce every rank's CostMap::Summary to rank 0 (empty record with the
-/// given step elsewhere). Collective over `comm`; uses obs::reduce_samples
-/// for the per-rank kernel/interaction stats plus one summary gather for
-/// the leaf-level fields.
+/// given step elsewhere). Collective over `comm`: one gather of every
+/// rank's summary yields all fields, the per-rank kernel/interaction
+/// stats included.
 CostMapRecord reduce_cost_map(comm::Comm& comm, const CostMap::Summary& mine,
                               int step, int root = 0);
 

@@ -498,8 +498,9 @@ CampaignOutcome run_campaign(std::uint64_t seed, const SimulationConfig& cfg,
     EXPECT_NE(at_detect, std::string::npos) << "seed " << seed;
     EXPECT_LT(at_detect, at_rollback) << "seed " << seed;
     EXPECT_NE(at_resume, std::string::npos) << "seed " << seed;
-    if (at_resume != std::string::npos)
+    if (at_resume != std::string::npos) {
       EXPECT_LT(at_rollback, at_resume) << "seed " << seed;
+    }
   }
 
   fs::remove_all(scfg.checkpoint_dir);

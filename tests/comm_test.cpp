@@ -769,7 +769,9 @@ TEST(FaultInjection, StallRecvDelaysCompletion) {
   const auto t0 = std::chrono::steady_clock::now();
   Machine::run(2, [](Comm& c) {
     if (c.rank() == 0) c.send_value(1, 3, 7);
-    if (c.rank() == 1) EXPECT_EQ(c.recv_value<int>(0, 3), 7);
+    if (c.rank() == 1) {
+      EXPECT_EQ(c.recv_value<int>(0, 3), 7);
+    }
   }, opts);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

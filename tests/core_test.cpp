@@ -750,9 +750,11 @@ TEST(Simulation, PowerSpectrumReusesTheSolverTransform) {
       if (name_of(s.id).rfind("phase.poisson", 0) != 0) continue;
       EXPECT_EQ(sim.counters().value(s.id), s.value) << name_of(s.id);
     }
-    for (const obs::Counters::Sample& s : sim.counters().snapshot())
-      if (name_of(s.id).rfind("phase.poisson", 0) == 0)
+    for (const obs::Counters::Sample& s : sim.counters().snapshot()) {
+      if (name_of(s.id).rfind("phase.poisson", 0) == 0) {
         EXPECT_GT(s.value, 0u) << name_of(s.id) << " (timed by the step)";
+      }
+    }
   });
 }
 
@@ -922,6 +924,50 @@ TEST(CheckpointSet, AuditVerdictSidecars) {
   EXPECT_FALSE(std::filesystem::exists(set.verdict_path_for_step(2)));
   EXPECT_EQ(set.verdict(2), "");
   EXPECT_EQ(set.verdict(4), "clean");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointSet, NewestRestorableSkipsPoisonedAndDamaged) {
+  // The scan both recovery paths share: from the newest down, a file with
+  // no gio header, a poisoned verdict over CRC-clean bytes, and a damaged
+  // sub-block are each skipped with their reason; the clean step 2 wins.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "hacc_ckpt_restorable")
+          .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  CheckpointSet set(dir, /*keep=*/4);
+  comm::Machine::run(1, [&](comm::Comm& c) {
+    const std::array<float, 3> x{1.0f, 2.0f, 3.0f};
+    const std::vector<gio::WriteVar> vars{
+        {"x", gio::VarType::kFloat32, x.data()}};
+    for (const int step : {2, 4, 6})
+      gio::write(c, set.path_for_step(step), gio::GlobalMeta{}, x.size(),
+                 vars);
+  });
+  std::ofstream(set.path_for_step(8)) << "not a gio file";
+  set.record_verdict(6, "poisoned");
+  gio::flip_byte_in_variable(set.path_for_step(4), /*block=*/0, "x");
+
+  std::vector<std::pair<int, std::string>> rejected;
+  EXPECT_EQ(set.newest_restorable([&](int step, const std::string& why) {
+              rejected.emplace_back(step, why);
+            }),
+            2);
+  const std::vector<std::pair<int, std::string>> want{
+      {8, set.path_for_step(8) + ": header unreadable"},
+      {6, set.path_for_step(6) + ": audit verdict poisoned"},
+      {4, set.path_for_step(4) + ": sub-block CRC mismatch"}};
+  EXPECT_EQ(rejected, want);
+
+  // Nothing restorable: -1, every step reported.
+  set.record_verdict(2, "poisoned");
+  rejected.clear();
+  EXPECT_EQ(set.newest_restorable([&](int step, const std::string& why) {
+              rejected.emplace_back(step, why);
+            }),
+            -1);
+  EXPECT_EQ(rejected.size(), 4u);
   std::filesystem::remove_all(dir);
 }
 

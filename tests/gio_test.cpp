@@ -153,7 +153,7 @@ TEST(Gio, MissingVariableAndMissingFileThrow) {
     EXPECT_THROW(read(c, path, bad), Error);
     std::vector<ReadVar> mistyped{{"x", VarType::kUInt64, &out}};
     EXPECT_THROW(read(c, path, mistyped), Error);
-    EXPECT_THROW(inspect(temp_path("hacc_gio_does_not_exist.gio")), Error);
+    EXPECT_THROW(BlockFile{temp_path("hacc_gio_does_not_exist.gio")}, Error);
   });
   fs::remove(path);
 }
@@ -327,10 +327,15 @@ TEST(Gio, RedundantHeaderRescuesClobberedPrimary) {
   });
 
   flip_byte_in_primary_header(path, 16);  // damage inside the primary blob
-  const auto info = inspect(path);
-  EXPECT_TRUE(info.used_redundant_header);
-  EXPECT_EQ(info.total_particles, 2 * n);
-  EXPECT_DOUBLE_EQ(info.meta.scale_factor, 0.25);
+  std::uint64_t header_bytes = 0;
+  {
+    const BlockFile f(path);
+    EXPECT_TRUE(f.used_redundant_header());
+    EXPECT_EQ(f.total_rows(), 2 * n);
+    EXPECT_DOUBLE_EQ(f.meta().scale_factor, 0.25);
+    // One header blob: 72 + 32 V + (8 + 16 V) B + 8 bytes (DESIGN §4d).
+    header_bytes = 72 + 32 * f.vars() + (8 + 16 * f.vars()) * f.blocks() + 8;
+  }
 
   comm::Machine::run(2, [&](comm::Comm& c) {
     ParticleArray p;
@@ -353,13 +358,13 @@ TEST(Gio, RedundantHeaderRescuesClobberedPrimary) {
   // Clobbering the magic itself must also fall through to the redundant
   // copy, and destroying both copies must finally throw.
   flip_byte_in_primary_header(path, 0);
-  EXPECT_TRUE(inspect(path).used_redundant_header);
+  EXPECT_TRUE(BlockFile(path).used_redundant_header());
   {
     // Truncate away footer + redundant header.
-    const auto keep = fs::file_size(path) - info.header_bytes - 16;
+    const auto keep = fs::file_size(path) - header_bytes - 16;
     fs::resize_file(path, keep);
   }
-  EXPECT_THROW(inspect(path), Error);
+  EXPECT_THROW(BlockFile{path}, Error);
   fs::remove(path);
 }
 
@@ -439,6 +444,95 @@ TEST(GioVerify, FlippedByteIsLocatedByScan) {
   ASSERT_EQ(vr.corrupt.size(), 1u);
   EXPECT_EQ(vr.corrupt[0].block, 1u);
   EXPECT_EQ(vr.corrupt[0].var_name, "vy");
+  fs::remove(path);
+}
+
+TEST(GioVerify, EveryReaderFlagsTheSameSubBlock) {
+  // Three writer blocks, the middle one empty, one variable of each type.
+  // A flipped data byte or CRC-trailer byte must be pinned to the same
+  // (block, var) by verify_file, by read() at 1 and 2 readers and by
+  // BlockFile::read_verified, and read() must zero-fill exactly that
+  // sub-block.
+  const std::string path = temp_path("hacc_gio_every_reader.gio");
+  const std::array<std::uint64_t, 3> rows{40, 0, 25};
+  const std::array<std::string, 3> names{"x", "id", "role"};
+  const std::array<VarType, 3> types{VarType::kFloat32, VarType::kUInt64,
+                                     VarType::kUInt8};
+  // written[b][v]: block b's bytes of variable v, never zero.
+  std::array<std::array<std::vector<std::byte>, 3>, 3> written;
+  for (std::size_t b = 0; b < 3; ++b)
+    for (std::size_t v = 0; v < 3; ++v)
+      for (std::size_t i = 0; i < rows[b] * var_type_size(types[v]); ++i)
+        written[b][v].push_back(
+            static_cast<std::byte>(1 + (31 * b + 7 * v + i) % 255));
+  comm::Machine::run(3, [&](comm::Comm& c) {
+    const auto b = static_cast<std::size_t>(c.rank());
+    std::vector<WriteVar> wv;
+    for (std::size_t v = 0; v < 3; ++v)
+      wv.push_back({names[v], types[v], written[b][v].data()});
+    write(c, path, GlobalMeta{}, rows[b], wv);
+  });
+
+  const auto expect_only = [&](std::size_t bad_b, std::size_t bad_v) {
+    const VerifyReport vr = verify_file(path);
+    EXPECT_TRUE(vr.header_ok);
+    ASSERT_EQ(vr.corrupt.size(), 1u);
+    EXPECT_EQ(vr.corrupt[0].block, bad_b);
+    EXPECT_EQ(vr.corrupt[0].var, bad_v);
+    EXPECT_EQ(vr.corrupt[0].var_name, names[bad_v]);
+
+    const BlockFile f(path);
+    std::vector<std::byte> buf;
+    for (std::size_t b = 0; b < 3; ++b)
+      for (std::size_t v = 0; v < 3; ++v)
+        EXPECT_EQ(f.read_verified(b, v, buf), b != bad_b || v != bad_v)
+            << "block " << b << " var " << names[v];
+
+    for (const int readers : {1, 2}) {
+      comm::Machine::run(readers, [&](comm::Comm& c) {
+        std::array<std::vector<std::byte>, 3> out;
+        std::vector<ReadVar> rv;
+        for (std::size_t v = 0; v < 3; ++v)
+          rv.push_back({names[v], types[v], &out[v]});
+        const ReadReport rep = read(c, path, rv);
+        ASSERT_EQ(rep.corrupt.size(), 1u) << readers << " readers";
+        EXPECT_EQ(rep.corrupt[0].block, bad_b);
+        EXPECT_EQ(rep.corrupt[0].var, bad_v);
+        // This reader's blocks, the damaged sub-block zero-filled.
+        const auto r = static_cast<std::size_t>(c.rank());
+        const auto p = static_cast<std::size_t>(readers);
+        for (std::size_t v = 0; v < 3; ++v) {
+          std::vector<std::byte> want;
+          for (std::size_t b = 3 * r / p; b < 3 * (r + 1) / p; ++b) {
+            if (b == bad_b && v == bad_v)
+              want.resize(want.size() + written[b][v].size(), std::byte{0});
+            else
+              want.insert(want.end(), written[b][v].begin(),
+                          written[b][v].end());
+          }
+          EXPECT_EQ(out[v], want) << readers << " readers, rank " << r
+                                  << ", var " << names[v];
+        }
+      });
+    }
+  };
+
+  for (std::size_t b = 0; b < 3; ++b) {
+    for (std::size_t v = 0; v < 3; ++v) {
+      const std::uint64_t n = written[b][v].size();
+      std::vector<std::uint64_t> hits{n + 3};  // inside the CRC trailer
+      if (n > 0) hits.push_back(0);            // the first data byte
+      for (const std::uint64_t at : hits) {
+        SCOPED_TRACE("block " + std::to_string(b) + " var " + names[v] +
+                     " byte " + std::to_string(at));
+        flip_byte_in_variable(path, b, names[v], at);
+        expect_only(b, v);
+        flip_byte_in_variable(path, b, names[v], at);  // XOR again: healed
+      }
+    }
+  }
+  EXPECT_TRUE(verify_file(path).ok);
+  EXPECT_THROW(flip_byte_in_variable(path, 1, "x", 8), Error);  // past trailer
   fs::remove(path);
 }
 

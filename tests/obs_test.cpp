@@ -973,7 +973,21 @@ TEST(Reduce, CostMapReduceNamesStragglerRank) {
     // Rank 2 carries 10x the kernel time of everyone else.
     const std::uint64_t ns = c.rank() == 2 ? 10'000'000 : 1'000'000;
     cm.record(LeafCost{{0, 0, 0}, {1, 1, 1}, 100, 1000, ns});
-    const CostMapRecord rec = reduce_cost_map(c, cm.summarize(), /*step=*/7);
+    Counters counters;
+    CostMapRecord rec;
+    {
+      Binding binding(nullptr, &counters);
+      rec = reduce_cost_map(c, cm.summarize(), /*step=*/7);
+    }
+    // One gather carries every field: no second collective per step.
+    EXPECT_EQ(counters.value(counter_id("comm.gatherv.calls")), 1u);
+    for (const Counters::Sample& s : counters.snapshot()) {
+      const std::string_view name = name_of(s.id);
+      if (name.rfind("comm.", 0) == 0 && name.ends_with(".calls") &&
+          name != "comm.gatherv.calls") {
+        ADD_FAILURE() << name << " = " << s.value << " on rank " << c.rank();
+      }
+    }
     if (c.rank() != 0) {
       EXPECT_EQ(rec.leaves, 0u);  // reduced record lives on root only
       return;
