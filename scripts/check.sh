@@ -5,8 +5,9 @@
 #
 # 1. Configure + build the default tree and run the full ctest suite.
 #    Then an OpenMP thread-count matrix: the zero-allocation gates (pencil
-#    FFT, short-range kernel, duplicate-execution audit on both leaf
-#    partitions), the one-PM-solve-per-warm-step count and the
+#    FFT, the block<->pencil BlockFft pair, short-range kernel,
+#    duplicate-execution audit on both leaf partitions), the
+#    one-PM-solve-per-warm-step count and the
 #    bit-for-bit determinism tests (checkpoint restart, fault-matrix
 #    recovery, rollback of a flip in the stored long-range acceleration,
 #    catalog byte identity) run again at OMP_NUM_THREADS=1 and at nproc,
@@ -23,6 +24,10 @@
 #    supports. Then the FOF halo finder under ASan (cosmology_test's
 #    HaloFinder suite): its linker walks per-cell runs of one sorted array
 #    with a cursor per neighbor row, where an off-by-one read would hide.
+#    Then the spectral path under ASan: all of fft_test (the Stockham
+#    passes index raw stage buffers and a per-thread scratch line) and
+#    mesh_test's Redistributor, BlockFft and Poisson suites (the remap
+#    packs and unpacks z-runs with memcpy at computed offsets).
 # 3. Configure a third tree with -DHACC_SANITIZE=thread and run obs_test and
 #    comm_test — the tracer ring, the counter atomics and the comm telemetry
 #    thread-locals are all shared across SimMPI rank threads, so TSan gates
@@ -30,6 +35,8 @@
 #    spectral path under TSan: fft_test's pencil suites and mesh_test's
 #    Redistributor, PoissonRanks and BlockFft suites — every transpose and
 #    block<->pencil remap exchanges buffers across SimMPI rank threads.
+#    (PencilInvariance is left out: it sets two OpenMP threads per rank,
+#    which TSan cannot check, see below; ctest and ASan run it.)
 #    Every TSan invocation in this script runs at OMP_NUM_THREADS=1. libgomp
 #    is not built with TSan, so TSan cannot see an OpenMP team's fork/join
 #    synchronization and reports every multi-thread team as races (on a
@@ -97,6 +104,7 @@ for threads in 1 "$JOBS"; do
   echo "-- OMP_NUM_THREADS=${threads} --"
   export OMP_NUM_THREADS="$threads"
   run_filtered "$BUILD/tests/fft_test" 'Pencil.SteadyStateTransformsDoNotAllocate'
+  run_filtered "$BUILD/tests/mesh_test" 'BlockFft.SteadyStateTransformsDoNotAllocate'
   run_filtered "$BUILD/tests/tree_test" 'TreeForce.SteadyStateShortRangeIsAllocationFree'
   run_filtered "$BUILD/tests/core_test" \
     'Simulation.CheckpointRestartReproducesRun:Simulation.OneLongRangeSolvePerWarmStep'
@@ -112,10 +120,11 @@ echo "== omp matrix: short-range allocation gate x10 at 8 threads =="
 OMP_NUM_THREADS=8 run_filtered "$BUILD/tests/tree_test" \
   'TreeForce.SteadyStateShortRangeIsAllocationFree' --gtest_repeat=10
 
-echo "== asan: configure + build io_test gio_test tree_test p3m_test cosmology_test (${ASAN_BUILD}) =="
+echo "== asan: configure + build io_test gio_test tree_test p3m_test cosmology_test fft_test mesh_test (${ASAN_BUILD}) =="
 cmake -B "$ASAN_BUILD" -S . -DHACC_SANITIZE=address >/dev/null
 cmake --build "$ASAN_BUILD" -j "$JOBS" \
-  --target io_test gio_test tree_test p3m_test cosmology_test
+  --target io_test gio_test tree_test p3m_test cosmology_test fft_test \
+  mesh_test
 
 echo "== asan: io_test =="
 "$ASAN_BUILD/tests/io_test"
@@ -126,6 +135,10 @@ run_filtered "$ASAN_BUILD/tests/tree_test" 'InteractionBatch.*:TreeForce.*'
 "$ASAN_BUILD/tests/p3m_test"
 echo "== asan: FOF halo finder (occupied-cell linker, subhalos) =="
 run_filtered "$ASAN_BUILD/tests/cosmology_test" 'HaloFinder.*'
+echo "== asan: spectral path (Stockham passes, pencil, remap, BlockFft) =="
+"$ASAN_BUILD/tests/fft_test"
+run_filtered "$ASAN_BUILD/tests/mesh_test" \
+  'Redistributor.*:*BlockFftRanks.*:*PoissonRanks.*'
 
 TSAN_BUILD="${BUILD}-tsan"
 echo "== tsan: configure + build obs_test comm_test (${TSAN_BUILD}) =="

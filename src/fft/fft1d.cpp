@@ -1,5 +1,6 @@
 #include "fft/fft1d.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -9,7 +10,8 @@ namespace hacc::fft {
 
 namespace {
 
-/// Largest prime radix handled by the mixed-radix combine step.
+/// Largest prime radix a stage handles; longer prime factors go to
+/// Bluestein.
 constexpr std::size_t kMaxRadix = 31;
 
 std::size_t smallest_factor(std::size_t n) {
@@ -34,14 +36,190 @@ std::size_t next_pow2(std::size_t n) {
   return p;
 }
 
+/// One Stockham autosort pass of radix r and span l (the product of the
+/// radices before it), with m = n / (r l). Viewing the input as
+/// in[i + m (p + r j)] and the output as out[i + m (j + l q)] for i < m,
+/// j < l and p, q < r, the pass computes
+///   out[i + m (j + l q)] = sum_p W_r^{pq} W_{rl}^{pj} in[i + m (p + r j)],
+/// i.e. it merges r interleaved length-l sub-spectra into one of length rl.
+/// After the last pass (l r = n, m = 1) the spectrum is in natural order.
+struct Stage {
+  std::size_t radix = 0;
+  std::size_t span = 0;
+  std::size_t m = 0;
+  /// W_{rl}^{pj} at [j (r-1) + p - 1] for j < l, p = 1..r-1 (empty when
+  /// l = 1: every twiddle is 1).
+  std::vector<Complex> twiddle;
+  /// W_r^k for k < r (odd radices only).
+  std::vector<Complex> roots;
+};
+
+/// Complex values viewed as interleaved (re, im) doubles, the layout the
+/// standard guarantees for arrays of std::complex<double>.
+double* as_doubles(Complex* z) { return reinterpret_cast<double*>(z); }
+const double* as_doubles(const Complex* z) {
+  return reinterpret_cast<const double*>(z);
+}
+
+/// a *= w, with w conjugated for the inverse transform.
+template <bool kInverse>
+inline void twiddle_mul(double& re, double& im, const Complex& w) {
+  const double wr = w.real();
+  const double wi = kInverse ? -w.imag() : w.imag();
+  const double r = re * wr - im * wi;
+  im = re * wi + im * wr;
+  re = r;
+}
+
+// Every pass reads all r inputs of a butterfly before it writes any of its
+// r outputs, so a pass with l = 1 (whose input and output index sets per
+// butterfly coincide) may run with in == out.
+
+template <bool kInverse>
+void radix2(const Stage& s, const double* in, double* out) {
+  const std::size_t l = s.span, m = s.m;
+  const std::size_t os = 2 * m * l;  // output stride between q values
+  for (std::size_t j = 0; j < l; ++j) {
+    const double* a = in + 2 * m * (2 * j);
+    double* x = out + 2 * m * j;
+    for (std::size_t i = 0; i < m; ++i) {
+      const double a0r = a[2 * i], a0i = a[2 * i + 1];
+      double a1r = a[2 * (m + i)], a1i = a[2 * (m + i) + 1];
+      if (l > 1) twiddle_mul<kInverse>(a1r, a1i, s.twiddle[j]);
+      x[2 * i] = a0r + a1r;
+      x[2 * i + 1] = a0i + a1i;
+      x[os + 2 * i] = a0r - a1r;
+      x[os + 2 * i + 1] = a0i - a1i;
+    }
+  }
+}
+
+template <bool kInverse>
+void radix4(const Stage& s, const double* in, double* out) {
+  const std::size_t l = s.span, m = s.m;
+  const std::size_t os = 2 * m * l;
+  for (std::size_t j = 0; j < l; ++j) {
+    const double* a = in + 2 * m * (4 * j);
+    double* x = out + 2 * m * j;
+    for (std::size_t i = 0; i < m; ++i) {
+      double a0r = a[2 * i], a0i = a[2 * i + 1];
+      double a1r = a[2 * (m + i)], a1i = a[2 * (m + i) + 1];
+      double a2r = a[2 * (2 * m + i)], a2i = a[2 * (2 * m + i) + 1];
+      double a3r = a[2 * (3 * m + i)], a3i = a[2 * (3 * m + i) + 1];
+      if (l > 1) {
+        const Complex* w = s.twiddle.data() + 3 * j;
+        twiddle_mul<kInverse>(a1r, a1i, w[0]);
+        twiddle_mul<kInverse>(a2r, a2i, w[1]);
+        twiddle_mul<kInverse>(a3r, a3i, w[2]);
+      }
+      const double t0r = a0r + a2r, t0i = a0i + a2i;
+      const double t1r = a0r - a2r, t1i = a0i - a2i;
+      const double t2r = a1r + a3r, t2i = a1i + a3i;
+      // t3 = (a1 - a3) times -i (forward) or +i (inverse): a swap of
+      // components and a sign flip, no multiply.
+      const double dr = a1r - a3r, di = a1i - a3i;
+      const double t3r = kInverse ? -di : di;
+      const double t3i = kInverse ? dr : -dr;
+      x[2 * i] = t0r + t2r;
+      x[2 * i + 1] = t0i + t2i;
+      x[os + 2 * i] = t1r + t3r;
+      x[os + 2 * i + 1] = t1i + t3i;
+      x[2 * os + 2 * i] = t0r - t2r;
+      x[2 * os + 2 * i + 1] = t0i - t2i;
+      x[3 * os + 2 * i] = t1r - t3r;
+      x[3 * os + 2 * i + 1] = t1i - t3i;
+    }
+  }
+}
+
+/// Odd prime radix r <= 31. Pairs inputs p and r - p, so output pairs
+/// q, r - q share their real-coefficient sums:
+///   X_q, X_{r-q} = a_0 + sum_p Re(W^{pq}) (a_p + a_{r-p})
+///                  +- i sum_p Im(W^{pq}) (a_p - a_{r-p}).
+template <bool kInverse>
+void radix_odd(const Stage& s, const double* in, double* out) {
+  const std::size_t r = s.radix, l = s.span, m = s.m, h = (r - 1) / 2;
+  const std::size_t os = 2 * m * l;
+  double ar[kMaxRadix] = {}, ai[kMaxRadix] = {};
+  double sr[kMaxRadix / 2 + 1] = {}, si[kMaxRadix / 2 + 1] = {};
+  double dr[kMaxRadix / 2 + 1] = {}, di[kMaxRadix / 2 + 1] = {};
+  for (std::size_t j = 0; j < l; ++j) {
+    const double* a = in + 2 * m * (r * j);
+    double* x = out + 2 * m * j;
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t p = 0; p < r; ++p) {
+        ar[p] = a[2 * (p * m + i)];
+        ai[p] = a[2 * (p * m + i) + 1];
+      }
+      if (l > 1) {
+        const Complex* w = s.twiddle.data() + (r - 1) * j;
+        for (std::size_t p = 1; p < r; ++p)
+          twiddle_mul<kInverse>(ar[p], ai[p], w[p - 1]);
+      }
+      double x0r = ar[0], x0i = ai[0];
+      for (std::size_t p = 1; p <= h; ++p) {
+        sr[p] = ar[p] + ar[r - p];
+        si[p] = ai[p] + ai[r - p];
+        dr[p] = ar[p] - ar[r - p];
+        di[p] = ai[p] - ai[r - p];
+        x0r += sr[p];
+        x0i += si[p];
+      }
+      x[2 * i] = x0r;
+      x[2 * i + 1] = x0i;
+      for (std::size_t q = 1; q <= h; ++q) {
+        double cr = ar[0], ci = ai[0], br = 0.0, bi = 0.0;
+        std::size_t k = 0;  // p q mod r
+        for (std::size_t p = 1; p <= h; ++p) {
+          k += q;
+          if (k >= r) k -= r;
+          const double c = s.roots[k].real();
+          const double sn = kInverse ? -s.roots[k].imag() : s.roots[k].imag();
+          cr += c * sr[p];
+          ci += c * si[p];
+          br += sn * dr[p];
+          bi += sn * di[p];
+        }
+        x[q * os + 2 * i] = cr - bi;
+        x[q * os + 2 * i + 1] = ci + br;
+        x[(r - q) * os + 2 * i] = cr + bi;
+        x[(r - q) * os + 2 * i + 1] = ci - br;
+      }
+    }
+  }
+}
+
+/// The calling thread's scratch line, at least n long: plans are shared
+/// across OpenMP threads (the threaded batch and the pencil's line loops).
+Complex* scratch_line(std::size_t n) {
+  thread_local std::vector<Complex> scratch;
+  if (scratch.size() < n) scratch.resize(n);
+  return scratch.data();
+}
+
+template <bool kInverse>
+void run_stage(const Stage& s, const Complex* in, Complex* out) {
+  switch (s.radix) {
+    case 2:
+      radix2<kInverse>(s, as_doubles(in), as_doubles(out));
+      break;
+    case 4:
+      radix4<kInverse>(s, as_doubles(in), as_doubles(out));
+      break;
+    default:
+      radix_odd<kInverse>(s, as_doubles(in), as_doubles(out));
+      break;
+  }
+}
+
 }  // namespace
 
 struct Fft1D::Impl {
   std::size_t n = 0;
   // Twiddle table: w[k] = exp(-2 pi i k / n), k in [0, n).
   std::vector<Complex> twiddle;
-  // Prime factorization of n, smallest first (mixed-radix path).
-  std::vector<std::size_t> factors;
+  // Stockham passes, applied in order (smooth n only).
+  std::vector<Stage> stages;
 
   // Half-length complex plan for the two-for-one real transform (even n
   // only): an n-point r2c runs as one n/2-point c2c plus an O(n) untangle.
@@ -64,54 +242,60 @@ struct Fft1D::Impl {
     }
   }
 
-  Complex tw(std::size_t k, Direction dir) const {
-    const Complex w = twiddle[k % n];
-    return dir == Direction::kForward ? w : std::conj(w);
-  }
-
-  /// Out-of-place recursive mixed-radix decimation-in-time.
-  /// in: logical sequence x[j] = in[j * in_stride]; writes out[0..len).
-  /// `scratch` must have room for len values and is clobbered.
-  void rec(const Complex* in, std::size_t in_stride, Complex* out,
-           Complex* scratch, std::size_t len, std::size_t depth,
-           Direction dir) const {
-    if (len == 1) {
-      out[0] = in[0];
-      return;
+  /// Radix 4 while 4 divides what is left, then one radix 2 if a factor 2
+  /// remains, then one pass per odd prime factor. Every stage twiddle is a
+  /// master-table entry, so each is as accurate as the table.
+  void build_stages() {
+    std::vector<std::size_t> radices;
+    std::size_t rest = n;
+    while (rest % 4 == 0) {
+      radices.push_back(4);
+      rest /= 4;
     }
-    const std::size_t r = factors[depth];
-    const std::size_t m = len / r;
-    // Children transform the r decimated subsequences into scratch, using
-    // `out` as their scratch: regions are disjoint per child.
-    for (std::size_t j = 0; j < r; ++j) {
-      rec(in + j * in_stride, in_stride * r, scratch + j * m, out + j * m, m,
-          depth + 1, dir);
+    if (rest % 2 == 0) {
+      radices.push_back(2);
+      rest /= 2;
     }
-    // Combine: X[q + s*m] = sum_j scratch[j*m + q] * W_n^{j (q + s m)}
-    // with W at this level = W_{len} = twiddle step n/len in the master
-    // table.
-    const std::size_t step = n / len;
-    for (std::size_t q = 0; q < m; ++q) {
-      for (std::size_t s = 0; s < r; ++s) {
-        const std::size_t idx = q + s * m;
-        Complex acc = scratch[q];  // j = 0 term, W^0 = 1
-        for (std::size_t j = 1; j < r; ++j) {
-          acc += scratch[j * m + q] * tw(((j * idx) % len) * step, dir);
-        }
-        out[idx] = acc;
+    while (rest > 1) {
+      const std::size_t f = smallest_factor(rest);
+      radices.push_back(f);
+      rest /= f;
+    }
+    std::size_t span = 1;
+    for (const std::size_t r : radices) {
+      Stage s;
+      s.radix = r;
+      s.span = span;
+      s.m = n / (r * span);
+      // W_{rl}^{pj} = W_n^{p j m}; p j < r l, so the index stays below n.
+      if (span > 1) {
+        s.twiddle.reserve((r - 1) * span);
+        for (std::size_t j = 0; j < span; ++j)
+          for (std::size_t p = 1; p < r; ++p)
+            s.twiddle.push_back(twiddle[p * j * s.m]);
       }
+      if (r % 2 == 1) {
+        for (std::size_t k = 0; k < r; ++k)
+          s.roots.push_back(twiddle[k * (n / r)]);
+      }
+      stages.push_back(std::move(s));
+      span *= r;
     }
   }
 
-  void transform_smooth(Complex* data, Direction dir) const {
-    // Thread-local scratch: plans are shared across OpenMP threads (the
-    // threaded batch and the PM solver's concurrent line transforms).
-    thread_local std::vector<Complex> scratch_a, scratch_b;
-    scratch_a.resize(n);
-    scratch_b.resize(n);
-    // Copy input out so the recursion can write back into `data`.
-    std::copy(data, data + n, scratch_a.begin());
-    rec(scratch_a.data(), 1, data, scratch_b.data(), n, 0, dir);
+  /// Runs the passes alternately between `data` and the thread's scratch
+  /// line, so that the last lands in `data`: with an odd pass count the
+  /// first pass (span 1) runs in place.
+  template <bool kInverse>
+  void transform_smooth(Complex* data) const {
+    Complex* from = data;
+    Complex* to = scratch_line(n);
+    std::size_t s = 0;
+    if (stages.size() % 2 == 1) run_stage<kInverse>(stages[s++], data, data);
+    for (; s < stages.size(); ++s) {
+      run_stage<kInverse>(stages[s], from, to);
+      std::swap(from, to);
+    }
   }
 
   void build_bluestein() {
@@ -162,12 +346,7 @@ Fft1D::Fft1D(std::size_t n) : n_(n), smooth_(is_smooth(n)) {
   impl_->n = n;
   impl_->build_twiddles();
   if (smooth_) {
-    std::size_t m = n;
-    while (m > 1) {
-      const std::size_t f = smallest_factor(m);
-      impl_->factors.push_back(f);
-      m /= f;
-    }
+    impl_->build_stages();
   } else {
     impl_->build_bluestein();
   }
@@ -180,10 +359,12 @@ Fft1D& Fft1D::operator=(Fft1D&&) noexcept = default;
 
 void Fft1D::transform(Complex* data, Direction dir) const {
   if (n_ == 1) return;
-  if (smooth_) {
-    impl_->transform_smooth(data, dir);
-  } else {
+  if (!smooth_) {
     impl_->transform_bluestein(data, dir);
+  } else if (dir == Direction::kForward) {
+    impl_->transform_smooth<false>(data);
+  } else {
+    impl_->transform_smooth<true>(data);
   }
 }
 
@@ -194,18 +375,6 @@ void Fft1D::transform_batch(Complex* data, std::size_t count,
   // program, Sec. VI).
 #pragma omp parallel for schedule(static) if (count >= 64 && n_ >= 32)
   for (std::size_t i = 0; i < count; ++i) transform(data + i * n_, dir);
-}
-
-void Fft1D::transform_strided(Complex* data, std::size_t stride,
-                              Direction dir) const {
-  if (stride == 1) {
-    transform(data, dir);
-    return;
-  }
-  std::vector<Complex> line(n_);
-  for (std::size_t j = 0; j < n_; ++j) line[j] = data[j * stride];
-  transform(line.data(), dir);
-  for (std::size_t j = 0; j < n_; ++j) data[j * stride] = line[j];
 }
 
 void Fft1D::forward_r2c(const double* in, Complex* out) const {

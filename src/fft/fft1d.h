@@ -3,11 +3,16 @@
 // HACC deliberately avoids vendor FFT libraries (paper Sec. I: "HACC's
 // performance and flexibility are not dependent on vendor-supplied or other
 // high-performance libraries"); its 3-D FFT is built on its own 1-D kernels.
-// We provide a planned, cache-twiddle, mixed-radix Cooley-Tukey transform
-// for smooth sizes (any product of primes <= 31 — covers every size in the
-// paper: 1024, 4096, 5120=2^10*5, 6400, 8192, 9216=2^10*9, 10240) and a
-// Bluestein chirp-z fallback so *every* length is supported, as required for
-// the "non-power-of-two FFT" claim (paper Sec. IV-A).
+// Smooth sizes (any product of primes <= 31 — covers every size in the
+// paper: 1024, 4096, 5120=2^10*5, 6400, 8192, 9216=2^10*9, 10240) run an
+// iterative Stockham autosort engine: radix-4 passes while 4 divides the
+// remaining length, one radix-2 pass for a leftover factor 2, then one
+// generic pass per odd prime factor, each pass reading a contiguous twiddle
+// table cut from the master table and ping-ponging between the caller's
+// line and one per-thread scratch line. Every other length goes through a
+// Bluestein chirp-z transform whose power-of-two convolution runs on the
+// same engine, so *every* length is supported, as required for the
+// "non-power-of-two FFT" claim (paper Sec. IV-A).
 #pragma once
 
 #include <complex>
@@ -25,10 +30,10 @@ enum class Direction { kForward, kInverse };
 
 /// A planned 1-D transform of fixed length n.
 ///
-/// Plans precompute the full twiddle table (and Bluestein chirp state when
-/// needed) once. Plans are immutable after construction; `transform` uses
-/// thread-local scratch and is safe to call concurrently on one shared plan
-/// (transform_batch exploits this with an OpenMP loop).
+/// Plans precompute the pass list with its twiddle tables (and Bluestein
+/// chirp state when needed) once. Plans are immutable after construction;
+/// `transform` uses thread-local scratch and is safe to call concurrently on
+/// one shared plan (transform_batch exploits this with an OpenMP loop).
 class Fft1D {
  public:
   explicit Fft1D(std::size_t n);
@@ -46,10 +51,6 @@ class Fft1D {
   /// In-place transform of `count` contiguous lines (line i starts at
   /// data + i*n).
   void transform_batch(Complex* data, std::size_t count, Direction dir) const;
-
-  /// In-place transform of a strided line: element j at data[j*stride].
-  void transform_strided(Complex* data, std::size_t stride,
-                         Direction dir) const;
 
   /// Inverse transform including the 1/n normalization.
   void inverse_scaled(Complex* data) const;
@@ -73,7 +74,7 @@ class Fft1D {
   /// ignored). `in` and `out` must not alias.
   void inverse_c2r(const Complex* in, double* out) const;
 
-  /// True if n factors entirely into primes <= 31 (mixed-radix path);
+  /// True if n factors entirely into primes <= 31 (Stockham passes only);
   /// false means the Bluestein path is used.
   bool smooth() const noexcept { return smooth_; }
 

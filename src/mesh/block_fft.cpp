@@ -1,5 +1,6 @@
 #include "mesh/block_fft.h"
 
+#include <cstring>
 #include <optional>
 
 #include "obs/obs.h"
@@ -35,42 +36,41 @@ BlockFft::BlockFft(comm::Comm& world, const BlockDecomp3D& decomp)
 void BlockFft::forward(comm::Comm& world, const DistGrid& grid,
                        std::vector<fft::Complex>& spectrum,
                        const Phases* phases) {
+  std::optional<obs::PhaseScope> scope;
+  if (phases != nullptr) scope.emplace(phases->remap);
   const auto& box = grid.interior();
   const auto ex = static_cast<std::ptrdiff_t>(box.x.extent());
   const auto ey = static_cast<std::ptrdiff_t>(box.y.extent());
-  const auto ez = static_cast<std::ptrdiff_t>(box.z.extent());
-  std::optional<obs::PhaseScope> scope;
-  if (phases != nullptr) scope.emplace(phases->remap);
-  interior_.resize(box.volume());
-  std::size_t idx = 0;
+  const std::size_t ez = box.z.extent();
+  block_.resize(box.volume());
+  double* run = block_.data();
   for (std::ptrdiff_t i = 0; i < ex; ++i)
-    for (std::ptrdiff_t j = 0; j < ey; ++j)
-      for (std::ptrdiff_t k = 0; k < ez; ++k)
-        interior_[idx++] = grid.at(i, j, k);
-  interior_ = remap_.forward(world, interior_);
+    for (std::ptrdiff_t j = 0; j < ey; ++j, run += ez)
+      std::memcpy(run, grid.z_run(i, j), ez * sizeof(double));
+  remap_.forward(world, block_, pencil_, remap_buf_);
   scope.reset();
   if (phases != nullptr) scope.emplace(phases->fft);
-  fft_.forward_r2c(std::span<const double>(interior_), spectrum);
+  fft_.forward_r2c(std::span<const double>(pencil_), spectrum);
 }
 
 void BlockFft::inverse(comm::Comm& world, std::vector<fft::Complex>& spectrum,
                        DistGrid& grid, const Phases* phases) {
   std::optional<obs::PhaseScope> scope;
   if (phases != nullptr) scope.emplace(phases->fft);
-  fft_.inverse_c2r(spectrum, real_);
+  fft_.inverse_c2r(spectrum, pencil_);
   scope.reset();
   if (phases != nullptr) scope.emplace(phases->remap);
-  const std::vector<double> block = remap_.backward(world, real_);
+  remap_.backward(world, pencil_, block_, remap_buf_);
   const auto& box = grid.interior();
-  HACC_CHECK(block.size() == box.volume());
+  HACC_CHECK(block_.size() == box.volume());
   const auto ex = static_cast<std::ptrdiff_t>(box.x.extent());
   const auto ey = static_cast<std::ptrdiff_t>(box.y.extent());
-  const auto ez = static_cast<std::ptrdiff_t>(box.z.extent());
+  const std::size_t ez = box.z.extent();
   grid.fill(0.0);
-  std::size_t idx = 0;
+  const double* run = block_.data();
   for (std::ptrdiff_t i = 0; i < ex; ++i)
-    for (std::ptrdiff_t j = 0; j < ey; ++j)
-      for (std::ptrdiff_t k = 0; k < ez; ++k) grid.at(i, j, k) = block[idx++];
+    for (std::ptrdiff_t j = 0; j < ey; ++j, run += ez)
+      std::memcpy(grid.z_run(i, j), run, ez * sizeof(double));
 }
 
 }  // namespace hacc::mesh

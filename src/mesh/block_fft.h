@@ -4,8 +4,9 @@
 // pencil FFT on z-pencils (paper Sec. IV-A). The Poisson solve, the P(k)
 // and xi(r) estimators and the initial conditions all cross between the
 // two here. A BlockFft owns the balanced pencil plan, the one block <->
-// z-pencil layout table with its Redistributor, and the real-space
-// workspace of both directions.
+// z-pencil layout table with its Redistributor, and the real-space and
+// remap workspace of both directions, so a steady-state transform pair
+// makes no heap allocation on one rank.
 //
 // Spectra are real-to-complex half spectra, row-major over this rank's
 // modes() box with z in [0, Nz/2 + 1). A full-spectrum sum is a sum over
@@ -65,7 +66,8 @@ class BlockFft {
   BlockDecomp3D decomp_;
   fft::PencilFft3D fft_;
   Redistributor remap_;
-  std::vector<double> interior_, real_;  // real-space workspace
+  Redistributor::Buffers remap_buf_;
+  std::vector<double> block_, pencil_;  // the real field in each layout
 };
 
 }  // namespace hacc::mesh

@@ -107,6 +107,15 @@ class DistGrid {
     return data_[index(i, j, k)];
   }
 
+  /// The z-run at offsets (i, j): at(i, j, k) is z_run(i, j)[k], and the
+  /// interior part of the run, k in [0, extent_z), is contiguous.
+  double* z_run(std::ptrdiff_t i, std::ptrdiff_t j) {
+    return data_.data() + index(i, j, 0);
+  }
+  const double* z_run(std::ptrdiff_t i, std::ptrdiff_t j) const {
+    return data_.data() + index(i, j, 0);
+  }
+
   std::vector<double>& data() noexcept { return data_; }
   const std::vector<double>& data() const noexcept { return data_; }
 

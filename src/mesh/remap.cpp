@@ -1,6 +1,7 @@
 #include "mesh/remap.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace hacc::mesh {
 
@@ -32,12 +33,12 @@ Redistributor::Redistributor(std::vector<fft::Box3D> src_boxes,
   HACC_CHECK(src_.size() == dst_.size() && !src_.empty());
 }
 
-std::vector<double> Redistributor::exchange(
-    comm::Comm& comm, std::span<const double> in,
-    const std::vector<fft::Box3D>& from,
-    const std::vector<fft::Box3D>& to) const {
-  const int p = comm.size();
-  HACC_CHECK(static_cast<std::size_t>(p) == from.size());
+void Redistributor::exchange(comm::Comm& comm, std::span<const double> in,
+                             const std::vector<fft::Box3D>& from,
+                             const std::vector<fft::Box3D>& to,
+                             std::vector<double>& out, Buffers& buf) const {
+  const auto p = static_cast<std::size_t>(comm.size());
+  HACC_CHECK(p == from.size());
   const auto r = static_cast<std::size_t>(comm.rank());
   const fft::Box3D& mine_from = from[r];
   const fft::Box3D& mine_to = to[r];
@@ -45,44 +46,73 @@ std::vector<double> Redistributor::exchange(
                  "redistribute: input size does not match source box");
 
   // Pack: for each destination, the intersection of my source box with its
-  // destination box, in row-major order of the intersection.
-  std::vector<double> send;
-  send.reserve(in.size());
-  std::vector<std::size_t> counts(static_cast<std::size_t>(p), 0);
-  for (int d = 0; d < p; ++d) {
-    const fft::Box3D ov = intersect(mine_from, to[static_cast<std::size_t>(d)]);
-    counts[static_cast<std::size_t>(d)] = ov.volume();
-    for (std::size_t x = ov.x.lo; x < ov.x.hi; ++x)
-      for (std::size_t y = ov.y.lo; y < ov.y.hi; ++y)
-        for (std::size_t z = ov.z.lo; z < ov.z.hi; ++z)
-          send.push_back(in[flat_index(mine_from, x, y, z)]);
+  // destination box, in row-major order of the intersection, one memcpy
+  // per (x, y) z-run.
+  buf.counts.resize(p);
+  std::size_t total = 0;
+  for (std::size_t d = 0; d < p; ++d) {
+    buf.counts[d] = intersect(mine_from, to[d]).volume();
+    total += buf.counts[d];
   }
-
-  std::vector<std::size_t> rcounts;
-  auto recv = comm.alltoallv(std::span<const double>(send),
-                             std::span<const std::size_t>(counts), rcounts);
-
-  std::vector<double> out(mine_to.volume(), 0.0);
+  HACC_CHECK_MSG(total == in.size(),
+                 "redistribute: destination boxes do not tile the source box");
+  buf.send.resize(total);
   std::size_t off = 0;
-  for (int s = 0; s < p; ++s) {
-    const fft::Box3D ov = intersect(from[static_cast<std::size_t>(s)], mine_to);
-    HACC_CHECK(rcounts[static_cast<std::size_t>(s)] == ov.volume());
+  for (std::size_t d = 0; d < p; ++d) {
+    const fft::Box3D ov = intersect(mine_from, to[d]);
+    if (ov.volume() == 0) continue;
+    const std::size_t run = ov.z.extent();
     for (std::size_t x = ov.x.lo; x < ov.x.hi; ++x)
-      for (std::size_t y = ov.y.lo; y < ov.y.hi; ++y)
-        for (std::size_t z = ov.z.lo; z < ov.z.hi; ++z)
-          out[flat_index(mine_to, x, y, z)] = recv[off++];
+      for (std::size_t y = ov.y.lo; y < ov.y.hi; ++y, off += run)
+        std::memcpy(buf.send.data() + off,
+                    in.data() + flat_index(mine_from, x, y, ov.z.lo),
+                    run * sizeof(double));
   }
-  return out;
+
+  comm.alltoallv_into(std::span<const double>(buf.send),
+                      std::span<const std::size_t>(buf.counts), buf.recv,
+                      buf.rcounts);
+
+  out.resize(mine_to.volume());
+  off = 0;
+  for (std::size_t s = 0; s < p; ++s) {
+    const fft::Box3D ov = intersect(from[s], mine_to);
+    HACC_CHECK(buf.rcounts[s] == ov.volume());
+    if (ov.volume() == 0) continue;
+    const std::size_t run = ov.z.extent();
+    for (std::size_t x = ov.x.lo; x < ov.x.hi; ++x)
+      for (std::size_t y = ov.y.lo; y < ov.y.hi; ++y, off += run)
+        std::memcpy(out.data() + flat_index(mine_to, x, y, ov.z.lo),
+                    buf.recv.data() + off, run * sizeof(double));
+  }
+  HACC_CHECK_MSG(off == out.size(),
+                 "redistribute: source boxes do not tile the destination box");
+}
+
+void Redistributor::forward(comm::Comm& comm, std::span<const double> src,
+                            std::vector<double>& out, Buffers& buf) const {
+  exchange(comm, src, src_, dst_, out, buf);
+}
+
+void Redistributor::backward(comm::Comm& comm, std::span<const double> dst,
+                             std::vector<double>& out, Buffers& buf) const {
+  exchange(comm, dst, dst_, src_, out, buf);
 }
 
 std::vector<double> Redistributor::forward(comm::Comm& comm,
                                            std::span<const double> src) const {
-  return exchange(comm, src, src_, dst_);
+  Buffers buf;
+  std::vector<double> out;
+  forward(comm, src, out, buf);
+  return out;
 }
 
 std::vector<double> Redistributor::backward(comm::Comm& comm,
                                             std::span<const double> dst) const {
-  return exchange(comm, dst, dst_, src_);
+  Buffers buf;
+  std::vector<double> out;
+  backward(comm, dst, out, buf);
+  return out;
 }
 
 }  // namespace hacc::mesh

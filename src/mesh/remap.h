@@ -5,7 +5,9 @@
 // two layouts on every long-range step (as in HACC's released SWFFT
 // "distribution" component). Both layouts are described by one
 // non-overlapping box per rank covering the global grid; the remap computes
-// pairwise box intersections, packs, and runs a single all-to-all.
+// pairwise box intersections, packs them by contiguous z-runs, and runs a
+// single all-to-all. Through caller-owned Buffers a steady-state remap makes
+// no heap allocation.
 #pragma once
 
 #include <array>
@@ -25,19 +27,34 @@ class Redistributor {
   Redistributor(std::vector<fft::Box3D> src_boxes,
                 std::vector<fft::Box3D> dst_boxes);
 
+  /// Pack/exchange workspace a caller keeps across remaps: once it has
+  /// grown to the largest block it carries, remaps reuse it.
+  struct Buffers {
+    std::vector<double> send, recv;
+    std::vector<std::size_t> counts, rcounts;
+  };
+
   /// Remap this rank's source-layout block (row-major over its src box) to
-  /// its destination-layout block. Collective.
-  std::vector<double> forward(comm::Comm& comm,
-                              std::span<const double> src) const;
+  /// its destination-layout block in `out` (resized to it; not `src`'s
+  /// storage). Collective.
+  void forward(comm::Comm& comm, std::span<const double> src,
+               std::vector<double>& out, Buffers& buf) const;
 
   /// The inverse remap (dst layout -> src layout). Collective.
+  void backward(comm::Comm& comm, std::span<const double> dst,
+                std::vector<double>& out, Buffers& buf) const;
+
+  /// One-off remaps into fresh vectors (allocate every call).
+  std::vector<double> forward(comm::Comm& comm,
+                              std::span<const double> src) const;
   std::vector<double> backward(comm::Comm& comm,
                                std::span<const double> dst) const;
 
  private:
-  std::vector<double> exchange(comm::Comm& comm, std::span<const double> in,
-                               const std::vector<fft::Box3D>& from,
-                               const std::vector<fft::Box3D>& to) const;
+  void exchange(comm::Comm& comm, std::span<const double> in,
+                const std::vector<fft::Box3D>& from,
+                const std::vector<fft::Box3D>& to, std::vector<double>& out,
+                Buffers& buf) const;
 
   std::vector<fft::Box3D> src_, dst_;
 };

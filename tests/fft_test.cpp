@@ -3,8 +3,14 @@
 // sweeps of grid sizes and process-grid shapes, 1 x P slab grids included).
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <cmath>
+#include <complex>
+#include <cstring>
+#include <limits>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include "alloc_hook.h"
@@ -36,6 +42,55 @@ double max_abs_diff(const std::vector<Complex>& a,
   for (std::size_t i = 0; i < a.size(); ++i)
     m = std::max(m, std::abs(a[i] - b[i]));
   return m;
+}
+
+using LongComplex = std::complex<long double>;
+
+/// O(n^2) DFT in long double. Its own rounding error (64-bit significand)
+/// sits three orders of magnitude below the double-precision error model
+/// it is the oracle for.
+std::vector<LongComplex> dft_long_double(const std::vector<Complex>& in,
+                                         Direction dir) {
+  const std::size_t n = in.size();
+  const long double sign = dir == Direction::kForward ? -1.0L : 1.0L;
+  std::vector<LongComplex> out(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    LongComplex acc(0.0L, 0.0L);
+    for (std::size_t j = 0; j < n; ++j) {
+      const long double phase = sign * 2.0L *
+                                std::numbers::pi_v<long double> *
+                                static_cast<long double>((j * k) % n) /
+                                static_cast<long double>(n);
+      acc += LongComplex(in[j]) *
+             LongComplex(std::cos(phase), std::sin(phase));
+    }
+    out[k] = acc;
+  }
+  return out;
+}
+
+/// Max |a_k - ref_k| over the first `count` entries.
+double max_error(const Complex* a, const std::vector<LongComplex>& ref,
+                 std::size_t count) {
+  long double m = 0;
+  for (std::size_t k = 0; k < count; ++k)
+    m = std::max(m, std::abs(LongComplex(a[k]) - ref[k]));
+  return static_cast<double>(m);
+}
+
+/// The error model of a stable n-point FFT, 8 eps ceil(log2 n), relative
+/// to the input's 2-norm (transforms) or rms (round trips). Single-
+/// precision twiddles, or a recurrence that drifts, break it by orders of
+/// magnitude.
+double error_model(std::size_t n) {
+  return 8.0 * std::numeric_limits<double>::epsilon() *
+         std::ceil(std::log2(static_cast<double>(n)));
+}
+
+double norm2(const std::vector<Complex>& x) {
+  double s = 0;
+  for (const auto& v : x) s += std::norm(v);
+  return std::sqrt(s);
 }
 
 // ---- block decomposition ----------------------------------------------------
@@ -112,6 +167,24 @@ TEST_P(Fft1DSizes, ParsevalHolds) {
               1e-8 * (time_energy + 1.0));
 }
 
+TEST_P(Fft1DSizes, ErrorWithinModelBound) {
+  // Forward and unscaled inverse, each against a long double DFT of the
+  // same input: max error <= 8 eps ceil(log2 n) ||x||_2.
+  const std::size_t n = GetParam();
+  const auto x = random_signal(n, 4242 + n);
+  const double bound = error_model(n) * norm2(x);
+  Fft1D plan(n);
+  for (const Direction dir : {Direction::kForward, Direction::kInverse}) {
+    auto y = x;
+    plan.transform(y.data(), dir);
+    const double err = max_error(y.data(), dft_long_double(x, dir), n);
+    EXPECT_LE(err, bound) << "n=" << n << " inverse="
+                          << (dir == Direction::kInverse)
+                          << " err/(eps log2n |x|)="
+                          << 8.0 * err / bound;
+  }
+}
+
 // ---- 1-D real-to-complex ----------------------------------------------------
 
 std::vector<double> random_real(std::size_t n, std::uint64_t seed) {
@@ -158,6 +231,34 @@ TEST_P(Fft1DR2CSizes, RoundTripRestoresSignal) {
   double m = 0;
   for (std::size_t j = 0; j < n; ++j) m = std::max(m, std::abs(back[j] - x[j]));
   EXPECT_LT(m, 1e-10 * static_cast<double>(n) + 1e-12) << "n=" << n;
+}
+
+TEST_P(Fft1DR2CSizes, ErrorWithinModelBound) {
+  // forward_r2c against a long double DFT: max error <= 8 eps ceil(log2 n)
+  // ||x||_2; the inverse_c2r(forward_r2c(x)) round trip within
+  // 8 eps ceil(log2 n) rms(x).
+  const std::size_t n = GetParam();
+  const auto x = random_real(n, 9000 + n);
+  std::vector<Complex> full(n);
+  for (std::size_t j = 0; j < n; ++j) full[j] = Complex(x[j], 0.0);
+  const double norm = norm2(full);
+  Fft1D plan(n);
+  std::vector<Complex> half(plan.half_size());
+  plan.forward_r2c(x.data(), half.data());
+  const double bound = error_model(n) * norm;
+  const double err = max_error(
+      half.data(), dft_long_double(full, Direction::kForward), half.size());
+  EXPECT_LE(err, bound) << "n=" << n << " err/(eps log2n |x|)="
+                        << 8.0 * err / bound;
+
+  std::vector<double> back(n);
+  plan.inverse_c2r(half.data(), back.data());
+  double m = 0;
+  for (std::size_t j = 0; j < n; ++j) m = std::max(m, std::abs(back[j] - x[j]));
+  const double rt_bound =
+      error_model(n) * norm / std::sqrt(static_cast<double>(n));
+  EXPECT_LE(m, rt_bound) << "n=" << n << " err/(eps log2n rms)="
+                         << 8.0 * m / rt_bound;
 }
 
 TEST(Fft1DR2C, HalfSizeIsNzOver2Plus1) {
@@ -256,21 +357,6 @@ TEST(Fft1D, ConcurrentTransformsOnSharedPlanAreSafe) {
       EXPECT_EQ(work[j], expect[j]);
     }
   }
-}
-
-TEST(Fft1D, StridedMatchesContiguous) {
-  const std::size_t n = 36, stride = 7;
-  auto packed = random_signal(n, 13);
-  std::vector<Complex> strided(n * stride, Complex(-1, -1));
-  for (std::size_t j = 0; j < n; ++j) strided[j * stride] = packed[j];
-  Fft1D plan(n);
-  plan.transform(packed.data(), Direction::kForward);
-  plan.transform_strided(strided.data(), stride, Direction::kForward);
-  for (std::size_t j = 0; j < n; ++j) {
-    EXPECT_NEAR(std::abs(strided[j * stride] - packed[j]), 0.0, 1e-12);
-  }
-  // Gaps untouched.
-  EXPECT_EQ(strided[1], Complex(-1, -1));
 }
 
 TEST(Fft1D, ZeroLengthRejected) { EXPECT_THROW(Fft1D(0), Error); }
@@ -503,6 +589,75 @@ TEST(Pencil, SteadyStateTransformsDoNotAllocate) {
     alloc_hook::armed.store(false);
     EXPECT_EQ(alloc_hook::count.load(), 0u);
   });
+}
+
+TEST(PencilInvariance, R2CIsBitIdenticalAcrossGridsAndThreads) {
+  // A line's result does not depend on where it runs: the same plan runs
+  // the same operations on every rank, OpenMP thread and batch slot, so
+  // forward_r2c's half spectrum and inverse_c2r's field match bit for bit
+  // on every process grid, at 1 and 2 OpenMP threads per rank. 24^3 runs
+  // radix-2 and radix-3 passes; 32^3 is the smallest grid whose y and x
+  // line loops thread.
+  for (const std::size_t n : {std::size_t{24}, std::size_t{32}}) {
+    const std::size_t nzh = n / 2 + 1;
+    std::vector<double> field(n * n * n);
+    Philox rng(2012);
+    for (std::size_t i = 0; i < field.size(); ++i)
+      field[i] = rng.gaussian2(i)[0];
+    std::vector<Complex> spec_ref;
+    std::vector<double> back_ref;
+    for (const int threads : {1, 2}) {
+      for (const auto& [p1, p2] : {std::pair{1, 1}, std::pair{1, 2},
+                                   std::pair{2, 2}, std::pair{2, 3}}) {
+        std::vector<Complex> spec(n * n * nzh);
+        std::vector<double> back(n * n * n);
+        comm::Machine::run(p1 * p2, [&](comm::Comm& world) {
+          omp_set_num_threads(threads);
+          PencilFft3D fft(world, n, n, n, p1, p2);
+          const Box3D rb = fft.real_box();
+          std::vector<double> local;
+          for (std::size_t x = rb.x.lo; x < rb.x.hi; ++x)
+            for (std::size_t y = rb.y.lo; y < rb.y.hi; ++y)
+              for (std::size_t z = rb.z.lo; z < rb.z.hi; ++z)
+                local.push_back(field[(x * n + y) * n + z]);
+          std::vector<Complex> half;
+          fft.forward_r2c(std::span<const double>(local), half);
+          // Boxes are disjoint across ranks: each writes its own cells.
+          const Box3D sb = fft.spectral_box_r2c();
+          std::size_t i = 0;
+          for (std::size_t x = sb.x.lo; x < sb.x.hi; ++x)
+            for (std::size_t y = sb.y.lo; y < sb.y.hi; ++y)
+              for (std::size_t z = sb.z.lo; z < sb.z.hi; ++z)
+                spec[(x * n + y) * nzh + z] = half[i++];
+          std::vector<double> out;
+          fft.inverse_c2r(half, out);
+          i = 0;
+          for (std::size_t x = rb.x.lo; x < rb.x.hi; ++x)
+            for (std::size_t y = rb.y.lo; y < rb.y.hi; ++y)
+              for (std::size_t z = rb.z.lo; z < rb.z.hi; ++z)
+                back[(x * n + y) * n + z] = out[i++];
+        });
+        if (spec_ref.empty()) {  // 1x1 at one thread is the reference
+          spec_ref = std::move(spec);
+          back_ref = std::move(back);
+          continue;
+        }
+        std::size_t modes_differ = 0, cells_differ = 0;
+        for (std::size_t k = 0; k < spec.size(); ++k)
+          modes_differ +=
+              std::memcmp(&spec[k], &spec_ref[k], sizeof(Complex)) != 0;
+        for (std::size_t c = 0; c < back.size(); ++c)
+          cells_differ +=
+              std::memcmp(&back[c], &back_ref[c], sizeof(double)) != 0;
+        EXPECT_EQ(modes_differ, 0u)
+            << n << "^3 on " << p1 << "x" << p2 << " at " << threads
+            << " threads";
+        EXPECT_EQ(cells_differ, 0u)
+            << n << "^3 on " << p1 << "x" << p2 << " at " << threads
+            << " threads";
+      }
+    }
+  }
 }
 
 TEST(Pencil, StatsAccumulatePhases) {

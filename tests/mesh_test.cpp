@@ -9,6 +9,7 @@
 #include <mutex>
 #include <numbers>
 
+#include "alloc_hook.h"
 #include "comm/comm.h"
 #include "fft/pencil.h"
 #include "mesh/block_fft.h"
@@ -469,6 +470,40 @@ TEST_P(BlockFftRanks, InverseRestoresTheGridAndZeroesItsGhosts) {
             EXPECT_NEAR(out.at(i, j, k), expect, 1e-13);
           }
     }
+  });
+}
+
+TEST(BlockFft, SteadyStateTransformsDoNotAllocate) {
+  // After one warm-up pass, a forward + inverse pair (interior copy, remap
+  // pack, exchange and unpack, pencil r2c and c2r) performs no heap
+  // allocation: BlockFft owns every buffer on the way. Run single-rank so
+  // the exchanges take the self-block memcpy path (multi-rank mailbox
+  // envelopes are SimMPI transport, not remap workspace). The 16^3 grid
+  // keeps every OpenMP `if` clause false.
+  const std::size_t n = 16;
+  BlockDecomp3D d = BlockDecomp3D::balanced({n, n, n}, 1);
+  comm::Machine::run(1, [&](comm::Comm& c) {
+    DistGrid grid(d, c.rank(), 1);
+    const auto& b = grid.interior();
+    for (std::size_t x = b.x.lo; x < b.x.hi; ++x)
+      for (std::size_t y = b.y.lo; y < b.y.hi; ++y)
+        for (std::size_t z = b.z.lo; z < b.z.hi; ++z)
+          grid.at(static_cast<std::ptrdiff_t>(x),
+                  static_cast<std::ptrdiff_t>(y),
+                  static_cast<std::ptrdiff_t>(z)) =
+              Philox(8).uniform2((x * n + y) * n + z)[0];
+    BlockFft fft(c, d);
+    std::vector<fft::Complex> spectrum;
+    for (int pass = 0; pass < 2; ++pass) {  // warm-up sizes every buffer
+      fft.forward(c, grid, spectrum);
+      fft.inverse(c, spectrum, grid);
+    }
+    alloc_hook::count.store(0);
+    alloc_hook::armed.store(true);
+    fft.forward(c, grid, spectrum);
+    fft.inverse(c, spectrum, grid);
+    alloc_hook::armed.store(false);
+    EXPECT_EQ(alloc_hook::count.load(), 0u);
   });
 }
 
