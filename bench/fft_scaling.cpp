@@ -7,8 +7,8 @@
 // reproduce: near-ideal strong scaling, near-flat weak scaling, and r2c at
 // roughly half the c2c cost. Every measured row also records the plan's
 // per-phase breakdown (1-D line FFTs vs transpose pack/exchange/unpack) and
-// the alltoallv payload bytes, and all rows are emitted to BENCH_fft.json
-// for machine consumption.
+// the bytes its transposes carry, and all rows are emitted to
+// BENCH_fft.json for machine consumption.
 //
 // Set HACC_FFT_N=<grid> to append one larger measured row (e.g. 128) at 4
 // ranks — the configuration quoted in the PR's before/after numbers.

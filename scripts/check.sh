@@ -6,7 +6,9 @@
 # 1. Configure + build the default tree and run the full ctest suite.
 #    Then an OpenMP thread-count matrix: the zero-allocation gates (pencil
 #    FFT, the block<->pencil BlockFft pair, short-range kernel,
-#    duplicate-execution audit on both leaf partitions), the
+#    duplicate-execution audit on both leaf partitions), the multi-rank
+#    workspace gates (the pencil's exchange buffers on a 2x2 grid, BlockFft's
+#    remap buffers at 8 ranks, where the one-rank gates exchange nothing), the
 #    one-PM-solve-per-warm-step count and the
 #    bit-for-bit determinism tests (checkpoint restart, fault-matrix
 #    recovery, rollback of a flip in the stored long-range acceleration,
@@ -25,16 +27,19 @@
 #    HaloFinder suite): its linker walks per-cell runs of one sorted array
 #    with a cursor per neighbor row, where an off-by-one read would hide.
 #    Then the spectral path under ASan: all of fft_test (the Stockham
-#    passes index raw stage buffers and a per-thread scratch line) and
-#    mesh_test's Redistributor, BlockFft and Poisson suites (the remap
-#    packs and unpacks z-runs with memcpy at computed offsets).
+#    passes index raw stage buffers and a per-thread scratch line; the
+#    BoxRemap suite drives the one box remap over random layouts, packing
+#    and unpacking runs with memcpy at computed offsets) and mesh_test's
+#    Redistributor, BlockFft, Poisson and DistGrid suites (the block<->pencil
+#    remap; the ghost sweeps copy slab runs into raw buffers).
 # 3. Configure a third tree with -DHACC_SANITIZE=thread and run obs_test and
 #    comm_test — the tracer ring, the counter atomics and the comm telemetry
 #    thread-locals are all shared across SimMPI rank threads, so TSan gates
 #    every data-race regression in the observability layer. Then the
-#    spectral path under TSan: fft_test's pencil suites and mesh_test's
-#    Redistributor, PoissonRanks and BlockFft suites — every transpose and
-#    block<->pencil remap exchanges buffers across SimMPI rank threads.
+#    spectral path under TSan: fft_test's BoxRemap and pencil suites and
+#    mesh_test's Redistributor, PoissonRanks and BlockFft suites — every
+#    transpose and block<->pencil remap exchanges buffers across SimMPI rank
+#    threads.
 #    (PencilInvariance is left out: it sets two OpenMP threads per rank,
 #    which TSan cannot check, see below; ctest and ASan run it.)
 #    Every TSan invocation in this script runs at OMP_NUM_THREADS=1. libgomp
@@ -103,8 +108,10 @@ echo "== omp matrix: allocation gates + determinism at 1 and ${JOBS} threads =="
 for threads in 1 "$JOBS"; do
   echo "-- OMP_NUM_THREADS=${threads} --"
   export OMP_NUM_THREADS="$threads"
-  run_filtered "$BUILD/tests/fft_test" 'Pencil.SteadyStateTransformsDoNotAllocate'
-  run_filtered "$BUILD/tests/mesh_test" 'BlockFft.SteadyStateTransformsDoNotAllocate'
+  run_filtered "$BUILD/tests/fft_test" \
+    'Pencil.SteadyStateTransformsDoNotAllocate:Pencil.WorkspaceStaysPutOnATwoByTwoGrid'
+  run_filtered "$BUILD/tests/mesh_test" \
+    'BlockFft.SteadyStateTransformsDoNotAllocate:BlockFft.RemapWorkspaceStaysPutAtEightRanks'
   run_filtered "$BUILD/tests/tree_test" 'TreeForce.SteadyStateShortRangeIsAllocationFree'
   run_filtered "$BUILD/tests/core_test" \
     'Simulation.CheckpointRestartReproducesRun:Simulation.OneLongRangeSolvePerWarmStep'
@@ -135,10 +142,10 @@ run_filtered "$ASAN_BUILD/tests/tree_test" 'InteractionBatch.*:TreeForce.*'
 "$ASAN_BUILD/tests/p3m_test"
 echo "== asan: FOF halo finder (occupied-cell linker, subhalos) =="
 run_filtered "$ASAN_BUILD/tests/cosmology_test" 'HaloFinder.*'
-echo "== asan: spectral path (Stockham passes, pencil, remap, BlockFft) =="
+echo "== asan: spectral path (Stockham passes, box remap, pencil, BlockFft, ghost sweeps) =="
 "$ASAN_BUILD/tests/fft_test"
 run_filtered "$ASAN_BUILD/tests/mesh_test" \
-  'Redistributor.*:*BlockFftRanks.*:*PoissonRanks.*'
+  'Redistributor.*:BlockFft.*:*BlockFftRanks.*:*PoissonRanks.*:DistGrid.*'
 
 TSAN_BUILD="${BUILD}-tsan"
 echo "== tsan: configure + build obs_test comm_test (${TSAN_BUILD}) =="
@@ -152,11 +159,11 @@ OMP_NUM_THREADS=1 "$TSAN_BUILD/tests/comm_test"
 
 echo "== tsan: build fft_test mesh_test (${TSAN_BUILD}) =="
 cmake --build "$TSAN_BUILD" -j "$JOBS" --target fft_test mesh_test
-echo "== tsan: spectral path (pencil transposes, remap, Poisson, BlockFft) =="
+echo "== tsan: spectral path (box remap, pencil transposes, Poisson, BlockFft) =="
 OMP_NUM_THREADS=1 run_filtered "$TSAN_BUILD/tests/fft_test" \
-  'Pencil.*:*PencilTest.*'
+  'BoxRemap.*:Pencil.*:*PencilTest.*'
 OMP_NUM_THREADS=1 run_filtered "$TSAN_BUILD/tests/mesh_test" \
-  'Redistributor.*:*PoissonRanks.*:*BlockFftRanks.*'
+  'Redistributor.*:BlockFft.*:*PoissonRanks.*:*BlockFftRanks.*'
 
 # Fault matrix: injection/detection/recovery suites under both sanitizers.
 FAULT_FILTER='FaultInjection.*:Detection.*:GioVerify.*:FaultMatrix.*:Supervisor.*:CheckpointSet.*:*HealthCheck*'

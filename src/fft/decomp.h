@@ -41,6 +41,7 @@ struct Range {
   std::size_t hi = 0;
   std::size_t extent() const noexcept { return hi - lo; }
   bool contains(std::size_t i) const noexcept { return i >= lo && i < hi; }
+  bool operator==(const Range&) const = default;
 };
 
 inline Range block_range(std::size_t n, int p_total, int p) {
@@ -54,6 +55,7 @@ struct Box3D {
   std::size_t volume() const noexcept {
     return x.extent() * y.extent() * z.extent();
   }
+  bool operator==(const Box3D&) const = default;
 };
 
 }  // namespace hacc::fft

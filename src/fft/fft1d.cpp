@@ -396,20 +396,25 @@ void Fft1D::forward_r2c(const double* in, Complex* out) const {
   // Two-for-one: pack adjacent reals into one complex line of length h,
   // transform, then untangle the even/odd sub-spectra:
   //   X[k] = Ze[k] + W_n^k Zo[k],  k = 0..h  (indices into Z mod h), with
-  //   Ze[k] = (Z[k] + conj(Z[h-k]))/2,  Zo[k] = (Z[k] - conj(Z[h-k]))/(2i).
+  //   Ze[k] = (Z[k] + conj(Z[h-k]))/2,  Zo[k] = (Z[k] - conj(Z[h-k]))/(2i),
+  // in real arithmetic: Z[k] = a + ib, Z[h-k] = c + id.
   const std::size_t h = n_ / 2;
   thread_local std::vector<Complex> z;
   z.resize(h);
   for (std::size_t j = 0; j < h; ++j)
     z[j] = Complex(in[2 * j], in[2 * j + 1]);
   impl_->half->transform(z.data(), Direction::kForward);
-  for (std::size_t k = 0; k <= h; ++k) {
-    const Complex zk = z[k % h];
-    const Complex zm = std::conj(z[(h - k) % h]);
-    const Complex even = 0.5 * (zk + zm);
-    const Complex odd = Complex(0.0, -0.5) * (zk - zm);
-    out[k] = even + impl_->twiddle[k] * odd;
-  }
+  const Complex* w = impl_->twiddle.data();
+  auto untangle = [&](std::size_t k, Complex zk, Complex zm) {
+    const double a = zk.real(), b = zk.imag(), c = zm.real(), d = zm.imag();
+    const double er = 0.5 * (a + c), ei = 0.5 * (b - d);
+    const double odr = 0.5 * (b + d), odi = -0.5 * (a - c);
+    const double wr = w[k].real(), wi = w[k].imag();
+    out[k] = Complex(er + (wr * odr - wi * odi), ei + (wr * odi + wi * odr));
+  };
+  untangle(0, z[0], z[0]);  // k = 0 and k = h both pair Z[0] with itself
+  for (std::size_t k = 1; k < h; ++k) untangle(k, z[k], z[h - k]);
+  untangle(h, z[0], z[0]);
 }
 
 void Fft1D::inverse_c2r(const Complex* in, double* out) const {
@@ -432,17 +437,21 @@ void Fft1D::inverse_c2r(const Complex* in, double* out) const {
   //   Z[k] = Ze[k] + i Zo[k], with
   //   Ze[k] = (X[k] + conj(X[h-k]))/2,
   //   Zo[k] = (X[k] - conj(X[h-k]))/2 * conj(W_n^k),
-  // then one scaled inverse half-length transform; the packed line holds
-  // the even samples in its real parts and the odd ones in its imaginaries.
+  // in real arithmetic (X[k] = a + ib, X[h-k] = c + id), then one scaled
+  // inverse half-length transform; the packed line holds the even samples
+  // in its real parts and the odd ones in its imaginaries.
   const std::size_t h = n_ / 2;
   thread_local std::vector<Complex> z;
   z.resize(h);
+  const Complex* w = impl_->twiddle.data();
   for (std::size_t k = 0; k < h; ++k) {
-    const Complex xk = in[k];
-    const Complex xm = std::conj(in[h - k]);
-    const Complex even = 0.5 * (xk + xm);
-    const Complex odd = 0.5 * (xk - xm) * std::conj(impl_->twiddle[k]);
-    z[k] = even + Complex(0.0, 1.0) * odd;
+    const double a = in[k].real(), b = in[k].imag();
+    const double c = in[h - k].real(), d = in[h - k].imag();
+    const double er = 0.5 * (a + c), ei = 0.5 * (b - d);
+    const double dr = 0.5 * (a - c), di = 0.5 * (b + d);
+    const double wr = w[k].real(), wi = w[k].imag();
+    const double odr = dr * wr + di * wi, odi = di * wr - dr * wi;
+    z[k] = Complex(er - odi, ei + odr);
   }
   impl_->half->inverse_scaled(z.data());
   for (std::size_t j = 0; j < h; ++j) {

@@ -1,7 +1,6 @@
 #include "fft/pencil.h"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "comm/cart.h"
@@ -12,10 +11,6 @@ namespace hacc::fft {
 
 namespace {
 
-/// Minimum elements moved per pack/unpack loop before OpenMP threading is
-/// worth the fork overhead.
-constexpr std::size_t kThreadElems = 32768;
-
 // Telemetry ids, interned once at static init.
 const NameId kCtrTransposeBytes = obs::counter_id("fft.transpose.bytes");
 const NameId kCtrTransforms = obs::counter_id("fft.transforms");
@@ -23,6 +18,45 @@ const NameId kTrcForward = intern_name("fft.forward");
 const NameId kTrcInverse = intern_name("fft.inverse");
 const NameId kTrcForwardR2c = intern_name("fft.forward_r2c");
 const NameId kTrcInverseC2r = intern_name("fft.inverse_c2r");
+
+/// This rank's process-grid row, once the p1 x p2 grid is checked against
+/// the world and the transform shape.
+int checked_row(const comm::Comm& world, std::size_t nx, std::size_t ny,
+                std::size_t nz, int p1, int p2) {
+  HACC_CHECK_MSG(world.size() == p1 * p2,
+                 "pencil FFT: world size must equal p1*p2");
+  HACC_CHECK_MSG(static_cast<std::size_t>(p1) <= nx &&
+                     static_cast<std::size_t>(p1) <= ny,
+                 "pencil FFT: p1 must not exceed Nx and Ny");
+  HACC_CHECK_MSG(static_cast<std::size_t>(p2) <= ny &&
+                     static_cast<std::size_t>(p2) <= nz,
+                 "pencil FFT: p2 must not exceed Ny and Nz");
+  return world.rank() / p2;
+}
+
+/// T1 over one process-grid row (x block `xr`, p2 ranks): row rank d holds
+/// the z-pencil (xr, y block d, [0, NZ)) and the y-pencil
+/// (xr, [0, Ny), z block d of NZ).
+BoxRemap<Complex> z_to_y(Range xr, std::size_t ny, std::size_t nzf, int p2) {
+  std::vector<Box3D> zp, yp;
+  for (int d = 0; d < p2; ++d) {
+    zp.push_back(Box3D{xr, block_range(ny, p2, d), Range{0, nzf}});
+    yp.push_back(Box3D{xr, Range{0, ny}, block_range(nzf, p2, d)});
+  }
+  return BoxRemap<Complex>(std::move(zp), std::move(yp));
+}
+
+/// T2 over one process-grid column (z block `zr`, p1 ranks): column rank d
+/// holds the y-pencil (x block d, [0, Ny), zr) and the x-pencil
+/// ([0, Nx), y block d, zr).
+BoxRemap<Complex> y_to_x(Range zr, std::size_t nx, std::size_t ny, int p1) {
+  std::vector<Box3D> yp, xp;
+  for (int d = 0; d < p1; ++d) {
+    yp.push_back(Box3D{block_range(nx, p1, d), Range{0, ny}, zr});
+    xp.push_back(Box3D{Range{0, nx}, block_range(ny, p1, d), zr});
+  }
+  return BoxRemap<Complex>(std::move(yp), std::move(xp));
+}
 
 }  // namespace
 
@@ -34,20 +68,15 @@ PencilFft3D::PencilFft3D(comm::Comm& world, std::size_t nx, std::size_t ny,
       nzh_(nz / 2 + 1),
       p1_(p1),
       p2_(p2),
-      q1_(world.rank() / p2),
+      q1_(checked_row(world, nx, ny, nz, p1, p2)),
       q2_(world.rank() % p2),
       fft_x_plan_(nx),
       fft_y_plan_(ny),
-      fft_z_plan_(nz) {
-  HACC_CHECK_MSG(world.size() == p1 * p2,
-                 "pencil FFT: world size must equal p1*p2");
-  HACC_CHECK_MSG(static_cast<std::size_t>(p1) <= nx &&
-                     static_cast<std::size_t>(p1) <= ny,
-                 "pencil FFT: p1 must not exceed Nx and Ny");
-  HACC_CHECK_MSG(static_cast<std::size_t>(p2) <= ny &&
-                     static_cast<std::size_t>(p2) <= nz,
-                 "pencil FFT: p2 must not exceed Ny and Nz");
-
+      fft_z_plan_(nz),
+      z_y_(z_to_y(block_range(nx, p1, q1_), ny, nz, p2)),
+      z_y_h_(z_to_y(block_range(nx, p1, q1_), ny, nzh_, p2)),
+      y_x_(y_to_x(block_range(nz, p2, q2_), nx, ny, p1)),
+      y_x_h_(y_to_x(block_range(nzh_, p2, q2_), nx, ny, p1)) {
   row_comm_ = world.split(q1_, q2_);
   col_comm_ = world.split(q2_, q1_);
   HACC_CHECK(row_comm_.size() == p2 && row_comm_.rank() == q2_);
@@ -70,14 +99,8 @@ PencilFft3D::PencilFft3D(comm::Comm& world, std::size_t nx, std::size_t ny,
                        spectral_box_.volume(),
                        real_box_.x.extent() * real_box_.y.extent() * nzh_,
                        mid_box_h_.volume(), spectral_box_h_.volume()});
-  send_.reserve(max_vol_);
-  recv_.reserve(max_vol_);
-  const auto pmax = static_cast<std::size_t>(std::max(p1_, p2_));
-  counts_.reserve(pmax);
-  rcounts_.reserve(pmax);
-  peer_lo_.reserve(pmax);
-  peer_ext_.reserve(pmax);
-  peer_base_.reserve(pmax);
+  workspace_.reserve(max_vol_,
+                     static_cast<std::size_t>(std::max(p1_, p2_)));
 }
 
 PencilFft3D PencilFft3D::balanced(comm::Comm& world, std::size_t nx,
@@ -86,203 +109,16 @@ PencilFft3D PencilFft3D::balanced(comm::Comm& world, std::size_t nx,
   return PencilFft3D(world, nx, ny, nz, dims[0], dims[1]);
 }
 
-// T1: (nxl, nyl, NZ) -> (nxl, Ny, nzl). Row subcomm (size p2). Every peer d
-// receives our z-slab block_range(nzf, p2, d); we receive each peer's local
-// y range. Pack runs are the per-(x,y) z-slab segments; unpack runs are
-// whole z-lines of the y-pencil.
-void PencilFft3D::transpose_z_to_y(std::vector<Complex>& data,
-                                   std::size_t nzf) {
+void PencilFft3D::transpose(const comm::Comm& comm, const Remap& plan,
+                            Direction dir, std::vector<Complex>& data) {
   Timer t;
-  const std::size_t nxl = real_box_.x.extent();
-  const std::size_t nyl = real_box_.y.extent();
-  const std::size_t nzl = local_z(nzf);
-  const std::size_t rows = nxl * nyl;
-  const auto p = static_cast<std::size_t>(p2_);
-
-  counts_.resize(p);
-  peer_lo_.resize(p);
-  peer_ext_.resize(p);
-  peer_base_.resize(p);
-  for (std::size_t d = 0; d < p; ++d) {
-    const Range zr = block_range(nzf, p2_, static_cast<int>(d));
-    peer_lo_[d] = zr.lo;
-    peer_ext_[d] = zr.extent();
-    peer_base_[d] = rows * zr.lo;
-    counts_[d] = rows * zr.extent();
-  }
-  send_.resize(rows * nzf);
-#pragma omp parallel for schedule(static) if (rows * nzf >= kThreadElems)
-  for (std::size_t r = 0; r < rows; ++r) {
-    const Complex* line = data.data() + r * nzf;
-    for (std::size_t d = 0; d < p; ++d) {
-      if (peer_ext_[d] == 0) continue;
-      std::memcpy(send_.data() + peer_base_[d] + r * peer_ext_[d],
-                  line + peer_lo_[d], peer_ext_[d] * sizeof(Complex));
-    }
-  }
-  stats_.bytes_moved += send_.size() * sizeof(Complex);
-  obs::add_counter(kCtrTransposeBytes, send_.size() * sizeof(Complex));
-  row_comm_.alltoallv_into(std::span<const Complex>(send_),
-                           std::span<const std::size_t>(counts_), recv_,
-                           rcounts_);
-
-  // Unpack: from peer s we get its y-block x our z-block, ordered (x, y, z).
-  data.resize(nxl * ny_ * nzl);
-  for (std::size_t s = 0; s < p; ++s) {
-    const Range yr = block_range(ny_, p2_, static_cast<int>(s));
-    const std::size_t yext = yr.extent();
-    HACC_CHECK(rcounts_[s] == nxl * yext * nzl);
-    if (nzl == 0 || yext == 0) continue;
-    const std::size_t roff = nxl * yr.lo * nzl;
-#pragma omp parallel for collapse(2) schedule(static) \
-    if (nxl * yext * nzl >= kThreadElems)
-    for (std::size_t x = 0; x < nxl; ++x)
-      for (std::size_t yi = 0; yi < yext; ++yi)
-        std::memcpy(data.data() + (x * ny_ + yr.lo + yi) * nzl,
-                    recv_.data() + roff + (x * yext + yi) * nzl,
-                    nzl * sizeof(Complex));
-  }
-  stats_.transpose_seconds += t.elapsed();
-}
-
-// Inverse of T1: (nxl, Ny, nzl) -> (nxl, nyl, NZ). Pack runs are the
-// contiguous per-(x, peer) y-slabs; unpack runs the per-(x,y) z segments.
-void PencilFft3D::transpose_y_to_z(std::vector<Complex>& data,
-                                   std::size_t nzf) {
-  Timer t;
-  const std::size_t nxl = real_box_.x.extent();
-  const std::size_t nyl = real_box_.y.extent();
-  const std::size_t nzl = local_z(nzf);
-  const auto p = static_cast<std::size_t>(p2_);
-
-  counts_.resize(p);
-  peer_lo_.resize(p);
-  peer_ext_.resize(p);
-  peer_base_.resize(p);
-  for (std::size_t d = 0; d < p; ++d) {
-    const Range yr = block_range(ny_, p2_, static_cast<int>(d));
-    peer_lo_[d] = yr.lo;
-    peer_ext_[d] = yr.extent();
-    peer_base_[d] = nxl * yr.lo * nzl;
-    counts_[d] = nxl * yr.extent() * nzl;
-  }
-  send_.resize(nxl * ny_ * nzl);
-  if (nzl > 0) {
-#pragma omp parallel for schedule(static) \
-    if (nxl * ny_ * nzl >= kThreadElems)
-    for (std::size_t x = 0; x < nxl; ++x)
-      for (std::size_t d = 0; d < p; ++d)
-        std::memcpy(send_.data() + peer_base_[d] + x * peer_ext_[d] * nzl,
-                    data.data() + (x * ny_ + peer_lo_[d]) * nzl,
-                    peer_ext_[d] * nzl * sizeof(Complex));
-  }
-  stats_.bytes_moved += send_.size() * sizeof(Complex);
-  obs::add_counter(kCtrTransposeBytes, send_.size() * sizeof(Complex));
-  row_comm_.alltoallv_into(std::span<const Complex>(send_),
-                           std::span<const std::size_t>(counts_), recv_,
-                           rcounts_);
-
-  // Unpack: from peer s we get our (x, y) block of its z-slab.
-  data.resize(nxl * nyl * nzf);
-  for (std::size_t s = 0; s < p; ++s) {
-    const Range zr = block_range(nzf, p2_, static_cast<int>(s));
-    const std::size_t zext = zr.extent();
-    HACC_CHECK(rcounts_[s] == nxl * nyl * zext);
-    if (zext == 0) continue;
-    const std::size_t roff = nxl * nyl * zr.lo;
-#pragma omp parallel for collapse(2) schedule(static) \
-    if (nxl * nyl * zext >= kThreadElems)
-    for (std::size_t x = 0; x < nxl; ++x)
-      for (std::size_t y = 0; y < nyl; ++y)
-        std::memcpy(data.data() + (x * nyl + y) * nzf + zr.lo,
-                    recv_.data() + roff + (x * nyl + y) * zext,
-                    zext * sizeof(Complex));
-  }
-  stats_.transpose_seconds += t.elapsed();
-}
-
-// T2: (nxl, Ny, nzl) -> (Nx, nyl2, nzl). Column subcomm (size p1). Peer d
-// receives our x-block x its spectral y-block. The receive side needs no
-// unpack at all: peer blocks concatenate directly into the x-pencil layout,
-// so the exchange lands in `data` in final order.
-void PencilFft3D::transpose_y_to_x(std::vector<Complex>& data,
-                                   std::size_t nzf) {
-  Timer t;
-  const std::size_t nxl = mid_box_.x.extent();
-  const std::size_t nzl = local_z(nzf);
-  const std::size_t nyl2 = spectral_box_.y.extent();
-  const auto p = static_cast<std::size_t>(p1_);
-
-  counts_.resize(p);
-  peer_lo_.resize(p);
-  peer_ext_.resize(p);
-  peer_base_.resize(p);
-  for (std::size_t d = 0; d < p; ++d) {
-    const Range yr = block_range(ny_, p1_, static_cast<int>(d));
-    peer_lo_[d] = yr.lo;
-    peer_ext_[d] = yr.extent();
-    peer_base_[d] = nxl * yr.lo * nzl;
-    counts_[d] = nxl * yr.extent() * nzl;
-  }
-  send_.resize(nxl * ny_ * nzl);
-  if (nzl > 0) {
-#pragma omp parallel for schedule(static) \
-    if (nxl * ny_ * nzl >= kThreadElems)
-    for (std::size_t x = 0; x < nxl; ++x)
-      for (std::size_t d = 0; d < p; ++d)
-        std::memcpy(send_.data() + peer_base_[d] + x * peer_ext_[d] * nzl,
-                    data.data() + (x * ny_ + peer_lo_[d]) * nzl,
-                    peer_ext_[d] * nzl * sizeof(Complex));
-  }
-  stats_.bytes_moved += send_.size() * sizeof(Complex);
-  obs::add_counter(kCtrTransposeBytes, send_.size() * sizeof(Complex));
-  col_comm_.alltoallv_into(std::span<const Complex>(send_),
-                           std::span<const std::size_t>(counts_), data,
-                           rcounts_);
-  for (std::size_t s = 0; s < p; ++s) {
-    const Range xr = block_range(nx_, p1_, static_cast<int>(s));
-    HACC_CHECK(rcounts_[s] == xr.extent() * nyl2 * nzl);
-  }
-  stats_.transpose_seconds += t.elapsed();
-}
-
-// Inverse of T2: (Nx, nyl2, nzl) -> (nxl, Ny, nzl). The send side needs no
-// pack: each peer's x-block is already one contiguous slice of the
-// x-pencil, so `data` itself is the send buffer.
-void PencilFft3D::transpose_x_to_y(std::vector<Complex>& data,
-                                   std::size_t nzf) {
-  Timer t;
-  const std::size_t nxl = mid_box_.x.extent();
-  const std::size_t nzl = local_z(nzf);
-  const std::size_t nyl2 = spectral_box_.y.extent();
-  const auto p = static_cast<std::size_t>(p1_);
-
-  counts_.resize(p);
-  for (std::size_t d = 0; d < p; ++d) {
-    const Range xr = block_range(nx_, p1_, static_cast<int>(d));
-    counts_[d] = xr.extent() * nyl2 * nzl;
-  }
-  stats_.bytes_moved += data.size() * sizeof(Complex);
-  obs::add_counter(kCtrTransposeBytes, data.size() * sizeof(Complex));
-  col_comm_.alltoallv_into(std::span<const Complex>(data),
-                           std::span<const std::size_t>(counts_), recv_,
-                           rcounts_);
-
-  // Unpack: from peer s we get our x-block of its y-slab, ordered (x, y, z);
-  // each (x, peer) chunk is one contiguous run.
-  data.resize(nxl * ny_ * nzl);
-  for (std::size_t s = 0; s < p; ++s) {
-    const Range yr = block_range(ny_, p1_, static_cast<int>(s));
-    const std::size_t yext = yr.extent();
-    HACC_CHECK(rcounts_[s] == nxl * yext * nzl);
-    if (nzl == 0 || yext == 0) continue;
-    const std::size_t roff = nxl * yr.lo * nzl;
-#pragma omp parallel for schedule(static) \
-    if (nxl * yext * nzl >= kThreadElems)
-    for (std::size_t x = 0; x < nxl; ++x)
-      std::memcpy(data.data() + (x * ny_ + yr.lo) * nzl,
-                  recv_.data() + roff + x * yext * nzl,
-                  yext * nzl * sizeof(Complex));
+  const std::size_t bytes = data.size() * sizeof(Complex);
+  stats_.bytes_moved += bytes;
+  obs::add_counter(kCtrTransposeBytes, bytes);
+  if (dir == Direction::kForward) {
+    plan.forward(comm, data, workspace_);
+  } else {
+    plan.backward(comm, data, workspace_);
   }
   stats_.transpose_seconds += t.elapsed();
 }
@@ -339,9 +175,9 @@ void PencilFft3D::forward(std::vector<Complex>& data) {
                                 Direction::kForward);
     stats_.fft_seconds += t.elapsed();
   }
-  transpose_z_to_y(data, nz_);
+  transpose(row_comm_, z_y_, Direction::kForward, data);
   fft_y(data, Direction::kForward, local_z(nz_));
-  transpose_y_to_x(data, nz_);
+  transpose(col_comm_, y_x_, Direction::kForward, data);
   fft_x(data, Direction::kForward, local_z(nz_));
   ++stats_.transforms;
 }
@@ -353,9 +189,9 @@ void PencilFft3D::inverse(std::vector<Complex>& data) {
                  "pencil inverse: input must be the local x-pencil");
   data.reserve(max_vol_);
   fft_x(data, Direction::kInverse, local_z(nz_));
-  transpose_x_to_y(data, nz_);
+  transpose(col_comm_, y_x_, Direction::kInverse, data);
   fft_y(data, Direction::kInverse, local_z(nz_));
-  transpose_y_to_z(data, nz_);
+  transpose(row_comm_, z_y_, Direction::kInverse, data);
   {
     Timer t;
     fft_z_plan_.transform_batch(data.data(),
@@ -386,9 +222,9 @@ void PencilFft3D::forward_r2c(std::span<const double> in,
       fft_z_plan_.forward_r2c(in.data() + l * nz_, out.data() + l * nzh_);
     stats_.fft_seconds += t.elapsed();
   }
-  transpose_z_to_y(out, nzh_);
+  transpose(row_comm_, z_y_h_, Direction::kForward, out);
   fft_y(out, Direction::kForward, local_z(nzh_));
-  transpose_y_to_x(out, nzh_);
+  transpose(col_comm_, y_x_h_, Direction::kForward, out);
   fft_x(out, Direction::kForward, local_z(nzh_));
   ++stats_.transforms;
 }
@@ -402,9 +238,9 @@ void PencilFft3D::inverse_c2r(std::vector<Complex>& data,
                  "x-pencil");
   data.reserve(max_vol_);
   fft_x(data, Direction::kInverse, local_z(nzh_));
-  transpose_x_to_y(data, nzh_);
+  transpose(col_comm_, y_x_h_, Direction::kInverse, data);
   fft_y(data, Direction::kInverse, local_z(nzh_));
-  transpose_y_to_z(data, nzh_);
+  transpose(row_comm_, z_y_h_, Direction::kInverse, data);
   const std::size_t lines = real_box_.x.extent() * real_box_.y.extent();
   out.resize(lines * nz_);
   {

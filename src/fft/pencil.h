@@ -14,13 +14,11 @@
 //   spectral     "x-pencil":  (Nx, Ny/p1, NZ/p2)  — y over p1, z over p2
 // Blocks are uneven when the process-grid dims do not divide the FFT dims.
 //
-// Data movement is allocation-free in steady state: every transpose packs
-// into a persistent send buffer with contiguous-run memcpys at precomputed
-// per-peer offsets, exchanges via Comm::alltoallv_into (persistent receive
-// buffer, self-block fast path), and unpacks with memcpys — no per-call
-// vectors, no zero-fill passes. Pack/unpack loops and the strided y/x line
-// transforms are OpenMP-threaded (Fft1D plans are safe to share across
-// threads).
+// Every transpose is a BoxRemap (fft/box_remap.h) over the row or column
+// subcommunicator, one plan per transpose and z extent, all sharing one
+// exchange workspace reserved at construction, so steady-state transforms
+// make no heap allocation. The strided y/x line transforms are
+// OpenMP-threaded (Fft1D plans are safe to share across threads).
 #pragma once
 
 #include <cstddef>
@@ -28,6 +26,7 @@
 #include <vector>
 
 #include "comm/comm.h"
+#include "fft/box_remap.h"
 #include "fft/decomp.h"
 #include "fft/fft1d.h"
 
@@ -52,8 +51,6 @@ class PencilFft3D {
   std::size_t nzh() const noexcept { return nzh_; }
   int p1() const noexcept { return p1_; }
   int p2() const noexcept { return p2_; }
-  int grid_row() const noexcept { return q1_; }
-  int grid_col() const noexcept { return q2_; }
 
   /// The box of global real-space grid indices this rank owns (z-pencil).
   const Box3D& real_box() const noexcept { return real_box_; }
@@ -90,19 +87,26 @@ class PencilFft3D {
   struct Stats {
     double fft_seconds = 0;        ///< 1-D line transforms (z, y, x)
     double transpose_seconds = 0;  ///< pack + exchange + unpack
-    std::size_t bytes_moved = 0;   ///< alltoallv payload bytes sent
+    std::size_t bytes_moved = 0;   ///< bytes of this rank's blocks transposed
     std::size_t transforms = 0;    ///< forward/inverse calls completed
   };
   const Stats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = Stats{}; }
 
+  /// The transposes' exchange workspace: reserved at construction, so
+  /// transforms neither grow nor move its buffers.
+  const BoxRemap<Complex>::Buffers& workspace() const noexcept {
+    return workspace_;
+  }
+
  private:
-  // All transposes are parameterized by the global z extent `nzf` of the
-  // y/x-pencil layouts (nz_ for c2c, nzh_ for r2c).
-  void transpose_z_to_y(std::vector<Complex>& data, std::size_t nzf);
-  void transpose_y_to_z(std::vector<Complex>& data, std::size_t nzf);
-  void transpose_y_to_x(std::vector<Complex>& data, std::size_t nzf);
-  void transpose_x_to_y(std::vector<Complex>& data, std::size_t nzf);
+  using Remap = BoxRemap<Complex>;
+
+  /// One layout change: `plan` over `comm`, forward (z->y, y->x) or
+  /// inverse. Counts this rank's whole block as moved, self share included,
+  /// also where the plan moves nothing.
+  void transpose(const comm::Comm& comm, const Remap& plan, Direction dir,
+                 std::vector<Complex>& data);
   void fft_y(std::vector<Complex>& data, Direction dir, std::size_t nzl);
   void fft_x(std::vector<Complex>& data, Direction dir, std::size_t nzl);
   std::size_t local_z(std::size_t nzf) const {
@@ -118,13 +122,13 @@ class PencilFft3D {
   Box3D mid_box_h_, spectral_box_h_;  // r2c (half-spectrum) variants
   Fft1D fft_x_plan_, fft_y_plan_, fft_z_plan_;
 
-  // Persistent workspace: pack/exchange buffers plus per-peer offset
-  // tables, sized once (max layout volume) so steady-state transforms make
-  // no heap allocations.
+  // The transposes, parameterized by the global z extent of the y/x-pencil
+  // layouts: Nz for c2c, Nz/2+1 (the `_h` plans) for r2c.
+  Remap z_y_, z_y_h_, y_x_, y_x_h_;
+  // Their shared exchange workspace, reserved once to the largest layout
+  // volume (`max_vol_`, which the data buffer is reserved to as well).
   std::size_t max_vol_ = 0;
-  std::vector<Complex> send_, recv_;
-  std::vector<std::size_t> counts_, rcounts_;
-  std::vector<std::size_t> peer_lo_, peer_ext_, peer_base_;
+  Remap::Buffers workspace_;
   Stats stats_;
 };
 

@@ -1,5 +1,6 @@
 #include "mesh/block_fft.h"
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 
@@ -31,7 +32,12 @@ BlockFft::BlockFft(comm::Comm& world, const BlockDecomp3D& decomp)
       fft_(fft::PencilFft3D::balanced(world, decomp.grid_dims()[0],
                                       decomp.grid_dims()[1],
                                       decomp.grid_dims()[2])),
-      remap_(block_to_pencil(world.size(), decomp, fft_)) {}
+      remap_(block_to_pencil(world.size(), decomp, fft_)) {
+  const std::size_t vol = std::max(decomp.box_of(world.rank()).volume(),
+                                   fft_.real_box().volume());
+  real_.reserve(vol);
+  remap_buf_.reserve(vol, static_cast<std::size_t>(world.size()));
+}
 
 void BlockFft::forward(comm::Comm& world, const DistGrid& grid,
                        std::vector<fft::Complex>& spectrum,
@@ -42,32 +48,32 @@ void BlockFft::forward(comm::Comm& world, const DistGrid& grid,
   const auto ex = static_cast<std::ptrdiff_t>(box.x.extent());
   const auto ey = static_cast<std::ptrdiff_t>(box.y.extent());
   const std::size_t ez = box.z.extent();
-  block_.resize(box.volume());
-  double* run = block_.data();
+  real_.resize(box.volume());
+  double* run = real_.data();
   for (std::ptrdiff_t i = 0; i < ex; ++i)
     for (std::ptrdiff_t j = 0; j < ey; ++j, run += ez)
       std::memcpy(run, grid.z_run(i, j), ez * sizeof(double));
-  remap_.forward(world, block_, pencil_, remap_buf_);
+  remap_.forward(world, real_, remap_buf_);
   scope.reset();
   if (phases != nullptr) scope.emplace(phases->fft);
-  fft_.forward_r2c(std::span<const double>(pencil_), spectrum);
+  fft_.forward_r2c(std::span<const double>(real_), spectrum);
 }
 
 void BlockFft::inverse(comm::Comm& world, std::vector<fft::Complex>& spectrum,
                        DistGrid& grid, const Phases* phases) {
   std::optional<obs::PhaseScope> scope;
   if (phases != nullptr) scope.emplace(phases->fft);
-  fft_.inverse_c2r(spectrum, pencil_);
+  fft_.inverse_c2r(spectrum, real_);
   scope.reset();
   if (phases != nullptr) scope.emplace(phases->remap);
-  remap_.backward(world, pencil_, block_, remap_buf_);
+  remap_.backward(world, real_, remap_buf_);
   const auto& box = grid.interior();
-  HACC_CHECK(block_.size() == box.volume());
+  HACC_CHECK(real_.size() == box.volume());
   const auto ex = static_cast<std::ptrdiff_t>(box.x.extent());
   const auto ey = static_cast<std::ptrdiff_t>(box.y.extent());
   const std::size_t ez = box.z.extent();
   grid.fill(0.0);
-  const double* run = block_.data();
+  const double* run = real_.data();
   for (std::ptrdiff_t i = 0; i < ex; ++i)
     for (std::ptrdiff_t j = 0; j < ey; ++j, run += ez)
       std::memcpy(grid.z_run(i, j), run, ez * sizeof(double));

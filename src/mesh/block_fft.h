@@ -3,10 +3,12 @@
 // The particle sector's grids live on the blocks of a BlockDecomp3D, the
 // pencil FFT on z-pencils (paper Sec. IV-A). The Poisson solve, the P(k)
 // and xi(r) estimators and the initial conditions all cross between the
-// two here. A BlockFft owns the balanced pencil plan, the one block <->
-// z-pencil layout table with its Redistributor, and the real-space and
-// remap workspace of both directions, so a steady-state transform pair
-// makes no heap allocation on one rank.
+// two here. A BlockFft owns the balanced pencil plan, the block <-> z-pencil
+// remap plan (a BoxRemap, like the pencil's own transposes), one real-space
+// staging buffer remapped in place, and the remap's exchange workspace, all
+// reserved at construction, so a steady-state transform pair makes no heap
+// allocation of its own. Where every rank's block is its z-pencil (2, 3 and
+// 4 ranks on balanced layouts) the remap moves nothing.
 //
 // Spectra are real-to-complex half spectra, row-major over this rank's
 // modes() box with z in [0, Nz/2 + 1). A full-spectrum sum is a sum over
@@ -62,12 +64,18 @@ class BlockFft {
   void inverse(comm::Comm& world, std::vector<fft::Complex>& spectrum,
                DistGrid& grid, const Phases* phases = nullptr);
 
+  /// The block <-> z-pencil remap's exchange workspace: reserved at
+  /// construction, so transforms neither grow nor move its buffers.
+  const Redistributor::Buffers& remap_workspace() const noexcept {
+    return remap_buf_;
+  }
+
  private:
   BlockDecomp3D decomp_;
   fft::PencilFft3D fft_;
   Redistributor remap_;
   Redistributor::Buffers remap_buf_;
-  std::vector<double> block_, pencil_;  // the real field in each layout
+  std::vector<double> real_;  // the real field, remapped in place
 };
 
 }  // namespace hacc::mesh

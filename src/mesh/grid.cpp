@@ -1,6 +1,9 @@
 #include "mesh/grid.h"
 
 #include <algorithm>
+#include <cstring>
+
+#include "fft/box_remap.h"
 
 namespace hacc::mesh {
 
@@ -48,99 +51,86 @@ double DistGrid::interior_sum() const {
 //          adds into interior [ext-g, ext) / [0, g). Transverse axes span
 //          the *full* local range for axes not yet swept, so corner
 //          contributions ride along; ghosts are zeroed after sending.
-//   fill:  send interior [0, g) (dir 0 -> the +axis... no: dir 0 sends to
-//          the -axis neighbor, which stores it in its high ghosts
-//          [ext, ext+g)); send interior [ext-g, ext) to the +axis neighbor
-//          for its low ghosts [-g, 0). Transverse axes span the full local
-//          range for axes already swept, so corners propagate.
+//   fill:  send interior [0, g) (dir 0) to the -axis neighbor, which
+//          stores it in its high ghosts [ext, ext+g), and interior
+//          [ext-g, ext) (dir 1) to the +axis neighbor for its low ghosts
+//          [-g, 0). Transverse axes span the full local range for axes
+//          already swept, so corners propagate.
+//
+// Slabs are copied by contiguous runs (fft::box_runs) through one
+// persistent buffer; the received slabs are applied from the +axis
+// neighbor first, then the -axis one, so fold sums keep their order.
 void DistGrid::sweep(comm::Comm& comm, int axis, bool fold) {
   if (ghost_ == 0) return;
   const auto g = static_cast<std::ptrdiff_t>(ghost_);
+  const auto dims = local_dims();
+  const Box3D local{Range{0, dims[0]}, Range{0, dims[1]}, Range{0, dims[2]}};
   const std::array<std::ptrdiff_t, 3> ext{
       static_cast<std::ptrdiff_t>(box_.x.extent()),
       static_cast<std::ptrdiff_t>(box_.y.extent()),
       static_cast<std::ptrdiff_t>(box_.z.extent())};
 
-  // Transverse range along axis d: full (with ghosts) or interior-only.
-  // fold sweeps x,y,z in that order: axes > `axis` still carry ghost data.
-  // fill sweeps x,y,z too: axes < `axis` already have valid ghosts to send.
-  auto lo_of = [&](int d) -> std::ptrdiff_t {
-    if (d == axis) return 0;  // set per-direction below
-    const bool full = fold ? (d > axis) : (d < axis);
-    return full ? -g : 0;
-  };
-  auto hi_of = [&](int d) -> std::ptrdiff_t {
-    if (d == axis) return 0;
-    const bool full = fold ? (d > axis) : (d < axis);
-    return full ? ext[static_cast<std::size_t>(d)] + g
-                : ext[static_cast<std::size_t>(d)];
+  // The runs, in local storage, of the slab [alo, ahi) along `axis`
+  // (offsets from the interior origin). Transverse axes span the full local
+  // range (with ghosts) or the interior only: fold sweeps x,y,z in that
+  // order, so axes > `axis` still carry ghost data; fill sweeps x,y,z too,
+  // so axes < `axis` already have valid ghosts to send.
+  auto slab = [&](std::ptrdiff_t alo, std::ptrdiff_t ahi) {
+    std::array<Range, 3> r;
+    for (int d = 0; d < 3; ++d) {
+      const auto e = ext[static_cast<std::size_t>(d)];
+      const bool full = fold ? (d > axis) : (d < axis);
+      const std::ptrdiff_t lo = d == axis ? alo : (full ? -g : 0);
+      const std::ptrdiff_t hi = d == axis ? ahi : (full ? e + g : e);
+      r[static_cast<std::size_t>(d)] = Range{static_cast<std::size_t>(lo + g),
+                                             static_cast<std::size_t>(hi + g)};
+    }
+    return fft::box_runs(Box3D{r[0], r[1], r[2]}, local);
   };
 
   const auto& topo = decomp_.topology();
   const int lo_nbr = topo.neighbor(rank_, axis, -1);
   const int hi_nbr = topo.neighbor(rank_, axis, +1);
 
-  // Pack a box (per-axis [lo, hi) offsets) into a flat buffer.
-  auto pack = [&](std::array<std::ptrdiff_t, 3> lo,
-                  std::array<std::ptrdiff_t, 3> hi) {
-    std::vector<double> buf;
-    buf.reserve(static_cast<std::size_t>((hi[0] - lo[0]) * (hi[1] - lo[1]) *
-                                         (hi[2] - lo[2])));
-    for (std::ptrdiff_t i = lo[0]; i < hi[0]; ++i)
-      for (std::ptrdiff_t j = lo[1]; j < hi[1]; ++j)
-        for (std::ptrdiff_t k = lo[2]; k < hi[2]; ++k)
-          buf.push_back(at(i, j, k));
-    return buf;
-  };
-  auto unpack = [&](const std::vector<double>& buf,
-                    std::array<std::ptrdiff_t, 3> lo,
-                    std::array<std::ptrdiff_t, 3> hi, bool add) {
-    std::size_t idx = 0;
-    for (std::ptrdiff_t i = lo[0]; i < hi[0]; ++i)
-      for (std::ptrdiff_t j = lo[1]; j < hi[1]; ++j)
-        for (std::ptrdiff_t k = lo[2]; k < hi[2]; ++k) {
-          if (add) {
-            at(i, j, k) += buf[idx++];
-          } else {
-            at(i, j, k) = buf[idx++];
-          }
-        }
-    HACC_CHECK(idx == buf.size());
-  };
-
-  auto box_for = [&](std::ptrdiff_t alo, std::ptrdiff_t ahi) {
-    std::array<std::ptrdiff_t, 3> lo{lo_of(0), lo_of(1), lo_of(2)};
-    std::array<std::ptrdiff_t, 3> hi{hi_of(0), hi_of(1), hi_of(2)};
-    lo[static_cast<std::size_t>(axis)] = alo;
-    hi[static_cast<std::size_t>(axis)] = ahi;
-    return std::pair{lo, hi};
-  };
-
   const std::ptrdiff_t e = ext[static_cast<std::size_t>(axis)];
-  // Send regions (dir 0 -> lo_nbr, dir 1 -> hi_nbr).
-  const auto [send0_lo, send0_hi] = fold ? box_for(-g, 0) : box_for(0, g);
-  const auto [send1_lo, send1_hi] =
-      fold ? box_for(e, e + g) : box_for(e - g, e);
-  // Receive regions (from hi_nbr with dir 0's tag, from lo_nbr with dir 1's).
-  const auto [recv_hi_lo, recv_hi_hi] =
-      fold ? box_for(e - g, e) : box_for(e, e + g);
-  const auto [recv_lo_lo, recv_lo_hi] = fold ? box_for(0, g) : box_for(-g, 0);
+  // Send regions: dir 0 goes to lo_nbr, dir 1 to hi_nbr.
+  const std::array<fft::BoxRuns, 2> out{
+      fold ? slab(-g, 0) : slab(0, g), fold ? slab(e, e + g) : slab(e - g, e)};
+  // Receive regions: a slab tagged dir 0 travels toward -axis, so it
+  // arrives *from* my +axis neighbor, and vice versa.
+  const std::array<fft::BoxRuns, 2> in{
+      fold ? slab(e - g, e) : slab(e, e + g), fold ? slab(0, g) : slab(-g, 0)};
+  const std::array<int, 2> dest{lo_nbr, hi_nbr}, source{hi_nbr, lo_nbr};
 
-  auto buf0 = pack(send0_lo, send0_hi);
-  auto buf1 = pack(send1_lo, send1_hi);
-  if (fold) {
-    // Zero the ghosts we just shipped so a later fill can't double-count.
-    unpack(std::vector<double>(buf0.size(), 0.0), send0_lo, send0_hi, false);
-    unpack(std::vector<double>(buf1.size(), 0.0), send1_lo, send1_hi, false);
+  // Sends are buffered, so one slab buffer serves every send and receive.
+  double* cells = data_.data();
+  for (std::size_t dir = 0; dir < 2; ++dir) {
+    const fft::BoxRuns& r = out[dir];
+    slab_.resize(r.count * r.len);
+    for (std::size_t k = 0; k < r.count; ++k) {
+      std::memcpy(slab_.data() + k * r.len, cells + r.offset(k),
+                  r.len * sizeof(double));
+      // Zero the ghosts a fold ships so a later fill can't double-count.
+      if (fold) std::fill_n(cells + r.offset(k), r.len, 0.0);
+    }
+    comm.send(dest[dir], exchange_tag(axis, static_cast<int>(dir)),
+              std::span<const double>(slab_));
   }
-  comm.send(lo_nbr, exchange_tag(axis, 0), std::span<const double>(buf0));
-  comm.send(hi_nbr, exchange_tag(axis, 1), std::span<const double>(buf1));
-  // A message tagged dir 0 travels toward -axis, so it arrives *from* my
-  // +axis neighbor, and vice versa.
-  const auto in_from_hi = comm.recv_vector<double>(hi_nbr, exchange_tag(axis, 0));
-  const auto in_from_lo = comm.recv_vector<double>(lo_nbr, exchange_tag(axis, 1));
-  unpack(in_from_hi, recv_hi_lo, recv_hi_hi, fold);
-  unpack(in_from_lo, recv_lo_lo, recv_lo_hi, fold);
+  for (std::size_t dir = 0; dir < 2; ++dir) {  // from hi_nbr, then lo_nbr
+    const fft::BoxRuns& r = in[dir];
+    slab_.resize(r.count * r.len);
+    comm.recv(source[dir], exchange_tag(axis, static_cast<int>(dir)),
+              std::span<double>(slab_));
+    for (std::size_t k = 0; k < r.count; ++k) {
+      double* run = cells + r.offset(k);
+      const double* packed = slab_.data() + k * r.len;
+      if (fold) {
+        for (std::size_t i = 0; i < r.len; ++i) run[i] += packed[i];
+      } else {
+        std::memcpy(run, packed, r.len * sizeof(double));
+      }
+    }
+  }
 }
 
 void DistGrid::fold_ghosts(comm::Comm& comm) {

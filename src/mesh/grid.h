@@ -153,6 +153,8 @@ class DistGrid {
   Box3D box_;
   std::size_t ghost_;
   std::vector<double> data_;
+  // One slab of a sweep, packed; kept so warm sweeps grow no buffer.
+  std::vector<double> slab_;
 };
 
 }  // namespace hacc::mesh

@@ -1,7 +1,5 @@
 #include "tree/direct.h"
 
-#include <cmath>
-
 namespace hacc::tree {
 
 void direct_short_range(const ParticleArray& p, const ShortRangeKernel& kernel,
@@ -17,31 +15,6 @@ void direct_short_range(const ParticleArray& p, const ShortRangeKernel& kernel,
       const float dz = p.z[j] - p.z[i];
       const float s = dx * dx + dy * dy + dz * dz;
       const float f = kernel.fsr(s) * p.mass[j] * mass_scale;
-      fx += f * dx;
-      fy += f * dy;
-      fz += f * dz;
-    }
-    ax[i] = fx;
-    ay[i] = fy;
-    az[i] = fz;
-  }
-}
-
-void direct_newtonian(const ParticleArray& p, float softening,
-                      std::span<float> ax, std::span<float> ay,
-                      std::span<float> az, float mass_scale) {
-  const std::size_t n = p.size();
-  HACC_CHECK(ax.size() == n && ay.size() == n && az.size() == n);
-  for (std::size_t i = 0; i < n; ++i) {
-    float fx = 0, fy = 0, fz = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      const float dx = p.x[j] - p.x[i];
-      const float dy = p.y[j] - p.y[i];
-      const float dz = p.z[j] - p.z[i];
-      const float s = dx * dx + dy * dy + dz * dz;
-      const float f =
-          newtonian_fscalar(s, softening) * p.mass[j] * mass_scale;
       fx += f * dx;
       fy += f * dy;
       fz += f * dz;

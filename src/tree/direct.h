@@ -1,9 +1,7 @@
-// Direct O(N^2) force summation references.
-//
-// Used (a) as the correctness oracle for the RCB tree short-range solver —
-// the tree gathers *every* particle within the hand-over radius, so the two
-// must agree to float round-off — and (b) as the exact Newtonian force for
-// validating PM + short-range force matching.
+// Direct O(N^2) short-range force summation: the correctness oracle for
+// the short-range solvers (the RCB tree and the P3M chaining mesh). Both
+// gather *every* particle within the hand-over radius, so they must agree
+// with it to float round-off.
 #pragma once
 
 #include <span>
@@ -17,11 +15,5 @@ namespace hacc::tree {
 void direct_short_range(const ParticleArray& p, const ShortRangeKernel& kernel,
                         std::span<float> ax, std::span<float> ay,
                         std::span<float> az, float mass_scale = 1.0f);
-
-/// Direct softened Newtonian forces: a_i = sum_j m_j (x_j-x_i)/(s+eps)^{3/2}
-/// (open boundaries; masses pre-scaled by mass_scale).
-void direct_newtonian(const ParticleArray& p, float softening,
-                      std::span<float> ax, std::span<float> ay,
-                      std::span<float> az, float mass_scale = 1.0f);
 
 }  // namespace hacc::tree

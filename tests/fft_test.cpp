@@ -1,24 +1,35 @@
-// Tests for the FFT stack: 1-D mixed-radix + Bluestein, serial 3-D, and the
-// distributed pencil transform (validated against the serial one over
-// sweeps of grid sizes and process-grid shapes, 1 x P slab grids included).
+// Tests for the FFT stack: 1-D mixed-radix + Bluestein, serial 3-D, the box
+// remap every layout change runs through (random layouts on 1-6 ranks, the
+// pencil's transposes, block <-> pencil), and the distributed pencil
+// transform (validated against the serial one over sweeps of grid sizes and
+// process-grid shapes, 1 x P slab grids included).
 #include <gtest/gtest.h>
 
 #include <omp.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <complex>
 #include <cstring>
 #include <limits>
 #include <numbers>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "alloc_hook.h"
+#include "comm/cart.h"
 #include "comm/comm.h"
+#include "comm/telemetry.h"
+#include "fft/box_remap.h"
 #include "fft/decomp.h"
 #include "fft/fft1d.h"
 #include "fft/fft3d_local.h"
 #include "fft/pencil.h"
+#include "obs/counters.h"
+#include "obs/obs.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -415,6 +426,211 @@ std::vector<Complex> reference_spectrum(std::vector<Complex> field,
   return field;
 }
 
+// ---- box remap ----------------------------------------------------------------
+
+TEST(BoxRemap, IntersectHandlesDisjointBoxes) {
+  const Box3D a{{0, 4}, {0, 4}, {0, 4}};
+  const Box3D b{{4, 8}, {0, 4}, {0, 4}};
+  EXPECT_EQ(intersect(a, b).volume(), 0u);
+  const Box3D c{{2, 6}, {1, 3}, {0, 4}};
+  EXPECT_EQ(intersect(a, c).volume(), 2u * 2u * 4u);
+}
+
+TEST(BoxRemap, RunsAreTheLongestTheLayoutsShare) {
+  const Box3D box{{2, 6}, {0, 5}, {1, 8}};  // storage extents 4 x 5 x 7
+  // A partial z range: one z-run per (x, y).
+  const BoxRuns zr = box_runs(Box3D{{3, 5}, {1, 4}, {2, 6}}, box);
+  EXPECT_EQ(zr.len, 4u);
+  EXPECT_EQ(zr.count, 6u);
+  EXPECT_EQ(zr.offset(0), (1 * 5 + 1) * 7 + 1u);
+  EXPECT_EQ(zr.offset(4), (2 * 5 + 2) * 7 + 1u);
+  // The full z range, a partial y range: one (y, z) slab per x.
+  const BoxRuns slab = box_runs(Box3D{{3, 6}, {1, 4}, {1, 8}}, box);
+  EXPECT_EQ(slab.len, 3u * 7u);
+  EXPECT_EQ(slab.count, 3u);
+  EXPECT_EQ(slab.offset(2), (3 * 5 + 1) * 7u);
+  // Full y and z: the whole piece is one run.
+  const BoxRuns whole = box_runs(Box3D{{4, 6}, {0, 5}, {1, 8}}, box);
+  EXPECT_EQ(whole.len, 2u * 5u * 7u);
+  EXPECT_EQ(whole.count, 1u);
+  EXPECT_EQ(whole.offset(0), 2 * 5 * 7u);
+  EXPECT_EQ(box_runs(Box3D{{4, 4}, {0, 5}, {1, 8}}, box).count, 0u);
+}
+
+/// A layout change to test: each rank's box before and after, on an
+/// n[0] x n[1] x n[2] grid.
+struct LayoutChange {
+  std::string name;
+  std::array<std::size_t, 3> n;
+  std::vector<Box3D> src, dst;
+};
+
+/// Appends a random layout of `box` over `p` ranks to `out`: recursive
+/// bisection along a random axis at a random cut (a cut at either end
+/// leaves one side empty), the ranks split at random between the sides.
+void random_bisection(const Box3D& box, int p, Philox::Stream& rng,
+                      std::vector<Box3D>& out) {
+  if (p == 1) {
+    out.push_back(box);
+    return;
+  }
+  const int lower =
+      1 + static_cast<int>(rng.index(static_cast<std::uint64_t>(p - 1)));
+  Range Box3D::*const axes[] = {&Box3D::x, &Box3D::y, &Box3D::z};
+  Range Box3D::*const axis = axes[rng.index(3)];
+  const std::size_t cut =
+      (box.*axis).lo + rng.index((box.*axis).extent() + 1);
+  Box3D lo = box, hi = box;
+  (lo.*axis).hi = cut;
+  (hi.*axis).lo = cut;
+  random_bisection(lo, lower, rng, out);
+  random_bisection(hi, p - lower, rng, out);
+}
+
+/// A random layout of an n[0] x n[1] x n[2] grid over `p` ranks, boxes
+/// uneven and some empty, dealt to the ranks in a random order.
+std::vector<Box3D> random_layout(const std::array<std::size_t, 3>& n, int p,
+                                 Philox::Stream& rng) {
+  std::vector<Box3D> boxes;
+  random_bisection(Box3D{Range{0, n[0]}, Range{0, n[1]}, Range{0, n[2]}}, p,
+                   rng, boxes);
+  for (std::size_t i = boxes.size(); i > 1; --i)
+    std::swap(boxes[i - 1], boxes[rng.index(i)]);
+  return boxes;
+}
+
+/// Random layout changes on 1-6 ranks, the pencil's z <-> y (one process
+/// row) and y <-> x (one process column) transposes at Nz and Nz/2 + 1 on
+/// an uneven grid, and block <-> z-pencil at 8 ranks.
+std::vector<LayoutChange> layout_changes() {
+  std::vector<LayoutChange> out;
+  Philox::Stream rng(Philox(2024));
+  for (int p = 1; p <= 6; ++p)
+    for (int t = 0; t < 8; ++t) {
+      const std::array<std::size_t, 3> n{2 + rng.index(7), 2 + rng.index(7),
+                                         2 + rng.index(7)};
+      out.push_back({"random p=" + std::to_string(p) + " #" +
+                         std::to_string(t),
+                     n, random_layout(n, p, rng), random_layout(n, p, rng)});
+    }
+  const std::size_t nx = 9, ny = 7, nz = 11;
+  for (const std::size_t nzf : {nz, nz / 2 + 1}) {
+    LayoutChange zy{"z->y NZ=" + std::to_string(nzf), {nx, ny, nzf}, {}, {}};
+    const Range xr = block_range(nx, 2, 1);  // one row of a 2 x 3 grid
+    for (int d = 0; d < 3; ++d) {
+      zy.src.push_back(Box3D{xr, block_range(ny, 3, d), Range{0, nzf}});
+      zy.dst.push_back(Box3D{xr, Range{0, ny}, block_range(nzf, 3, d)});
+    }
+    out.push_back(zy);
+    LayoutChange yx{"y->x NZ=" + std::to_string(nzf), {nx, ny, nzf}, {}, {}};
+    const Range zr = block_range(nzf, 2, 0);  // one column of a 4 x 2 grid
+    for (int d = 0; d < 4; ++d) {
+      yx.src.push_back(Box3D{block_range(nx, 4, d), Range{0, ny}, zr});
+      yx.dst.push_back(Box3D{Range{0, nx}, block_range(ny, 4, d), zr});
+    }
+    out.push_back(yx);
+  }
+  LayoutChange bp{"block->pencil 8 ranks", {12, 10, 9}, {}, {}};
+  const auto blocks = comm::Cart3D::balanced(8);
+  const auto grid = comm::dims_create(8, 2);
+  for (int r = 0; r < 8; ++r) {
+    const auto c = blocks.coords(r);
+    bp.src.push_back(Box3D{block_range(12, blocks.dims()[0], c[0]),
+                           block_range(10, blocks.dims()[1], c[1]),
+                           block_range(9, blocks.dims()[2], c[2])});
+    bp.dst.push_back(Box3D{block_range(12, grid[0], r / grid[1]),
+                           block_range(10, grid[1], r % grid[1]),
+                           Range{0, 9}});
+  }
+  out.push_back(bp);
+  return out;
+}
+
+/// The value of global cell g, distinct per cell and exact in T.
+template <typename T>
+T cell_value(std::size_t g) {
+  if constexpr (std::is_same_v<T, Complex>) {
+    return Complex(static_cast<double>(g), -0.5 - static_cast<double>(g));
+  } else {
+    return static_cast<T>(g);
+  }
+}
+
+/// `box`'s cells row-major, each holding its global value.
+template <typename T>
+std::vector<T> box_values(const Box3D& box,
+                          const std::array<std::size_t, 3>& n) {
+  std::vector<T> v;
+  for (std::size_t x = box.x.lo; x < box.x.hi; ++x)
+    for (std::size_t y = box.y.lo; y < box.y.hi; ++y)
+      for (std::size_t z = box.z.lo; z < box.z.hi; ++z)
+        v.push_back(cell_value<T>((x * n[1] + y) * n[2] + z));
+  return v;
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+/// Remaps `change` forward and back in place on every rank, through one
+/// buffer set per rank: every cell lands at its global index in the
+/// destination box, and the backward remap restores the input bit for bit.
+template <typename T>
+void expect_round_trip(const LayoutChange& change) {
+  const BoxRemap<T> plan(change.src, change.dst);
+  comm::Machine::run(static_cast<int>(change.src.size()),
+                     [&](comm::Comm& c) {
+    const auto r = static_cast<std::size_t>(c.rank());
+    const std::vector<T> input = box_values<T>(change.src[r], change.n);
+    std::vector<T> data = input;
+    typename BoxRemap<T>::Buffers buf;
+    for (int round = 0; round < 2; ++round) {  // the buffers are reusable
+      plan.forward(c, data, buf);
+      EXPECT_TRUE(same_bits(data, box_values<T>(change.dst[r], change.n)))
+          << change.name << ", rank " << r;
+      plan.backward(c, data, buf);
+      EXPECT_TRUE(same_bits(data, input)) << change.name << ", rank " << r;
+    }
+  });
+}
+
+TEST(BoxRemap, EveryCellLandsAtItsGlobalIndexAndComesBackBitForBit) {
+  for (const LayoutChange& change : layout_changes()) {
+    expect_round_trip<double>(change);
+    expect_round_trip<Complex>(change);
+  }
+}
+
+TEST(BoxRemap, NoCollectiveWhenEveryRankKeepsItsBox) {
+  // The decision is global: where every rank keeps its box no rank enters
+  // the all-to-all; where only some do, all of them still enter it.
+  const std::array<std::size_t, 3> n{8, 6, 5};
+  std::vector<Box3D> keep;
+  for (int r = 0; r < 4; ++r)
+    keep.push_back(Box3D{block_range(8, 2, r / 2), block_range(6, 2, r % 2),
+                         Range{0, 5}});
+  std::vector<Box3D> trade = keep;  // ranks 0 and 1 keep theirs
+  std::swap(trade[2], trade[3]);
+  const BoxRemap<double> still(keep, keep), partial(keep, trade);
+  const NameId calls = comm::telemetry::ids(comm::telemetry::Op::kAlltoall).calls;
+  comm::Machine::run(4, [&](comm::Comm& c) {
+    obs::Counters counters;
+    obs::Binding binding(nullptr, &counters);
+    const auto r = static_cast<std::size_t>(c.rank());
+    std::vector<double> data = box_values<double>(keep[r], n);
+    BoxRemap<double>::Buffers buf;
+    still.forward(c, data, buf);
+    still.backward(c, data, buf);
+    EXPECT_EQ(counters.value(calls), 0u);
+    EXPECT_TRUE(same_bits(data, box_values<double>(keep[r], n)));
+    partial.forward(c, data, buf);
+    EXPECT_EQ(counters.value(calls), 1u);
+    EXPECT_TRUE(same_bits(data, box_values<double>(trade[r], n)));
+  });
+}
+
 // ---- pencil -------------------------------------------------------------------
 
 struct PencilCase {
@@ -662,6 +878,8 @@ TEST(PencilInvariance, R2CIsBitIdenticalAcrossGridsAndThreads) {
 
 TEST(Pencil, StatsAccumulatePhases) {
   comm::Machine::run(4, [](comm::Comm& world) {
+    obs::Counters counters;
+    obs::Binding binding(nullptr, &counters);
     const std::size_t n = 8;
     PencilFft3D fft(world, n, n, n, 2, 2);
     EXPECT_EQ(fft.stats().transforms, 0u);
@@ -672,10 +890,57 @@ TEST(Pencil, StatsAccumulatePhases) {
     EXPECT_EQ(s.transforms, 2u);
     EXPECT_GT(s.fft_seconds, 0.0);
     EXPECT_GT(s.transpose_seconds, 0.0);
-    EXPECT_GT(s.bytes_moved, 0u);
+    // Each transpose carries this rank's whole block, its own share
+    // included: forward the z-pencil (z->y), then the y-pencil (y->x);
+    // inverse the x-pencil (x->y), then the y-pencil (y->z).
+    const Box3D rb = fft.real_box(), sb = fft.spectral_box();
+    const std::size_t y_pencil = rb.x.extent() * n * sb.z.extent();
+    const std::size_t bytes =
+        (rb.volume() + 2 * y_pencil + sb.volume()) * sizeof(Complex);
+    EXPECT_EQ(s.bytes_moved, bytes);
+    EXPECT_EQ(counters.value(obs::counter_id("fft.transpose.bytes")), bytes);
     fft.reset_stats();
     EXPECT_EQ(fft.stats().transforms, 0u);
     EXPECT_EQ(fft.stats().bytes_moved, 0u);
+  });
+}
+
+TEST(Pencil, WorkspaceStaysPutOnATwoByTwoGrid) {
+  // The allocation gate above runs one rank, where every transpose moves
+  // nothing and no exchange buffer is touched. On a 2 x 2 grid every
+  // transpose packs, exchanges and unpacks (threaded at 64^3): after a
+  // warm-up pass, the exchange buffers and the caller's buffers keep their
+  // storage and capacity through every kind of transform.
+  comm::Machine::run(4, [](comm::Comm& world) {
+    const std::size_t n = 64;
+    PencilFft3D fft(world, n, n, n, 2, 2);
+    std::vector<double> rin(fft.real_box().volume(), 0.25), rout;
+    std::vector<Complex> data, half;
+    const auto& ws = fft.workspace();
+    auto storage = [&] {
+      return std::vector<std::pair<const void*, std::size_t>>{
+          {ws.send.data(), ws.send.capacity()},
+          {ws.recv.data(), ws.recv.capacity()},
+          {ws.counts.data(), ws.counts.capacity()},
+          {ws.rcounts.data(), ws.rcounts.capacity()},
+          {data.data(), data.capacity()},
+          {half.data(), half.capacity()},
+          {rout.data(), rout.capacity()}};
+    };
+    auto pass = [&] {
+      data.assign(rin.size(), Complex(1.0, 0.5));
+      fft.forward(data);
+      fft.inverse(data);
+      fft.forward_r2c(std::span<const double>(rin), half);
+      fft.inverse_c2r(half, rout);
+    };
+    pass();
+    const auto warm = storage();
+    pass();
+    pass();
+    EXPECT_EQ(storage(), warm);
+    EXPECT_GT(ws.send.size(), 0u);
+    EXPECT_GT(ws.recv.size(), 0u);
   });
 }
 

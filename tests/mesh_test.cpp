@@ -369,14 +369,6 @@ TEST(Redistributor, BlockToPencilRoundTrip) {
   });
 }
 
-TEST(Redistributor, IntersectHandlesDisjointBoxes) {
-  const fft::Box3D a{{0, 4}, {0, 4}, {0, 4}};
-  const fft::Box3D b{{4, 8}, {0, 4}, {0, 4}};
-  EXPECT_EQ(intersect(a, b).volume(), 0u);
-  const fft::Box3D c{{2, 6}, {1, 3}, {0, 4}};
-  EXPECT_EQ(intersect(a, c).volume(), 2u * 2u * 4u);
-}
-
 // ---- BlockFft ------------------------------------------------------------------
 
 class BlockFftRanks : public ::testing::TestWithParam<int> {};
@@ -504,6 +496,37 @@ TEST(BlockFft, SteadyStateTransformsDoNotAllocate) {
     fft.inverse(c, spectrum, grid);
     alloc_hook::armed.store(false);
     EXPECT_EQ(alloc_hook::count.load(), 0u);
+  });
+}
+
+TEST(BlockFft, RemapWorkspaceStaysPutAtEightRanks) {
+  // At 2-4 ranks every block is its z-pencil and the remap moves nothing;
+  // at 8 ranks (2 x 2 x 2 blocks, 4 x 2 pencils) it exchanges. After a
+  // warm-up pair, its buffers keep their storage and capacity.
+  const std::size_t n = 32;
+  BlockDecomp3D d = BlockDecomp3D::balanced({n, n, n}, 8);
+  comm::Machine::run(8, [&](comm::Comm& c) {
+    DistGrid grid(d, c.rank(), 1);
+    grid.fill(0.5);
+    BlockFft fft(c, d);
+    std::vector<fft::Complex> spectrum;
+    const auto& ws = fft.remap_workspace();
+    auto storage = [&] {
+      return std::vector<std::pair<const void*, std::size_t>>{
+          {ws.send.data(), ws.send.capacity()},
+          {ws.recv.data(), ws.recv.capacity()},
+          {ws.counts.data(), ws.counts.capacity()},
+          {ws.rcounts.data(), ws.rcounts.capacity()}};
+    };
+    fft.forward(c, grid, spectrum);
+    fft.inverse(c, spectrum, grid);
+    const auto warm = storage();
+    for (int pass = 0; pass < 2; ++pass) {
+      fft.forward(c, grid, spectrum);
+      fft.inverse(c, spectrum, grid);
+    }
+    EXPECT_EQ(storage(), warm);
+    EXPECT_GT(ws.send.size() + ws.recv.size(), 0u);
   });
 }
 
