@@ -3,8 +3,9 @@
 #
 #   scripts/check.sh [build-dir]
 #
-# 1. Configure + build the default tree and run the full ctest suite.
-#    Then an OpenMP thread-count matrix: the zero-allocation gates (pencil
+# 1. Configure + build the default tree (any compiler warning in the build
+#    output fails the step) and run the full ctest suite. Then an OpenMP
+#    thread-count matrix: the zero-allocation gates (pencil
 #    FFT, the block<->pencil BlockFft pair, short-range kernel,
 #    duplicate-execution audit on both leaf partitions), the multi-rank
 #    workspace gates (the pencil's exchange buffers on a 2x2 grid, BlockFft's
@@ -99,7 +100,17 @@ run_filtered() {
 
 echo "== tier-1: configure + build (${BUILD}) =="
 cmake -B "$BUILD" -S . >/dev/null
-cmake --build "$BUILD" -j "$JOBS"
+# The build must be warning-free: a compiler warning in its output fails
+# this step (the log is kept so the warning is shown).
+BUILD_LOG="$(mktemp)"
+cmake --build "$BUILD" -j "$JOBS" 2>&1 | tee "$BUILD_LOG"
+if grep -q 'warning:' "$BUILD_LOG"; then
+  echo "check.sh: the tier-1 build printed compiler warnings:" >&2
+  grep 'warning:' "$BUILD_LOG" >&2
+  rm -f "$BUILD_LOG"
+  exit 1
+fi
+rm -f "$BUILD_LOG"
 
 echo "== tier-1: ctest =="
 ctest --test-dir "$BUILD" --output-on-failure -j 4

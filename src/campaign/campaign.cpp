@@ -178,7 +178,7 @@ void CampaignOrchestrator::note_busy_change(double now) {
   last_change_s_ = now;
 }
 
-int CampaignOrchestrator::pick_launchable(double now) {
+int CampaignOrchestrator::pick_launchable() {
   if (halted_) return -1;
   if (config_.max_concurrent_runs > 0 &&
       active_ >= config_.max_concurrent_runs)
@@ -186,7 +186,6 @@ int CampaignOrchestrator::pick_launchable(double now) {
   for (std::size_t i = 0; i < runs_.size(); ++i) {
     const RunStatus& st = runs_[i];
     if (st.phase != RunPhase::kQueued) continue;
-    if (st.next_eligible_s > now) continue;  // backoff pending
     if (st.spec.width > pool_available_) continue;
     return static_cast<int>(i);
   }
@@ -213,7 +212,7 @@ CampaignReport CampaignOrchestrator::run() {
   last_change_s_ = clock_.elapsed();
   for (;;) {
     const double now = clock_.elapsed();
-    const int idx = pick_launchable(now);
+    const int idx = pick_launchable();
     if (idx >= 0) {
       RunStatus& st = runs_[static_cast<std::size_t>(idx)];
       const int width = st.spec.width;
@@ -262,7 +261,8 @@ CampaignReport CampaignOrchestrator::run() {
       report_.interrupted = true;
       break;
     }
-    // Wake on launch completions/reclaims; poll for backoff deadlines.
+    // Wake on launch completions/reclaims (notified; the timeout is a
+    // backstop).
     cv_.wait_for(lock, std::chrono::milliseconds(10));
   }
   note_busy_change(clock_.elapsed());
@@ -443,11 +443,6 @@ void CampaignOrchestrator::finish_launch(int index,
                     " failures: deterministic failure suspected"});
     } else {
       st.phase = RunPhase::kQueued;
-      st.next_eligible_s =
-          config_.retry_backoff_s > 0
-              ? now + config_.retry_backoff_s *
-                          static_cast<double>(1 << (st.failures - 1))
-              : now;
     }
   }
   counters_.set(obs::gauge_id("campaign.active_runs"),

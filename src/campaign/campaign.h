@@ -18,11 +18,10 @@
 //     A restarted orchestrator replays the journal: finished/quarantined
 //     runs are never launched again, interrupted runs relaunch in resume
 //     mode and restore from their newest verified checkpoint.
-//   * Retry budgets + quarantine — each run gets `run_retries` relaunches
-//     with exponential backoff; a run that exhausts the budget, or fails
-//     repeatedly without ever publishing a checkpoint (the signature of a
-//     deterministically-broken config), is quarantined so it cannot starve
-//     the rest of the sweep.
+//   * Retry budgets + quarantine — each run gets `run_retries` relaunches;
+//     a run that exhausts the budget, or fails repeatedly without ever
+//     publishing a checkpoint (the signature of a deterministically-broken
+//     config), is quarantined so it cannot starve the rest of the sweep.
 //   * Elastic capacity reallocation — the fleet pool grants each launch its
 //     width; when a run's elastic policy shrinks it mid-flight, the shed
 //     ranks return to the pool immediately (Supervisor::on_width_change)
@@ -110,7 +109,6 @@ struct RunStatus {
   bool scheduled = false;  ///< a `scheduled` intent is durably journaled
   core::SupervisorReport report;   ///< of the last launch in this process
   std::string last_error;
-  double next_eligible_s = 0;  ///< backoff deadline (campaign clock seconds)
 };
 
 struct CampaignConfig {
@@ -123,9 +121,6 @@ struct CampaignConfig {
   /// Orchestrator-level relaunch budget per run, on top of the Supervisor's
   /// own in-launch retries. Exhausting it quarantines the run.
   int run_retries = 2;
-  /// Exponential relaunch backoff: a run's k-th failure delays its next
-  /// launch by retry_backoff_s * 2^(k-1) campaign-clock seconds.
-  double retry_backoff_s = 0;
   // ---- per-run Supervisor settings (see core/supervisor.h) ----
   int checkpoint_every = 1;
   int keep = 2;
@@ -204,7 +199,7 @@ class CampaignOrchestrator {
   void start_metrics_server();
   std::string healthz_json();
   /// Scheduler predicate + grant bookkeeping; called under mu_.
-  int pick_launchable(double now);
+  int pick_launchable();
   void note_busy_change(double now);
   void worker_main(int index, int width, bool resume);
   /// Supervisor::on_width_change target: return (from - to) ranks to the
@@ -222,7 +217,7 @@ class CampaignOrchestrator {
 
   std::mutex mu_;
   std::condition_variable cv_;
-  Timer clock_;             ///< campaign-clock origin (backoff, makespan)
+  Timer clock_;             ///< campaign-clock origin (makespan)
   int pool_available_ = 0;  ///< unclaimed ranks
   int shrink_pool_ = 0;     ///< of those, ranks returned by mid-run shrinks
   int active_ = 0;          ///< running launches

@@ -3,9 +3,12 @@
 // Point-to-point sends are buffered (enqueue into the destination mailbox and
 // return), receives block. Collectives are implemented *on top of*
 // point-to-point with the standard distributed algorithms — dissemination
-// barrier, binomial-tree broadcast/reduce, ring allgather, pairwise-exchange
-// all-to-all — so the communication structure exercised by the pencil FFT and
-// the overload refresh matches what an MPI build would do on a real machine.
+// barrier, binomial-tree broadcast/reduce, ring allgather — so the
+// communication structure exercised by the pencil FFT and the overload
+// refresh matches what an MPI build would do on a real machine. Every
+// variable-size exchange, dense (alltoallv_into) or over a neighbor list
+// (neighbor_alltoallv), is one routine: one payload message per peer, each
+// block's element count read from its message length — no count round.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +29,7 @@ namespace hacc::comm {
 class MachineState;
 class FaultPlan;
 
-/// Reduction operators supported by reduce/allreduce/scan.
+/// Reduction operators supported by reduce/allreduce.
 enum class ReduceOp { kSum, kMin, kMax };
 
 /// Thrown out of a blocking receive whose deadline expired. The what()
@@ -116,14 +119,6 @@ class Comm {
     return out;
   }
 
-  /// Combined send+recv (deadlock-free because sends are buffered).
-  template <typename T>
-  std::vector<T> sendrecv(int dest, int source, int tag,
-                          std::span<const T> data) const {
-    send(dest, tag, data);
-    return recv_vector<T>(source, tag);
-  }
-
   // ---- Collectives --------------------------------------------------------
 
   /// Dissemination barrier: O(log P) rounds.
@@ -156,29 +151,6 @@ class Comm {
     return value;
   }
 
-  /// Exclusive prefix sum over ranks: rank r receives sum of `value` over
-  /// ranks 0..r-1 (rank 0 receives T{}). Linear chain; used e.g. to assign
-  /// globally contiguous particle id ranges.
-  template <typename T>
-  T exscan_sum(T value) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    telemetry::OpGuard telemetry_guard(telemetry::Op::kScan);
-    constexpr int kTagScan = -106;
-    T prefix{};
-    if (rank_ > 0) prefix = recv_value<T>(rank_ - 1, kTagScan);
-    if (rank_ + 1 < size()) {
-      T forward = prefix;
-      forward += value;
-      send_value(rank_ + 1, kTagScan, forward);
-    }
-    return prefix;
-  }
-
-  /// Gather equal-size contributions to `root`. `recv` must have
-  /// size()*send.size() elements on root (may be empty elsewhere).
-  template <typename T>
-  void gather(std::span<const T> send, std::span<T> recv, int root) const;
-
   /// Ring allgather of equal-size contributions.
   template <typename T>
   void allgather(std::span<const T> send, std::span<T> recv) const;
@@ -191,37 +163,29 @@ class Comm {
   std::vector<T> gatherv(std::span<const T> send_buf, int root,
                          std::vector<std::size_t>* counts = nullptr) const;
 
-  /// Variable-size all-to-all exchange with a pairwise schedule.
-  /// `send_counts[r]` elements go to rank r, taken consecutively from
-  /// `send`. Returns the concatenation of contributions received from ranks
-  /// 0..P-1 and fills `recv_counts`.
-  template <typename T>
-  std::vector<T> alltoallv(std::span<const T> send,
-                           std::span<const std::size_t> send_counts,
-                           std::vector<std::size_t>& recv_counts) const;
-
-  /// alltoallv into caller-owned storage: `recv_buf` is resized (never
-  /// shrunk below its capacity) and filled with the concatenated
-  /// contributions from ranks 0..P-1. Reusing the same `recv_buf` across
-  /// calls makes the exchange allocation-free on the caller side once its
-  /// capacity has grown to steady state. The self-addressed block is copied
-  /// directly, bypassing the mailbox.
+  /// Variable-size all-to-all exchange into caller-owned storage (like
+  /// MPI_Alltoallv): `send_counts[r]` elements go to rank r, taken
+  /// consecutively from `send`. Fills `recv_buf` with the concatenated
+  /// contributions from ranks 0..P-1 and `recv_counts` with their sizes.
+  /// `recv_buf` grows only when a block lands past its end and is never
+  /// shrunk below its capacity, so reusing it across calls makes the
+  /// exchange allocation-free on the caller side once its capacity has
+  /// grown to steady state. `send` must not alias `recv_buf`. One payload
+  /// message per other rank, empty or not, and no count round; the
+  /// self-addressed block is copied directly, bypassing the mailbox.
   template <typename T>
   void alltoallv_into(std::span<const T> send,
                       std::span<const std::size_t> send_counts,
                       std::vector<T>& recv_buf,
                       std::vector<std::size_t>& recv_counts) const;
 
-  /// Sparse variable-size exchange over a fixed neighbor list (like
+  /// The same exchange over a fixed neighbor list (like
   /// MPI_Neighbor_alltoallv): `neighbors` holds the distinct peer ranks
   /// (this rank itself may appear; its block is memcpy'd directly), and
-  /// `send_counts[s]` elements go to `neighbors[s]`, taken consecutively
-  /// from `send`. Fills `recv_buf` with the concatenation of the blocks
-  /// received from the same neighbors in list order and `recv_counts` with
-  /// their sizes. The neighbor lists must be symmetric across ranks (r
-  /// lists q iff q lists r) — e.g. a distance-based stencil. One payload
-  /// message per directed pair and *no* count round (counts are inferred
-  /// from message lengths), so the cost scales with the neighbor count,
+  /// `send_counts[s]` elements go to `neighbors[s]`. `recv_buf` receives
+  /// the blocks from the same neighbors in list order. The neighbor lists
+  /// must be symmetric across ranks (r lists q iff q lists r) — e.g. a
+  /// distance-based stencil — so the cost scales with the neighbor count,
   /// not the world size.
   template <typename T>
   void neighbor_alltoallv(std::span<const int> neighbors,
@@ -249,6 +213,17 @@ class Comm {
         group_(std::make_shared<std::vector<int>>(std::move(group))) {}
 
   void bcast_bytes(std::span<std::byte> data, int root) const;
+  /// The one variable-size exchange behind alltoallv_into and
+  /// neighbor_alltoallv, over `npeers` peers, peer s being `peer_of(s)`.
+  /// Sends each non-self peer its block in peer order (one message per
+  /// peer, empty or not), then receives one block from each peer in order;
+  /// a block's element count is its message length.
+  template <typename T, typename PeerOf>
+  void exchange_v(std::size_t npeers, PeerOf peer_of, int tag,
+                  std::span<const T> send,
+                  std::span<const std::size_t> send_counts,
+                  std::vector<T>& recv_buf,
+                  std::vector<std::size_t>& recv_counts) const;
   /// Common send path: checksum (when verify_payloads), telemetry, fault
   /// hooks (drop/corrupt), then mailbox delivery.
   void deliver_bytes(int dest, int tag, std::vector<std::byte>&& payload) const;
@@ -319,10 +294,8 @@ void apply_op(std::span<T> acc, std::span<const T> in, ReduceOp op) {
   }
 }
 inline constexpr int kTagReduce = -101;
-inline constexpr int kTagGather = -102;
 inline constexpr int kTagAllgather = -103;
 inline constexpr int kTagAlltoall = -104;
-inline constexpr int kTagSplit = -105;
 inline constexpr int kTagGatherv = -107;
 inline constexpr int kTagNeighbor = -108;
 }  // namespace detail
@@ -346,28 +319,6 @@ void Comm::reduce(std::span<T> data, ReduceOp op, int root) const {
       recv(src, detail::kTagReduce, std::span<T>(incoming));
       detail::apply_op(data, std::span<const T>(incoming), op);
     }
-  }
-}
-
-template <typename T>
-void Comm::gather(std::span<const T> send_buf, std::span<T> recv_buf,
-                  int root) const {
-  static_assert(std::is_trivially_copyable_v<T>);
-  telemetry::OpGuard telemetry_guard(telemetry::Op::kGather);
-  if (rank_ == root) {
-    HACC_CHECK(recv_buf.size() ==
-               send_buf.size() * static_cast<std::size_t>(size()));
-    std::copy(send_buf.begin(), send_buf.end(),
-              recv_buf.begin() +
-                  static_cast<std::ptrdiff_t>(send_buf.size()) * root);
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      recv(r, detail::kTagGather,
-           recv_buf.subspan(send_buf.size() * static_cast<std::size_t>(r),
-                            send_buf.size()));
-    }
-  } else {
-    send(root, detail::kTagGather, send_buf);
   }
 }
 
@@ -420,13 +371,55 @@ std::vector<T> Comm::gatherv(std::span<const T> send_buf, int root,
   return out;
 }
 
-template <typename T>
-std::vector<T> Comm::alltoallv(std::span<const T> send_buf,
-                               std::span<const std::size_t> send_counts,
-                               std::vector<std::size_t>& recv_counts) const {
-  std::vector<T> out;
-  alltoallv_into(send_buf, send_counts, out, recv_counts);
-  return out;
+template <typename T, typename PeerOf>
+void Comm::exchange_v(std::size_t npeers, PeerOf peer_of, int tag,
+                      std::span<const T> send_buf,
+                      std::span<const std::size_t> send_counts,
+                      std::vector<T>& recv_buf,
+                      std::vector<std::size_t>& recv_counts) const {
+  static_assert(std::is_trivially_copyable_v<T>);
+  HACC_CHECK(send_counts.size() == npeers);
+  std::size_t send_total = 0;
+  for (const std::size_t c : send_counts) send_total += c;
+  HACC_CHECK(send_total == send_buf.size());
+
+  // Buffered sends to every non-self peer first (deadlock-free), then
+  // blocking receives in peer order; the per-(source, tag) FIFO keeps
+  // successive calls from interleaving.
+  std::size_t soff = 0, self_off = 0, self_count = 0;
+  for (std::size_t s = 0; s < npeers; ++s) {
+    const std::size_t c = send_counts[s];
+    if (peer_of(s) == rank_) {
+      self_off = soff;
+      self_count = c;
+    } else {
+      send(peer_of(s), tag, send_buf.subspan(soff, c));
+    }
+    soff += c;
+  }
+
+  // Each block lands at the running offset. The buffer grows only when a
+  // block lands past its current end, so a reused buffer is written once —
+  // no zero-fill ahead of the copy — and is cut to the total at the end.
+  recv_counts.resize(npeers);
+  std::size_t at = 0;
+  for (std::size_t s = 0; s < npeers; ++s) {
+    // The self block is copied straight from `send`, bypassing the mailbox
+    // (not counted by telemetry — it never crosses a rank boundary).
+    const bool self = peer_of(s) == rank_;
+    const std::vector<std::byte> bytes =
+        self ? std::vector<std::byte>() : recv_bytes(peer_of(s), tag);
+    const std::span<const std::byte> block =
+        self ? std::as_bytes(send_buf.subspan(self_off, self_count))
+             : std::span<const std::byte>(bytes);
+    HACC_CHECK(block.size() % sizeof(T) == 0);
+    const std::size_t c = block.size() / sizeof(T);
+    if (at + c > recv_buf.size()) recv_buf.resize(at + c);
+    if (c > 0) std::memcpy(recv_buf.data() + at, block.data(), block.size());
+    recv_counts[s] = c;
+    at += c;
+  }
+  recv_buf.resize(at);
 }
 
 template <typename T>
@@ -434,56 +427,11 @@ void Comm::alltoallv_into(std::span<const T> send_buf,
                           std::span<const std::size_t> send_counts,
                           std::vector<T>& recv_buf,
                           std::vector<std::size_t>& recv_counts) const {
-  static_assert(std::is_trivially_copyable_v<T>);
   telemetry::OpGuard telemetry_guard(telemetry::Op::kAlltoall);
-  const int p = size();
-  HACC_CHECK(send_counts.size() == static_cast<std::size_t>(p));
-
-  // Exchange counts first (pairwise, same shifted-ring schedule as the
-  // payloads — the per-source FIFO rule keeps each count ahead of its
-  // payload), then size the receive buffer once and place every incoming
-  // payload directly at its final offset. No per-peer staging vectors, no
-  // concatenation pass. Offsets are recomputed by O(P) partial sums instead
-  // of a scratch prefix array so the steady state stays allocation-free.
-  recv_counts.resize(static_cast<std::size_t>(p));
-  recv_counts[static_cast<std::size_t>(rank_)] =
-      send_counts[static_cast<std::size_t>(rank_)];
-  for (int s = 1; s < p; ++s) {
-    const int dst = (rank_ + s) % p;
-    const int src = (rank_ - s + p) % p;
-    send_value(dst, detail::kTagAlltoall,
-               send_counts[static_cast<std::size_t>(dst)]);
-    recv_counts[static_cast<std::size_t>(src)] =
-        recv_value<std::size_t>(src, detail::kTagAlltoall);
-  }
-  std::size_t send_total = 0, recv_total = 0;
-  for (int r = 0; r < p; ++r) {
-    send_total += send_counts[static_cast<std::size_t>(r)];
-    recv_total += recv_counts[static_cast<std::size_t>(r)];
-  }
-  HACC_CHECK(send_total == send_buf.size());
-  recv_buf.resize(recv_total);
-
-  for (int s = 0; s < p; ++s) {
-    const int dst = (rank_ + s) % p;
-    const int src = (rank_ - s + p) % p;
-    std::size_t soff = 0;
-    for (int r = 0; r < dst; ++r) soff += send_counts[static_cast<std::size_t>(r)];
-    std::size_t roff = 0;
-    for (int r = 0; r < src; ++r) roff += recv_counts[static_cast<std::size_t>(r)];
-    const std::size_t scount = send_counts[static_cast<std::size_t>(dst)];
-    const std::size_t rcount = recv_counts[static_cast<std::size_t>(src)];
-    if (s == 0) {
-      // Self-addressed block: straight memcpy, no mailbox round-trip.
-      if (scount > 0)
-        std::memcpy(recv_buf.data() + roff, send_buf.data() + soff,
-                    scount * sizeof(T));
-    } else {
-      send(dst, detail::kTagAlltoall, send_buf.subspan(soff, scount));
-      recv(src, detail::kTagAlltoall,
-           std::span<T>(recv_buf.data() + roff, rcount));
-    }
-  }
+  exchange_v(
+      static_cast<std::size_t>(size()),
+      [](std::size_t s) { return static_cast<int>(s); }, detail::kTagAlltoall,
+      send_buf, send_counts, recv_buf, recv_counts);
 }
 
 template <typename T>
@@ -492,49 +440,10 @@ void Comm::neighbor_alltoallv(std::span<const int> neighbors,
                               std::span<const std::size_t> send_counts,
                               std::vector<T>& recv_buf,
                               std::vector<std::size_t>& recv_counts) const {
-  static_assert(std::is_trivially_copyable_v<T>);
   telemetry::OpGuard telemetry_guard(telemetry::Op::kNeighborAlltoall);
-  const std::size_t k = neighbors.size();
-  HACC_CHECK(send_counts.size() == k);
-
-  // Buffered sends to every non-self neighbor first (deadlock-free), then
-  // blocking receives in list order; the per-(source, tag) FIFO keeps
-  // successive calls from interleaving.
-  std::size_t soff = 0, self_off = 0, self_count = 0;
-  for (std::size_t s = 0; s < k; ++s) {
-    const std::size_t c = send_counts[s];
-    if (neighbors[s] == rank_) {
-      self_off = soff;
-      self_count = c;
-    } else {
-      send(neighbors[s], detail::kTagNeighbor, send_buf.subspan(soff, c));
-    }
-    soff += c;
-  }
-  HACC_CHECK(soff == send_buf.size());
-
-  recv_counts.resize(k);
-  recv_buf.clear();
-  for (std::size_t s = 0; s < k; ++s) {
-    if (neighbors[s] == rank_) {
-      // Self block: straight memcpy bypassing the mailbox (not counted by
-      // telemetry — it never crosses a rank boundary).
-      const std::size_t at = recv_buf.size();
-      recv_buf.resize(at + self_count);
-      if (self_count > 0)
-        std::memcpy(recv_buf.data() + at, send_buf.data() + self_off,
-                    self_count * sizeof(T));
-      recv_counts[s] = self_count;
-    } else {
-      const auto bytes = recv_bytes(neighbors[s], detail::kTagNeighbor);
-      HACC_CHECK(bytes.size() % sizeof(T) == 0);
-      const std::size_t c = bytes.size() / sizeof(T);
-      const std::size_t at = recv_buf.size();
-      recv_buf.resize(at + c);
-      if (c > 0) std::memcpy(recv_buf.data() + at, bytes.data(), bytes.size());
-      recv_counts[s] = c;
-    }
-  }
+  exchange_v(
+      neighbors.size(), [&](std::size_t s) { return neighbors[s]; },
+      detail::kTagNeighbor, send_buf, send_counts, recv_buf, recv_counts);
 }
 
 }  // namespace hacc::comm

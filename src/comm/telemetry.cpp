@@ -10,8 +10,8 @@ namespace hacc::comm::telemetry {
 namespace {
 
 constexpr std::array<const char*, static_cast<int>(Op::kOpCount)> kOpNames = {
-    "p2p",    "barrier", "bcast",   "reduce", "gather",
-    "allgather", "gatherv", "alltoall", "scan", "nbr_alltoall"};
+    "p2p",     "barrier", "bcast",    "reduce",
+    "allgather", "gatherv", "alltoall", "nbr_alltoall"};
 
 std::array<OpIds, static_cast<int>(Op::kOpCount)> build_ids() {
   std::array<OpIds, static_cast<int>(Op::kOpCount)> table{};

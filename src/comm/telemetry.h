@@ -10,10 +10,12 @@
 // Accounting semantics (comm_test asserts these exactly):
 //  - bytes_sent/bytes_recv count payload bytes through the mailbox
 //    transport, including zero-byte messages (msgs_* still increments) and
-//    internal control traffic (e.g. alltoallv's size_t count exchange,
-//    barrier tokens). Self-addressed fast-path copies that bypass the
-//    mailbox (alltoallv's own-block memcpy) are NOT counted — they never
-//    cross a rank boundary.
+//    internal control traffic (barrier tokens). The variable-size exchanges
+//    (alltoallv_into, neighbor_alltoallv) send no control traffic: one
+//    payload message per peer, its count read from the message length.
+//    Self-addressed fast-path copies that bypass the mailbox (the
+//    exchanges' own-block memcpy) are NOT counted — they never cross a rank
+//    boundary.
 //  - calls counts collective entries (once per rank per call).
 // All counts land on the thread-bound obs::Counters; without a binding the
 // cost is a null check.
@@ -31,11 +33,9 @@ enum class Op : int {
   kBarrier,
   kBcast,
   kReduce,
-  kGather,
   kAllgather,
   kGatherv,
   kAlltoall,
-  kScan,
   kNeighborAlltoall,
   kOpCount,
 };

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "obs/obs.h"
@@ -35,6 +37,8 @@ OverloadDomain::OverloadDomain(const mesh::BlockDecomp3D& decomp, int rank,
   }
   build_images();
   build_stencil();
+  all_ranks_.resize(static_cast<std::size_t>(decomp.nranks()));
+  std::iota(all_ranks_.begin(), all_ranks_.end(), 0);
 }
 
 void OverloadDomain::build_images() {
@@ -134,32 +138,38 @@ std::array<std::size_t, 2> OverloadDomain::census(
   return counts;
 }
 
-std::size_t OverloadDomain::slot(int r) const {
+std::span<const int> OverloadDomain::peers(Reach reach) const {
+  return reach == Reach::kWorld ? all_ranks_ : stencil_;
+}
+
+std::size_t OverloadDomain::slot(int r, Reach reach) const {
+  if (reach == Reach::kWorld) return static_cast<std::size_t>(r);
   const int s = slot_of_[static_cast<std::size_t>(r)];
   HACC_CHECK_MSG(s >= 0, "particle drifted beyond the refresh stencil");
   return static_cast<std::size_t>(s);
 }
 
 void OverloadDomain::layout_send_buffer() const {
-  cursors_.resize(stencil_.size());
+  cursors_.resize(send_counts_.size());
   std::size_t total = 0;
-  for (std::size_t s = 0; s < stencil_.size(); ++s) {
+  for (std::size_t s = 0; s < send_counts_.size(); ++s) {
     cursors_[s] = total;
     total += send_counts_[s];
   }
   send_buf_.resize(total);
 }
 
-void OverloadDomain::pack(int dest, const tree::ParticleArray& p,
+void OverloadDomain::pack(std::size_t s, const tree::ParticleArray& p,
                           std::size_t i, float x, float y, float z) const {
-  send_buf_[cursors_[slot(dest)]++] = PackedParticle{
+  send_buf_[cursors_[s]++] = PackedParticle{
       x, y, z, p.vx[i], p.vy[i], p.vz[i], p.mass[i], p.ax[i], p.ay[i],
       p.az[i], p.id[i]};
 }
 
-void OverloadDomain::exchange(comm::Comm& comm, tree::ParticleArray& particles,
+void OverloadDomain::exchange(comm::Comm& comm, Reach reach,
+                              tree::ParticleArray& particles,
                               tree::Role role) const {
-  comm.neighbor_alltoallv(std::span<const int>(stencil_),
+  comm.neighbor_alltoallv(peers(reach),
                           std::span<const PackedParticle>(send_buf_),
                           std::span<const std::size_t>(send_counts_),
                           recv_buf_, recv_counts_);
@@ -171,7 +181,8 @@ void OverloadDomain::exchange(comm::Comm& comm, tree::ParticleArray& particles,
 }
 
 std::size_t OverloadDomain::migrate(comm::Comm& comm,
-                                    tree::ParticleArray& particles) const {
+                                    tree::ParticleArray& particles,
+                                    Reach reach) const {
   obs::TraceScope trace(kTrcMigrate);
   const auto& dims = decomp_.grid_dims();
   HACC_CHECK(comm.size() == decomp_.nranks());
@@ -189,14 +200,24 @@ std::size_t OverloadDomain::migrate(comm::Comm& comm,
   };
 
   // Pass A: wrap every active, resolve its owner and count the leavers per
-  // stencil slot. Passives get owner -1: they are dropped below.
+  // peer slot. Passives get owner -1: they are dropped below. An active
+  // with a non-finite coordinate has no owner cell (fmod keeps a NaN, and
+  // the cell cast would be undefined); it is counted, never cast, and the
+  // pass refuses the whole set — damaged state, which the recovery loop
+  // answers by restoring an older checkpoint.
   const std::size_t n = particles.size();
   owners_.resize(n);
-  send_counts_.assign(stencil_.size(), 0);
-  std::size_t migrated = 0;
+  send_counts_.assign(peers(reach).size(), 0);
+  std::size_t migrated = 0, nonfinite = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (particles.role[i] == tree::Role::kPassive) {
       owners_[i] = -1;
+      continue;
+    }
+    if (!std::isfinite(particles.x[i]) || !std::isfinite(particles.y[i]) ||
+        !std::isfinite(particles.z[i])) {
+      owners_[i] = -1;
+      ++nonfinite;
       continue;
     }
     particles.x[i] = wrap(particles.x[i], 0);
@@ -208,23 +229,27 @@ std::size_t OverloadDomain::migrate(comm::Comm& comm,
                                static_cast<std::size_t>(particles.y[i]),
                                static_cast<std::size_t>(particles.z[i]));
       ++migrated;
-      ++send_counts_[slot(owner)];
+      ++send_counts_[slot(owner, reach)];
     }
     owners_[i] = owner;
   }
+  HACC_CHECK_MSG(nonfinite == 0,
+                 "migrate: " + std::to_string(nonfinite) +
+                     " particle(s) with non-finite coordinates on rank " +
+                     std::to_string(rank_));
 
   // Pass B: pack the leavers straight into the flat send buffer.
   layout_send_buffer();
   for (std::size_t i = 0; i < n; ++i) {
     if (owners_[i] >= 0 && owners_[i] != rank_)
-      pack(owners_[i], particles, i, particles.x[i], particles.y[i],
-           particles.z[i]);
+      pack(slot(owners_[i], reach), particles, i, particles.x[i],
+           particles.y[i], particles.z[i]);
   }
 
   // Keep the actives that stay (passives and leavers go), then take in the
   // arrivals.
   particles.retain_if([&](std::size_t i) { return owners_[i] == rank_; });
-  exchange(comm, particles, tree::Role::kActive);
+  exchange(comm, reach, particles, tree::Role::kActive);
   if (canonical_order_) particles.sort_by_id();
   obs::add_counter(kCtrMigrated, migrated);
   return migrated;
@@ -249,7 +274,8 @@ std::size_t OverloadDomain::replicate(comm::Comm& comm,
     const double px = particles.x[i], py = particles.y[i],
                  pz = particles.z[i];
     for (const Image& im : images_)
-      if (inside(im, px, py, pz)) ++send_counts_[slot(im.nbr)];
+      if (inside(im, px, py, pz))
+        ++send_counts_[slot(im.nbr, Reach::kStencil)];
   }
 
   // Pass B: pack, positions expressed in the receiver's frame.
@@ -259,12 +285,13 @@ std::size_t OverloadDomain::replicate(comm::Comm& comm,
                  pz = particles.z[i];
     for (const Image& im : images_) {
       if (inside(im, px, py, pz))
-        pack(im.nbr, particles, i, static_cast<float>(px - im.shift[0]),
+        pack(slot(im.nbr, Reach::kStencil), particles, i,
+             static_cast<float>(px - im.shift[0]),
              static_cast<float>(py - im.shift[1]),
              static_cast<float>(pz - im.shift[2]));
     }
   }
-  exchange(comm, particles, tree::Role::kPassive);
+  exchange(comm, Reach::kStencil, particles, tree::Role::kPassive);
 
   obs::add_counter(kCtrRefreshed, n + recv_buf_.size());
   obs::set_gauge(kGaugeActive, n);
@@ -273,9 +300,10 @@ std::size_t OverloadDomain::replicate(comm::Comm& comm,
 }
 
 RefreshStats OverloadDomain::refresh(comm::Comm& comm,
-                                     tree::ParticleArray& particles) const {
+                                     tree::ParticleArray& particles,
+                                     Reach reach) const {
   RefreshStats stats;
-  stats.migrated = migrate(comm, particles);
+  stats.migrated = migrate(comm, particles, reach);
   stats.active = particles.size();
   stats.passive = replicate(comm, particles);
   return stats;

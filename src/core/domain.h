@@ -26,6 +26,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "comm/comm.h"
@@ -33,6 +34,17 @@
 #include "tree/particles.h"
 
 namespace hacc::core {
+
+/// Which ranks migrate() may hand a particle to.
+enum class Reach {
+  /// The refresh stencil (every step, and initialize()): a leaver has
+  /// drifted at most a step's motion past the boundary, and one that needs
+  /// a rank outside the stencil is refused.
+  kStencil,
+  /// Every rank (Simulation::read_checkpoint): an elastic read partitions
+  /// the particles by file order, so each may belong to any rank.
+  kWorld,
+};
 
 struct RefreshStats {
   std::size_t active = 0;     ///< active particles after the refresh
@@ -59,13 +71,16 @@ class OverloadDomain {
   /// True if a (wrapped, in [0,N)) position belongs to this rank's domain.
   bool owns(float x, float y, float z) const noexcept;
 
-  /// Migration (collective, one sparse neighbor_alltoallv over the
-  /// stencil): drop all passive replicas, wrap the actives into [0, N),
+  /// Migration (collective, one sparse neighbor_alltoallv over `reach`'s
+  /// peers): drop all passive replicas, wrap the actives into [0, N),
   /// send every active outside this rank's domain to its owner and append
   /// the arrivals. Afterwards the array holds exactly this rank's actives
   /// — in canonical (id) order when set_canonical_order() is on — and
-  /// nothing else. Returns the number of actives that left this rank.
-  std::size_t migrate(comm::Comm& comm, tree::ParticleArray& particles) const;
+  /// nothing else. Refuses an active with a non-finite coordinate (it has
+  /// no owner) before routing anything. Returns the number of actives that
+  /// left this rank.
+  std::size_t migrate(comm::Comm& comm, tree::ParticleArray& particles,
+                      Reach reach = Reach::kStencil) const;
 
   /// Replication (collective, one sparse neighbor_alltoallv over the
   /// stencil): copy every active into the overload slab of each of the 26
@@ -77,8 +92,9 @@ class OverloadDomain {
   std::size_t replicate(comm::Comm& comm,
                         tree::ParticleArray& particles) const;
 
-  /// Full overloading refresh: migrate() then replicate().
-  RefreshStats refresh(comm::Comm& comm, tree::ParticleArray& particles) const;
+  /// Full overloading refresh: migrate() over `reach`, then replicate().
+  RefreshStats refresh(comm::Comm& comm, tree::ParticleArray& particles,
+                       Reach reach = Reach::kStencil) const;
 
   /// The sparse exchange stencil: every rank within L-inf min-image box
   /// distance <= 2*overload of this rank's domain (touching boxes — the 26
@@ -86,7 +102,8 @@ class OverloadDomain {
   /// never empty). Both exchanges use it. replicate() needs only the
   /// touching ranks; the 2*overload reach is for migrate(), whose leavers
   /// may have drifted well past the boundary since the last refresh —
-  /// migrate HACC_CHECKs that no leaver needs a rank outside it. Self is a
+  /// migrate HACC_CHECKs that no leaver needs a rank outside it (except
+  /// over Reach::kWorld, whose peers are every rank). Self is a
   /// member because on a small topology one of this rank's own periodic
   /// images can hold a replica; its block never crosses a rank boundary
   /// (memcpy fast path). Symmetric across ranks by construction (the
@@ -102,7 +119,7 @@ class OverloadDomain {
   /// ids. This decouples the particle ordering — and with it every float
   /// summation order downstream — from the arrival/removal history, so a
   /// run restored from a checkpoint (which permutes particles through the
-  /// elastic read and redistribution) evolves bit-for-bit like the
+  /// elastic read and the every-rank migrate) evolves bit-for-bit like the
   /// uninterrupted one.
   void set_canonical_order(bool on) noexcept { canonical_order_ = on; }
   bool canonical_order() const noexcept { return canonical_order_; }
@@ -127,17 +144,20 @@ class OverloadDomain {
   /// Cartesian topology), slabs widened by the overload depth.
   void build_images();
   void build_stencil();
-  /// Stencil slot of rank `r`; HACC_CHECKs that `r` is in the stencil.
-  std::size_t slot(int r) const;
+  /// The exchange peers of `reach`: stencil_ or every rank.
+  std::span<const int> peers(Reach reach) const;
+  /// Slot of rank `r` in peers(reach); over the stencil, HACC_CHECKs that
+  /// `r` is in it.
+  std::size_t slot(int r, Reach reach) const;
   /// Size send_buf_ for send_counts_ and point each slot's cursor at its
   /// block (packets are then written in place, no staging copy).
   void layout_send_buffer() const;
-  /// Write particle i, at position (x, y, z), into `dest`'s block.
-  void pack(int dest, const tree::ParticleArray& p, std::size_t i, float x,
-            float y, float z) const;
-  /// Ship send_buf_ over the stencil and append what arrives to
+  /// Write particle i, at position (x, y, z), into slot `s`'s block.
+  void pack(std::size_t s, const tree::ParticleArray& p, std::size_t i,
+            float x, float y, float z) const;
+  /// Ship send_buf_ to `reach`'s peers and append what arrives to
   /// `particles` with `role`.
-  void exchange(comm::Comm& comm, tree::ParticleArray& particles,
+  void exchange(comm::Comm& comm, Reach reach, tree::ParticleArray& particles,
                 tree::Role role) const;
 
   mesh::BlockDecomp3D decomp_;
@@ -147,6 +167,7 @@ class OverloadDomain {
   bool canonical_order_ = false;
   std::vector<int> stencil_;            ///< sparse exchange peers (sorted)
   std::vector<int> slot_of_;            ///< rank -> stencil slot, -1 absent
+  std::vector<int> all_ranks_;          ///< 0..P-1: Reach::kWorld's peers
   std::array<Image, 26> images_{};      ///< this rank's images, precomputed
   // Exchange scratch, reused across calls so the steady state allocates
   // nothing (one OverloadDomain per rank thread; migrate and replicate are

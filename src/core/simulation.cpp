@@ -637,10 +637,9 @@ void Simulation::read_checkpoint(const std::string& path) {
   const double da = (a_final - a_init) / static_cast<double>(config_.steps);
   steps_taken_ = static_cast<int>(std::lround((a_ - a_init) / da));
   // Elastic restore: the blocks just read are partitioned by file order,
-  // not by domain — route every particle to its owner, then rebuild the
-  // passive layer.
-  gio::redistribute_by_domain(world_, decomp_, particles_);
-  domain_->refresh(world_, particles_);
+  // not by domain — migrate with every rank as a peer routes each particle
+  // to its owner, then replicate rebuilds the passive layer.
+  domain_->refresh(world_, particles_, Reach::kWorld);
   accel_valid_ = false;  // not checkpointed: the next step() solves
   // The restored state seeds fresh audit baselines: stale windows or
   // accumulated findings from the abandoned trajectory must not trip the

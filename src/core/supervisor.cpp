@@ -4,11 +4,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <optional>
-#include <thread>
 
 #include "comm/fault.h"
 #include "gio/gio.h"
@@ -143,10 +141,8 @@ int CheckpointSet::newest_restorable(
   return -1;
 }
 
-int ElasticPolicy::next_width(int width, int failed_ranks,
-                              int failures_at_width) const {
+int ElasticPolicy::next_width(int width, int failed_ranks) const {
   if (rule == ElasticRule::kSameWidth) return width;
-  if (failures_at_width < failures_before_shrink) return width;
   int next = width;
   switch (rule) {
     case ElasticRule::kSameWidth:
@@ -182,7 +178,6 @@ Supervisor::Supervisor(const cosmology::Cosmology& cosmo,
   HACC_CHECK_MSG(config_.elastic.min_ranks >= 1 &&
                      config_.elastic.min_ranks <= config_.nranks,
                  "ElasticPolicy::min_ranks must be in [1, nranks]");
-  HACC_CHECK(config_.elastic.failures_before_shrink >= 1);
   fs::create_directories(config_.checkpoint_dir);
 }
 
@@ -347,22 +342,15 @@ void Supervisor::rank_main(comm::Comm& comm, const std::string& restore_path,
         throw Error(msg);
       }
       // Pick the newest checkpoint that is neither poisoned nor damaged on
-      // disk; rescan with backoff to ride out transient FS trouble.
+      // disk.
       int candidate = -1;
-      for (int t = 0; t <= config_.rollback_retries && candidate < 0; ++t) {
-        if (t > 0 && config_.rollback_backoff_s > 0)
-          std::this_thread::sleep_for(std::chrono::duration<double>(
-              config_.rollback_backoff_s * t));
-        if (root) {
-          candidate = checkpoints_.newest_restorable(
-              [&](int cs, const std::string& why) {
-                if (t == 0)
-                  emit(obs::EventRecord{"checkpoint_rejected", cs, attempt,
-                                        why});
-              });
-        }
-        candidate = comm.bcast_value(candidate, 0);
+      if (root) {
+        candidate = checkpoints_.newest_restorable(
+            [&](int cs, const std::string& why) {
+              emit(obs::EventRecord{"checkpoint_rejected", cs, attempt, why});
+            });
       }
+      candidate = comm.bcast_value(candidate, 0);
       if (candidate < 0) {
         // Escalate: no state on disk is trustworthy at this width. The
         // machine-level catch in run() owns what happens next (relaunch,
@@ -427,7 +415,6 @@ SupervisorReport Supervisor::run() {
   width_ = config_.nranks;
   start_metrics_server();  // outlives attempts: scrapeable through failures
   health_.completed.store(false, std::memory_order_relaxed);
-  int failures_at_width = 0;
   std::optional<Timer> recover_timer;  // starts when a failure is detected
   for (int attempt = 0;; ++attempt) {
     report_.attempts = attempt + 1;
@@ -495,32 +482,23 @@ SupervisorReport Supervisor::run() {
         return report_;
       }
       ++report_.restores;
-      // Elastic policy: shrink instead of retrying at a width that keeps
-      // failing. The failed-rank count comes from the machine post-mortem
-      // (root causes only, not collateral aborts).
-      ++failures_at_width;
+      // Elastic policy: shrink instead of retrying at the failed width.
+      // The failed-rank count comes from the machine post-mortem (root
+      // causes only, not collateral aborts).
       const int failed =
           std::max<int>(1, static_cast<int>(machine_report.failed_ranks.size()));
-      const int next =
-          config_.elastic.next_width(width_, failed, failures_at_width);
+      const int next = config_.elastic.next_width(width_, failed);
       if (next < width_) {
         ++report_.shrinks;
         record_event(
             "shrink", restore_step, attempt,
             "width " + std::to_string(width_) + " -> " + std::to_string(next) +
                 " (" + elastic_rule_name(config_.elastic.rule) + ", " +
-                std::to_string(failed) + " failed rank(s), " +
-                std::to_string(failures_at_width) + " failure(s) at width " +
-                std::to_string(width_) + ")");
+                std::to_string(failed) + " failed rank(s))");
         // A campaign pool reclaims the shed ranks before the narrower
         // attempt launches.
         if (on_width_change) on_width_change(width_, next);
         width_ = next;
-        failures_at_width = 0;
-      }
-      if (config_.retry_backoff_s > 0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            config_.retry_backoff_s * (attempt + 1)));
       }
       if (between_attempts) between_attempts(attempt);
     }

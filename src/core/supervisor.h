@@ -14,9 +14,9 @@
 //             health violation aborts the machine with a diagnosis
 //   recover:  re-verify the checkpoint chain newest-first (a checkpoint can
 //             be damaged *after* it was written), restore from the first
-//             good one, resume; capped retries with linear backoff. One
-//             scan, CheckpointSet::newest_restorable, serves this relaunch
-//             and the in-place SDC rollback alike.
+//             good one, resume; capped retries. One scan,
+//             CheckpointSet::newest_restorable, serves this relaunch and
+//             the in-place SDC rollback alike.
 //
 // Elastic degraded mode: at scale the realistic failure mode is *losing
 // capacity* — a replacement partition at the same width may simply not be
@@ -25,11 +25,12 @@
 // the recovery step relaunches the machine at a reduced width chosen by the
 // policy; the rank-count-elastic gio read path restores the last good
 // checkpoint onto the new width (blocks re-partitioned, particles routed to
-// their new domain owners by one alltoallv), the Cartesian decomposition and
-// overload zones are rebuilt for the new width by the Simulation
-// constructor, and the run resumes. Every width transition is recorded as
-// fsync'd ledger events ("shrink", "resume_at_width"), so the degradation
-// history of a campaign is auditable after the fact.
+// their new domain owners by one OverloadDomain::migrate over every rank),
+// the Cartesian decomposition and overload zones are rebuilt for the new
+// width by the Simulation constructor, and the run resumes. Every width
+// transition is recorded as fsync'd ledger events ("shrink",
+// "resume_at_width"), so the degradation history of a campaign is auditable
+// after the fact.
 //
 // Every decision is recorded as an event line in the run ledger, fsync'd
 // before the run proceeds, so the recovery history survives the failures it
@@ -127,16 +128,11 @@ struct ElasticPolicy {
   ElasticRule rule = ElasticRule::kSameWidth;
   /// Hard floor: never relaunch below this many ranks.
   int min_ranks = 1;
-  /// Consecutive failures tolerated at a width before the policy shrinks;
-  /// 1 = shrink on the first failure. A same-width transient (e.g. one
-  /// corrupted message) then gets `failures_before_shrink - 1` full-width
-  /// retries before capacity is given up.
-  int failures_before_shrink = 1;
 
-  /// Width of the next attempt after `failures_at_width` consecutive
-  /// failures at `width`, of which `failed_ranks` ranks were root causes in
-  /// the latest attempt (>= 1; collateral aborts are not counted).
-  int next_width(int width, int failed_ranks, int failures_at_width) const;
+  /// Width of the next attempt after a failure at `width`, of which
+  /// `failed_ranks` ranks were root causes (>= 1; collateral aborts are not
+  /// counted).
+  int next_width(int width, int failed_ranks) const;
 };
 
 /// Stable name of a rule ("same_width", "shrink_by_failed", "halve").
@@ -151,16 +147,10 @@ struct SupervisorConfig {
   int checkpoint_every = 1;  ///< steps between defensive checkpoints
   int keep = 2;              ///< checkpoint rotation depth (last K)
   int max_retries = 3;       ///< recovery attempts after the first run
-  double retry_backoff_s = 0;  ///< sleep attempt*backoff before retrying
   /// Health budget: max momentum-component drift from the first recorded
   /// value before the state is declared sick (<= 0 disables).
   double max_momentum_drift = 0;
   // ---- silent-data-corruption response (sim.audit is the detection side) --
-  /// Extra scans of the checkpoint chain for a rollback candidate when the
-  /// first scan finds none (covers transient shared-FS hiccups).
-  int rollback_retries = 2;
-  /// Sleep `try * rollback_backoff_s` between those scans.
-  double rollback_backoff_s = 0;
   /// In-place rollbacks tolerated per attempt before an SDC detection
   /// escalates to the relaunch path instead — a state that keeps failing
   /// its audits after restore means the damage is upstream of this
@@ -202,7 +192,7 @@ struct SupervisorReport {
   /// Wall seconds spent re-verifying the checkpoint chain before restores.
   double verify_seconds = 0;
   /// Wall seconds from the last failure being detected to the resumed
-  /// machine running (verification + backoff; the bench's headline).
+  /// machine running (verification included; the bench's headline).
   double detect_to_resume_seconds = 0;
   // ---- elastic degraded-mode accounting ----
   int final_width = 0;  ///< rank count of the last attempt

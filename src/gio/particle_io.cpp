@@ -1,7 +1,6 @@
 #include "gio/particle_io.h"
 
 #include <array>
-#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -31,8 +30,7 @@ static_assert(static_cast<std::uint8_t>(tree::Role::kActive) == 0 &&
 
 constexpr const char* kFloatVars[7] = {"x", "y", "z", "vx", "vy", "vz", "mass"};
 
-/// Wire format for the redistribution exchange and the root gather
-/// (trivially copyable).
+/// Wire format of the root gather (trivially copyable).
 struct PackedParticle {
   float x, y, z, vx, vy, vz, mass;
   std::uint32_t role;
@@ -116,61 +114,6 @@ ReadReport read_particles(comm::Comm& comm, const std::string& path,
   for (const auto& b : fbytes) local_bytes += b.size();
   obs::add_counter(kCtrBytesRead, local_bytes);
   return report;
-}
-
-void redistribute_by_domain(comm::Comm& comm,
-                            const mesh::BlockDecomp3D& decomp,
-                            tree::ParticleArray& p) {
-  const int nranks = comm.size();
-  HACC_CHECK(nranks == decomp.nranks());
-  const auto& dims = decomp.grid_dims();
-  auto wrap_cell = [&](float v, int axis) {
-    // Routing only: the stored coordinate is forwarded unmodified.
-    const auto n = static_cast<double>(dims[static_cast<std::size_t>(axis)]);
-    double w = std::fmod(static_cast<double>(v), n);
-    if (w < 0) w += n;
-    if (w >= n) w = n - 1;  // fmod rounding guard
-    return static_cast<std::size_t>(w);
-  };
-
-  // Elastic-restore hardening: a particle with a non-finite coordinate has
-  // no owner cell (fmod(NaN) stays NaN and the cast below would be UB).
-  // Checkpoints are CRC-verified, so this means damaged *state*, not a
-  // damaged file — refuse with a diagnosis the recovery loop can act on
-  // (restore an older checkpoint) instead of routing garbage.
-  std::size_t unroutable = 0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    if (!std::isfinite(p.x[i]) || !std::isfinite(p.y[i]) ||
-        !std::isfinite(p.z[i]))
-      ++unroutable;
-  }
-  HACC_CHECK_MSG(unroutable == 0,
-                 "redistribute_by_domain: " + std::to_string(unroutable) +
-                     " particle(s) with non-finite coordinates on rank " +
-                     std::to_string(comm.rank()));
-
-  std::vector<std::vector<PackedParticle>> outbound(
-      static_cast<std::size_t>(nranks));
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    const int owner = decomp.owner_of(wrap_cell(p.x[i], 0),
-                                      wrap_cell(p.y[i], 1),
-                                      wrap_cell(p.z[i], 2));
-    outbound[static_cast<std::size_t>(owner)].push_back(pack(p, i));
-  }
-  std::vector<PackedParticle> send;
-  std::vector<std::size_t> counts(static_cast<std::size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) {
-    counts[static_cast<std::size_t>(r)] =
-        outbound[static_cast<std::size_t>(r)].size();
-    send.insert(send.end(), outbound[static_cast<std::size_t>(r)].begin(),
-                outbound[static_cast<std::size_t>(r)].end());
-  }
-  std::vector<std::size_t> rcounts;
-  const auto incoming = comm.alltoallv(std::span<const PackedParticle>(send),
-                                       std::span<const std::size_t>(counts),
-                                       rcounts);
-  p.clear();
-  unpack(incoming, p);
 }
 
 tree::ParticleArray gather_actives(comm::Comm& comm,

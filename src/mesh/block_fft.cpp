@@ -42,30 +42,34 @@ BlockFft::BlockFft(comm::Comm& world, const BlockDecomp3D& decomp)
 void BlockFft::forward(comm::Comm& world, const DistGrid& grid,
                        std::vector<fft::Complex>& spectrum,
                        const Phases* phases) {
-  std::optional<obs::PhaseScope> scope;
-  if (phases != nullptr) scope.emplace(phases->remap);
-  const auto& box = grid.interior();
-  const auto ex = static_cast<std::ptrdiff_t>(box.x.extent());
-  const auto ey = static_cast<std::ptrdiff_t>(box.y.extent());
-  const std::size_t ez = box.z.extent();
-  real_.resize(box.volume());
-  double* run = real_.data();
-  for (std::ptrdiff_t i = 0; i < ex; ++i)
-    for (std::ptrdiff_t j = 0; j < ey; ++j, run += ez)
-      std::memcpy(run, grid.z_run(i, j), ez * sizeof(double));
-  remap_.forward(world, real_, remap_buf_);
-  scope.reset();
-  if (phases != nullptr) scope.emplace(phases->fft);
+  {
+    std::optional<obs::PhaseScope> remap;
+    if (phases != nullptr) remap.emplace(phases->remap);
+    const auto& box = grid.interior();
+    const auto ex = static_cast<std::ptrdiff_t>(box.x.extent());
+    const auto ey = static_cast<std::ptrdiff_t>(box.y.extent());
+    const std::size_t ez = box.z.extent();
+    real_.resize(box.volume());
+    double* run = real_.data();
+    for (std::ptrdiff_t i = 0; i < ex; ++i)
+      for (std::ptrdiff_t j = 0; j < ey; ++j, run += ez)
+        std::memcpy(run, grid.z_run(i, j), ez * sizeof(double));
+    remap_.forward(world, real_, remap_buf_);
+  }
+  std::optional<obs::PhaseScope> fft;
+  if (phases != nullptr) fft.emplace(phases->fft);
   fft_.forward_r2c(std::span<const double>(real_), spectrum);
 }
 
 void BlockFft::inverse(comm::Comm& world, std::vector<fft::Complex>& spectrum,
                        DistGrid& grid, const Phases* phases) {
-  std::optional<obs::PhaseScope> scope;
-  if (phases != nullptr) scope.emplace(phases->fft);
-  fft_.inverse_c2r(spectrum, real_);
-  scope.reset();
-  if (phases != nullptr) scope.emplace(phases->remap);
+  {
+    std::optional<obs::PhaseScope> fft;
+    if (phases != nullptr) fft.emplace(phases->fft);
+    fft_.inverse_c2r(spectrum, real_);
+  }
+  std::optional<obs::PhaseScope> remap;
+  if (phases != nullptr) remap.emplace(phases->remap);
   remap_.backward(world, real_, remap_buf_);
   const auto& box = grid.interior();
   HACC_CHECK(real_.size() == box.volume());

@@ -4,6 +4,7 @@
 
 #include "obs/obs.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace hacc::serve {
 
@@ -25,13 +26,6 @@ std::uint64_t pack(const CacheKey& k) noexcept {
   return (static_cast<std::uint64_t>(k.file) << 40) |
          (static_cast<std::uint64_t>(k.block) << 16) |
          static_cast<std::uint64_t>(k.var);
-}
-
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -216,6 +217,72 @@ TEST_P(OverloadRanks, MigrateAndReplicateAreOneSparseExchangeEach) {
   });
 }
 
+TEST_P(OverloadRanks, EveryRankReachRoutesParticlesFromAnywhere) {
+  // The elastic restore's route: particles scattered over the whole box and
+  // dealt to ranks round-robin reach their owners through one migrate over
+  // every rank, every field bit-identical, no id lost or duplicated. The
+  // slab decomposition keeps each stencil to three ranks, so at 8 ranks
+  // most particles start outside their owner's stencil.
+  const int nranks = GetParam();
+  const std::size_t n_global = 600;
+  mesh::BlockDecomp3D d({32, 16, 16}, comm::Cart3D({nranks, 1, 1}));
+  const Philox rng(31);
+  auto sample = [&](std::uint64_t id) {
+    Philox::Stream s(rng, id);
+    std::array<float, 10> f{};
+    f[0] = static_cast<float>(s.uniform(0, 32.0));
+    f[1] = static_cast<float>(s.uniform(0, 16.0));
+    f[2] = static_cast<float>(s.uniform(0, 16.0));
+    for (std::size_t k = 3; k < f.size(); ++k)
+      f[k] = static_cast<float>(s.uniform(-5.0, 5.0));
+    return f;
+  };
+  auto bits = [](const std::array<float, 10>& f) {
+    std::array<std::uint32_t, 10> b{};
+    for (std::size_t k = 0; k < f.size(); ++k)
+      b[k] = std::bit_cast<std::uint32_t>(f[k]);
+    return b;
+  };
+  comm::Machine::run(nranks, [&](comm::Comm& c) {
+    OverloadDomain dom(d, c.rank(), 1.0);
+    ParticleArray p;
+    long long outside = 0;
+    for (std::uint64_t id = static_cast<std::uint64_t>(c.rank()); id < n_global;
+         id += static_cast<std::uint64_t>(nranks)) {
+      const auto f = sample(id);
+      p.push_back(f[0], f[1], f[2], f[3], f[4], f[5], f[6], id, Role::kActive,
+                  f[7], f[8], f[9]);
+      const int owner = d.owner_of(static_cast<std::size_t>(f[0]),
+                                   static_cast<std::size_t>(f[1]),
+                                   static_cast<std::size_t>(f[2]));
+      const auto& st = dom.stencil();
+      if (std::find(st.begin(), st.end(), owner) == st.end()) ++outside;
+    }
+    outside = c.allreduce_value(outside, comm::ReduceOp::kSum);
+    if (nranks == 8) {
+      EXPECT_GT(outside, static_cast<long long>(n_global) / 2);
+    }
+
+    dom.migrate(c, p, Reach::kWorld);
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      EXPECT_EQ(p.role[i], Role::kActive);
+      EXPECT_TRUE(dom.owns(p.x[i], p.y[i], p.z[i])) << "id " << p.id[i];
+      const std::array<float, 10> got{p.x[i],  p.y[i],  p.z[i],    p.vx[i],
+                                      p.vy[i], p.vz[i], p.mass[i], p.ax[i],
+                                      p.ay[i], p.az[i]};
+      EXPECT_EQ(bits(got), bits(sample(p.id[i]))) << "id " << p.id[i];
+    }
+    const auto ids = c.gatherv(
+        std::span<const std::uint64_t>(p.id.data(), p.id.size()), 0);
+    if (c.rank() == 0) {
+      const std::set<std::uint64_t> unique(ids.begin(), ids.end());
+      EXPECT_EQ(ids.size(), n_global);
+      EXPECT_EQ(unique.size(), n_global);
+      EXPECT_EQ(*unique.rbegin(), n_global - 1);
+    }
+  });
+}
+
 TEST_P(OverloadRanks, StencilIsSymmetricAndContainsSelf) {
   const int nranks = GetParam();
   mesh::BlockDecomp3D d = mesh::BlockDecomp3D::balanced({16, 16, 16}, nranks);
@@ -241,6 +308,38 @@ TEST(OverloadDomain, RejectsExcessiveDepth) {
   mesh::BlockDecomp3D d = mesh::BlockDecomp3D::balanced({8, 8, 8}, 8);
   EXPECT_THROW(OverloadDomain(d, 0, 5.0), Error);
   EXPECT_NO_THROW(OverloadDomain(d, 0, 4.0));
+}
+
+TEST(OverloadDomain, MigrateRefusesNonFiniteCoordinates) {
+  // A particle with a NaN or infinite coordinate has no owner cell: migrate
+  // refuses it by name before any cell lookup, alone on one rank and with a
+  // peer waiting in the exchange on two.
+  const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity()};
+  for (const int nranks : {1, 2}) {
+    mesh::BlockDecomp3D d = mesh::BlockDecomp3D::balanced({16, 16, 16}, nranks);
+    for (int axis = 0; axis < 3; ++axis) {
+      for (const float v : bad) {
+        SCOPED_TRACE(std::to_string(nranks) + " rank(s), axis " +
+                     std::to_string(axis) + ", value " + std::to_string(v));
+        try {
+          comm::Machine::run(nranks, [&](comm::Comm& c) {
+            OverloadDomain dom(d, c.rank(), 2.0);
+            ParticleArray p = scatter_global(dom, 100, 16, 3);
+            ASSERT_GT(p.size(), 0u);
+            if (c.rank() == 0) (axis == 0 ? p.x : axis == 1 ? p.y : p.z)[0] = v;
+            dom.migrate(c, p);
+          });
+          ADD_FAILURE() << "migrate accepted a non-finite coordinate";
+        } catch (const Error& e) {
+          EXPECT_NE(std::string(e.what()).find("non-finite coordinates"),
+                    std::string::npos)
+              << e.what();
+        }
+      }
+    }
+  }
 }
 
 TEST(OverloadDomain, MemoryOverheadIsModest) {
@@ -529,8 +628,8 @@ TEST(Simulation, ReadCheckpointRejectsMismatchedConfig) {
 
 TEST(Simulation, CheckpointIsRankCountElastic) {
   // Satellite of the gio subsystem: a checkpoint written on 4 ranks must
-  // restore bit-identically on 1, 2 and 8 ranks, and a subsequent step must
-  // reproduce the uninterrupted run's power spectrum.
+  // restore bit-identically on 1, 2, 3 and 8 ranks, and a subsequent step
+  // must reproduce the uninterrupted run's power spectrum.
   SimulationConfig cfg;
   cfg.grid = 16;
   cfg.particles_per_dim = 16;
@@ -573,7 +672,7 @@ TEST(Simulation, CheckpointIsRankCountElastic) {
   });
   ASSERT_EQ(at_ckpt.size(), 16u * 16 * 16);
 
-  for (int ranks : {1, 2, 8}) {
+  for (int ranks : {1, 2, 3, 8}) {
     std::map<std::uint64_t, std::array<std::uint32_t, 6>> restored;
     std::vector<cosmology::PowerBin> spectrum;
     comm::Machine::run(ranks, [&](comm::Comm& c) {

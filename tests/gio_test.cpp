@@ -16,7 +16,6 @@
 #include "gio/crc64.h"
 #include "gio/gio.h"
 #include "gio/particle_io.h"
-#include "mesh/grid.h"
 #include "util/rng.h"
 
 namespace hacc::gio {
@@ -230,24 +229,17 @@ TEST_P(GioElasticRanks, CheckpointOn4RestoresBitIdentically) {
   });
   ASSERT_EQ(written.size(), 800u);
 
-  // Restore on a different rank count; after redistribution every particle
-  // must be bit-identical and owned by the reading rank's domain.
+  // Read on a different rank count: across the reading ranks every
+  // particle arrives exactly once, bit-identical. (Routing the particles to
+  // their domain owners is the reader's job; core_test covers it.)
   std::map<Key, Fields> restored;
   std::set<Key> seen_twice;
   comm::Machine::run(read_ranks, [&](comm::Comm& c) {
-    mesh::BlockDecomp3D rd =
-        mesh::BlockDecomp3D::balanced({box, box, box}, read_ranks);
     ParticleArray p;
     const auto report = read_particles(c, path, p);
     EXPECT_TRUE(report.corrupt.empty());
     EXPECT_EQ(report.total_particles, 800u);
     EXPECT_EQ(report.blocks, 4u);
-    redistribute_by_domain(c, rd, p);
-    const auto box_of = rd.box_of(c.rank());
-    for (std::size_t i = 0; i < p.size(); ++i) {
-      EXPECT_GE(p.x[i], static_cast<float>(box_of.x.lo));
-      EXPECT_LT(p.x[i], static_cast<float>(box_of.x.hi));
-    }
     struct Row {
       std::uint64_t id;
       Fields f;
