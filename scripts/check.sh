@@ -125,7 +125,7 @@ for threads in 1 "$JOBS"; do
     'BlockFft.SteadyStateTransformsDoNotAllocate:BlockFft.RemapWorkspaceStaysPutAtEightRanks'
   run_filtered "$BUILD/tests/tree_test" 'TreeForce.SteadyStateShortRangeIsAllocationFree'
   run_filtered "$BUILD/tests/core_test" \
-    'Simulation.CheckpointRestartReproducesRun:Simulation.OneLongRangeSolvePerWarmStep'
+    'Simulation.CheckpointRestartReproducesRun:Simulation.OneLongRangeSolvePerWarmStep:Simulation.PowerSpectrumAfterStepsIsTheStepsDensity:Simulation.PowerSpectrumOnFreshStateIsTheFirstStepsRebuild'
   run_filtered "$BUILD/tests/audit_test" \
     'SdcRollback.AccelerationFlipDetectedAndRolledBackBitForBit:*DupExecVariant.SteadyStateAuditIsAllocationFree*'
   run_filtered "$BUILD/tests/integration_test" \

@@ -6,6 +6,10 @@
 #include <thread>
 #include <tuple>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "comm/fault.h"
 #include "util/telemetry.h"
 
@@ -313,15 +317,6 @@ Comm Comm::split(int color, int key) const {
   return Comm(machine_, new_context, new_rank, std::move(new_group));
 }
 
-void Machine::run(int nranks, const std::function<void(Comm&)>& fn) {
-  run(nranks, fn, MachineOptions{});
-}
-
-void Machine::run(int nranks, const std::function<void(Comm&)>& fn,
-                  const MachineOptions& options) {
-  run(nranks, fn, options, nullptr);
-}
-
 void Machine::run(int nranks, const std::function<void(Comm&)>& fn,
                   const MachineOptions& options, MachineReport* report) {
   HACC_CHECK_MSG(nranks > 0, "Machine::run needs at least one rank");
@@ -352,6 +347,12 @@ void Machine::run(int nranks, const std::function<void(Comm&)>& fn,
     });
   }
   for (auto& t : threads) t.join();
+  // The ranks' glibc arenas outlive them, holding what they freed for
+  // whichever thread picks them up next: hand it back to the OS, so what
+  // one machine leaves does not set the footprint of the next.
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
   // Post-mortem + primary failure: a rank whose own exception is an Aborted
   // merely observed a peer's death; everything else is a root cause. The
   // rethrow prefers a root cause over the Aborted it induced.

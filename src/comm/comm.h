@@ -255,22 +255,18 @@ struct MachineReport {
 class Machine {
  public:
   /// Spawn `nranks` threads, call fn(comm) on each with a world
-  /// communicator, join. Exceptions thrown by any rank are rethrown
-  /// (first by rank order) after all threads have been joined; when a rank
-  /// fails, every other rank's blocking receive throws Aborted carrying
-  /// the failing rank's message (clean collective abort, no hang).
-  static void run(int nranks, const std::function<void(Comm&)>& fn);
-
-  /// As above with runtime options: receive deadlines (deadlock detection),
-  /// payload verification, and a fault-injection plan.
-  static void run(int nranks, const std::function<void(Comm&)>& fn,
-                  const MachineOptions& options);
-
-  /// As above, additionally filling `report` (when non-null) with the
+  /// communicator, join, and hand the heap the ranks freed back to the OS,
+  /// as a finished job would. `options` sets receive deadlines (deadlock
+  /// detection), payload verification and a fault-injection plan.
+  /// Exceptions thrown by any rank are rethrown (first by rank order) after
+  /// all threads have been joined; when a rank fails, every other rank's
+  /// blocking receive throws Aborted carrying the failing rank's message
+  /// (clean collective abort, no hang). `report` (when non-null) gets the
   /// failure post-mortem *before* the primary exception is rethrown, so a
   /// supervising driver can diagnose the failure it just caught.
   static void run(int nranks, const std::function<void(Comm&)>& fn,
-                  const MachineOptions& options, MachineReport* report);
+                  const MachineOptions& options = {},
+                  MachineReport* report = nullptr);
 };
 
 // ---- templated collective implementations ---------------------------------

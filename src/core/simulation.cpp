@@ -154,7 +154,7 @@ void Simulation::initialize() {
   ic.seed = config_.seed;
   cosmology::generate_zeldovich(world_, decomp_, cosmo_, ic, particles_);
   domain_->refresh(world_, particles_);
-  accel_valid_ = false;  // the first step() solves before its opening kick
+  boundary_valid_ = false;  // rebuilt by the first step() or density product
   steps_taken_ = 0;
   a_ = Cosmology::a_of_z(config_.z_initial);
   // Open the first invariance window over the freshly initialized state,
@@ -163,36 +163,26 @@ void Simulation::initialize() {
   audit_end_step();
 }
 
-mesh::DistGrid& Simulation::density_contrast() {
-  // Deposit *active* particles only (passives are someone else's mass).
-  for (auto& v : active_pos_) v.clear();
-  auto& [xs, ys, zs] = active_pos_;
-  for (std::size_t i = 0; i < particles_.size(); ++i) {
-    if (particles_.role[i] != tree::Role::kActive) continue;
-    xs.push_back(particles_.x[i]);
-    ys.push_back(particles_.y[i]);
-    zs.push_back(particles_.z[i]);
-  }
-  deposit_density(rho_, xs, ys, zs);
+const mesh::DistGrid& Simulation::density_contrast() {
+  rebuild_boundary();
   return rho_;
 }
 
-void Simulation::deposit_density(mesh::DistGrid& rho,
-                                 std::span<const float> x,
-                                 std::span<const float> y,
-                                 std::span<const float> z) {
+void Simulation::deposit_density() {
+  // particles_ holds exactly this rank's in-domain actives (after migrate).
   {
     obs::PhaseScope scope(&counters_, kPhaseCic);
-    rho.fill(0.0);
+    rho_.fill(0.0);
     if (config_.threaded_deposit) {
-      mesh::cic_deposit_threaded(rho, x, y, z, 1.0f);
+      mesh::cic_deposit_threaded(rho_, particles_.x, particles_.y,
+                                 particles_.z, 1.0f);
     } else {
-      mesh::cic_deposit(rho, x, y, z, 1.0f);
+      mesh::cic_deposit(rho_, particles_.x, particles_.y, particles_.z, 1.0f);
     }
   }
   {
     obs::PhaseScope scope(&counters_, kPhaseGridExchange);
-    rho.fold_ghosts(world_);
+    rho_.fold_ghosts(world_);
   }
   // Grid-resident fault injection fires here — after the fold, before the
   // mass audit captures the interior sum, so the damage both corrupts the
@@ -200,7 +190,7 @@ void Simulation::deposit_density(mesh::DistGrid& rho,
   // drawn from the high mantissa/exponent/sign bits (the physically
   // consequential ones; a low-mantissa flip is below deposit rounding).
   if (comm::fault::active()) {
-    const auto& box = rho.interior();
+    const auto& box = rho_.interior();
     const std::uint64_t ex = box.x.extent();
     const std::uint64_t ey = box.y.extent();
     const std::uint64_t ez = box.z.extent();
@@ -211,15 +201,15 @@ void Simulation::deposit_density(mesh::DistGrid& rho,
       const auto j =
           static_cast<std::ptrdiff_t>((flip.element / ez) % ey);
       const auto k = static_cast<std::ptrdiff_t>(flip.element % ez);
-      flip_double_bit(rho.at(i, j, k), flip.bit);
+      flip_double_bit(rho_.at(i, j, k), flip.bit);
     }
     if (!flips.empty()) counters_.add(kCtrMemoryFlips, flips.size());
   }
   if (config_.audit.cadence > 0) {
-    audit_.grid_mass += rho.interior_sum();
+    audit_.grid_mass += rho_.interior_sum();
     audit_.deposits += 1.0;
   }
-  mesh::to_density_contrast(rho, world_);
+  mesh::to_density_contrast(rho_, world_);
 }
 
 void Simulation::solve_long_range() {
@@ -227,8 +217,7 @@ void Simulation::solve_long_range() {
     obs::PhaseScope scope(&counters_, kPhaseRefresh);
     domain_->migrate(world_, particles_);
   }
-  // particles_ now holds exactly this rank's in-domain actives.
-  deposit_density(rho_, particles_.x, particles_.y, particles_.z);
+  deposit_density();
   {
     obs::PhaseScope scope(&counters_, kPhasePoisson);
     poisson_->solve(world_, rho_, force_);
@@ -249,6 +238,20 @@ void Simulation::solve_long_range() {
 void Simulation::replicate() {
   obs::PhaseScope scope(&counters_, kPhaseRefresh);
   domain_->replicate(world_, particles_);
+}
+
+void Simulation::rebuild_boundary() {
+  if (boundary_valid_) return;
+  obs::Binding binding(&tracer_, &counters_, obs::cost_map());
+  // Between steps the SDC window is open, and the rebuild writes the
+  // acceleration it covers: check it, then re-open it over the rebuilt
+  // state. Inside step() audit_begin_step() has already closed it.
+  const bool window_open = audit_.stash_valid;
+  close_audit_window();
+  solve_long_range();
+  replicate();
+  boundary_valid_ = true;
+  if (window_open) audit_end_step();
 }
 
 void Simulation::long_range_kick(double a0, double a1) {
@@ -349,13 +352,7 @@ void Simulation::step() {
     const double a1 = std::min(a0 + da, a_final);
     const double am = 0.5 * (a0 + a1);
 
-    if (!accel_valid_) {
-      // Stale acceleration (fresh or restored state): rebuild the boundary
-      // state the previous step would have left, minus its kick.
-      solve_long_range();
-      replicate();
-      accel_valid_ = true;
-    }
+    rebuild_boundary();             // stale (fresh or restored) state only
     long_range_kick(a0, am);        // M_lr(t/2): actives and passives
     short_range_subcycles(a0, a1);  // (M_sr(t/n_c))^{n_c}
     solve_long_range();             // the step's one PM solve
@@ -410,8 +407,7 @@ std::uint64_t Simulation::window_checksum() const {
       config_.canonical_order);
 }
 
-void Simulation::audit_begin_step() {
-  apply_particle_memory_faults();
+void Simulation::close_audit_window() {
   const AuditConfig& audit = config_.audit;
   if (audit.cadence > 0 && audit.checksum && audit_.stash_valid) {
     obs::PhaseScope scope(&counters_, kPhaseAudit);
@@ -420,7 +416,13 @@ void Simulation::audit_begin_step() {
     // resident-memory corruption.
     if (window_checksum() != audit_.stash) audit_.checksum_mismatches += 1.0;
   }
-  audit_.stash_valid = false;  // consumed; re-stashed at end of step
+  audit_.stash_valid = false;  // consumed; re-stashed by audit_end_step()
+}
+
+void Simulation::audit_begin_step() {
+  apply_particle_memory_faults();
+  close_audit_window();
+  const AuditConfig& audit = config_.audit;
   audit_.dup_pending = audit.cadence > 0 && audit.duplicate_execution &&
                        audit_due(steps_taken_ + 1);
 }
@@ -451,20 +453,6 @@ void Simulation::publish_cost_gauges() {
                 static_cast<std::uint64_t>(s.top_decile_share * 1e6));
 }
 
-Simulation::ActiveSnapshot Simulation::active_snapshot() const {
-  ActiveSnapshot snap;
-  for (std::size_t i = 0; i < particles_.size(); ++i) {
-    if (particles_.role[i] == tree::Role::kActive)
-      snap.actives.append_from(particles_, i);
-  }
-  snap.meta.scale_factor = a_;
-  snap.meta.box_mpch = config_.box_mpch;
-  snap.meta.grid = config_.grid;
-  snap.gio.aggregators = config_.io_aggregators;
-  snap.gio.verify_after_write = config_.checkpoint_verify;
-  return snap;
-}
-
 TimerRegistry Simulation::timers() const {
   // A phase's ns and calls slots land in the same entry.
   TimerRegistry reg;
@@ -481,14 +469,11 @@ TimerRegistry Simulation::timers() const {
 serve::InSituReport Simulation::run_insitu() {
   obs::Binding binding(&tracer_, &counters_);
   obs::PhaseScope scope(&counters_, kPhaseInsitu);
-  // Products see actives only — passives are replicas of someone else's
-  // mass and would double-count.
-  const ActiveSnapshot snap = active_snapshot();
   std::vector<cosmology::PowerBin> spectrum;
   if (config_.insitu.spectrum)
     spectrum = power_spectrum(config_.insitu.spectrum_bins);
   return serve::write_catalogs(world_, config_.insitu, steps_taken_,
-                               snap.meta, snap.actives, spectrum, snap.gio);
+                               gio_meta(), particles_, spectrum, gio_config());
 }
 
 void Simulation::run() {
@@ -596,8 +581,9 @@ void Simulation::record_step_ledger() {
 
 std::vector<cosmology::PowerBin> Simulation::power_spectrum(
     std::size_t bins) {
-  const mesh::DistGrid& delta = density_contrast();
-  return cosmology::measure_power_spectrum(world_, poisson_->fft(), delta,
+  rebuild_boundary();
+  return cosmology::measure_power_spectrum(world_, poisson_->fft(),
+                                           poisson_->density_spectrum(),
                                            config_.box_mpch, bins);
 }
 
@@ -609,8 +595,11 @@ void Simulation::write_checkpoint(const std::string& path) {
   obs::Binding binding(&tracer_, &counters_);
   obs::PhaseScope scope(&counters_, kPhaseCheckpoint);
   // Strip passives: they are someone else's actives and get rebuilt.
-  const ActiveSnapshot snap = active_snapshot();
-  gio::write_particles(world_, path, snap.meta, snap.actives, snap.gio);
+  tree::ParticleArray actives;
+  for (std::size_t i = 0; i < particles_.size(); ++i)
+    if (particles_.role[i] == tree::Role::kActive)
+      actives.append_from(particles_, i);
+  gio::write_particles(world_, path, gio_meta(), actives, gio_config());
 }
 
 void Simulation::read_checkpoint(const std::string& path) {
@@ -640,7 +629,7 @@ void Simulation::read_checkpoint(const std::string& path) {
   // not by domain — migrate with every rank as a peer routes each particle
   // to its owner, then replicate rebuilds the passive layer.
   domain_->refresh(world_, particles_, Reach::kWorld);
-  accel_valid_ = false;  // not checkpointed: the next step() solves
+  boundary_valid_ = false;  // the acceleration is not checkpointed
   // The restored state seeds fresh audit baselines: stale windows or
   // accumulated findings from the abandoned trajectory must not trip the
   // next gate.
@@ -655,19 +644,22 @@ Simulation::EnergyDiagnostics Simulation::energy() {
   mesh::DistGrid phi(decomp_, world_.rank(), kGridGhost);
   poisson_->solve(world_, delta, force_, &phi);
   phi.fill_ghosts(world_);
-  const auto& [xs, ys, zs] = active_pos_;  // density_contrast() filled it
-  std::vector<float> phi_at(xs.size());
-  mesh::cic_interpolate(phi, xs, ys, zs, phi_at);
-
+  // At the boundary the actives lead particles_, in the order rho_ was
+  // deposited from; the replicas follow them.
   EnergyDiagnostics e;
-  for (std::size_t i = 0; i < particles_.size(); ++i) {
-    if (particles_.role[i] != tree::Role::kActive) continue;
-    const float p2 = particles_.vx[i] * particles_.vx[i] +
-                     particles_.vy[i] * particles_.vy[i] +
-                     particles_.vz[i] * particles_.vz[i];
+  std::size_t n = 0;
+  for (; n < particles_.size() && particles_.role[n] == tree::Role::kActive;
+       ++n) {
+    const float p2 = particles_.vx[n] * particles_.vx[n] +
+                     particles_.vy[n] * particles_.vy[n] +
+                     particles_.vz[n] * particles_.vz[n];
     e.kinetic += 0.5 * static_cast<double>(p2);
   }
   e.kinetic /= a_ * a_;
+  std::vector<float> phi_at(n);
+  mesh::cic_interpolate(phi, std::span(particles_.x).first(n),
+                        std::span(particles_.y).first(n),
+                        std::span(particles_.z).first(n), phi_at);
   for (float ph : phi_at) e.potential += ph;
   e.potential *= 0.5 * 1.5 * cosmo_.omega_m / a_;
   e.kinetic = world_.allreduce_value(e.kinetic, comm::ReduceOp::kSum);

@@ -20,12 +20,17 @@
 // the actives and replicating them, so every passive carries its owner's
 // kicked velocity and exact acceleration. The next step() opens with a
 // half-kick of actives and passives from those stored accelerations — no
-// deposit, solve or interpolation. The stored acceleration is valid from
-// the end of a step() to the opening kick of the next; initialize(),
-// read_checkpoint() and mutable_particles() mark it stale, and the next
-// step() then rebuilds it (migrate, solve, replicate — no kick) before its
-// opening kick. The boundary state therefore depends only on the
-// id-ordered actives, which keeps restart bit-for-bit at the launch width.
+// deposit, solve or interpolation.
+//
+// The boundary state (the actives leading particles_, their replicas behind
+// them, the acceleration, the density contrast in rho_ and the solver's
+// delta(k)) is valid from the end of a step() to the opening kick of the
+// next; the kick and replicate() move no active, so rho_ is what a fresh
+// deposit would give. The between-step density products read it and deposit
+// nothing. initialize(), read_checkpoint() and mutable_particles() mark it
+// stale; the next step() or density product rebuilds it once (migrate,
+// deposit, solve, replicate — no kick). It depends only on the id-ordered
+// actives, which keeps restart bit-for-bit at the launch width.
 //
 // Units and equations of motion (derivation in cosmology/background.h):
 // lengths in grid cells, tau = H0 t, p = a^2 dx/dtau. Then
@@ -42,7 +47,6 @@
 #include <array>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -165,10 +169,10 @@ class Simulation {
   int steps_taken() const noexcept { return steps_taken_; }
 
   const tree::ParticleArray& particles() const noexcept { return particles_; }
-  /// Mutable access marks the stored long-range acceleration stale: the
-  /// next step() recomputes it from the (possibly edited) particles.
+  /// Mutable access marks the boundary state stale: the next step() or
+  /// density product rebuilds it from the (possibly edited) particles.
   tree::ParticleArray& mutable_particles() noexcept {
-    accel_valid_ = false;
+    boundary_valid_ = false;
     return particles_;
   }
   const OverloadDomain& domain() const noexcept { return *domain_; }
@@ -180,14 +184,13 @@ class Simulation {
   /// neighbor masses (rho_bar = mean particle mass per grid cell).
   float mass_scale() const noexcept { return mass_scale_; }
 
-  /// Deposit the actives into the persistent PM grid and return it as the
-  /// density contrast (collective); valid until the next step or spectral
-  /// call (power_spectrum(), energy()). The actives must lie in this
-  /// rank's domain, as they do between steps.
-  mesh::DistGrid& density_contrast();
+  /// The density contrast of the actives in the persistent PM grid, as
+  /// the step boundary left it (collective: rebuilds a stale boundary
+  /// state first); valid until the next step().
+  const mesh::DistGrid& density_contrast();
 
   /// Measured matter power spectrum of the current state (collective):
-  /// density_contrast() through the Poisson solver's own BlockFft.
+  /// the Poisson solver's delta(k) of density_contrast(), binned.
   std::vector<cosmology::PowerBin> power_spectrum(std::size_t bins = 32);
 
   /// Gather every *active* particle to rank 0 (empty elsewhere). Collective.
@@ -290,6 +293,7 @@ class Simulation {
   /// potential W = (1/2) sum Phi(x_i) with Phi = (3/2)(Omega_m/a) phi_c
   /// (PM potential only; the LI monitor T + W + int E (2T + W) dtau is
   /// conserved for PM-only runs — see tests/integration_test.cpp).
+  /// Collective: solves density_contrast() once more for phi_c.
   struct EnergyDiagnostics {
     double kinetic = 0;
     double potential = 0;
@@ -307,7 +311,7 @@ class Simulation {
   /// corrupt checkpoint is refused with the damaged blocks listed),
   /// particles are redistributed to their domain owners, and the
   /// overloading refresh rebuilds the passive layer. The long-range
-  /// acceleration is not checkpointed: the next step() recomputes it.
+  /// acceleration is not checkpointed: the boundary rebuild recomputes it.
   /// Also the in-place SDC recovery: on a live machine it restores without
   /// a Machine teardown, and it re-arms the audit window so the restored
   /// state seeds fresh baselines. Collective.
@@ -321,12 +325,15 @@ class Simulation {
   void solve_long_range();
   /// The second half: replicate() the actives, acceleration included.
   void replicate();
+  /// Rebuild a stale boundary state (solve_long_range(), replicate(); no
+  /// kick); a no-op on a valid one. Outside a step() it checks the open SDC
+  /// window first and re-opens it over the rebuilt state.
+  void rebuild_boundary();
   /// Kick every particle now in particles_ from its stored acceleration.
   void long_range_kick(double a0, double a1);
-  /// Deposit (x, y, z) into `rho` and turn it into the density contrast:
-  /// deposit, fold, grid-fault hook, mass audit capture, contrast.
-  void deposit_density(mesh::DistGrid& rho, std::span<const float> x,
-                       std::span<const float> y, std::span<const float> z);
+  /// Deposit the migrated actives into rho_ and turn it into the density
+  /// contrast: deposit, fold, grid-fault hook, mass audit capture, contrast.
+  void deposit_density();
   void short_range_subcycles(double a0, double a1);
   void apply_short_kick(double coeff);
   void drift(double factor);
@@ -339,8 +346,10 @@ class Simulation {
   /// The SDC window's checksum: particle_checksum with the actives'
   /// acceleration chained on, in the same id order.
   std::uint64_t window_checksum() const;
+  /// The payload-invariance recompute: count a mismatch, consume the stash.
+  void close_audit_window();
   /// Local audit work at the start of a step: memory-fault injection, then
-  /// the payload-invariance recompute against the stash.
+  /// close_audit_window().
   void audit_begin_step();
   /// Local audit work at the end of a step: stash the post-refresh
   /// canonical checksum for the next step's window.
@@ -361,14 +370,13 @@ class Simulation {
   /// Publish the cost-map summary gauges into counters_ for a live scrape.
   void publish_cost_gauges();
 
-  /// This rank's actives (replicas stripped) with the gio metadata and
-  /// writer config that checkpoints and in-situ catalogs are written with.
-  struct ActiveSnapshot {
-    tree::ParticleArray actives;
-    gio::GlobalMeta meta;
-    gio::GioConfig gio;
-  };
-  ActiveSnapshot active_snapshot() const;
+  /// The gio metadata and writer config of checkpoints and catalogs.
+  gio::GlobalMeta gio_meta() const {
+    return {a_, config_.box_mpch, config_.grid};
+  }
+  gio::GioConfig gio_config() const {
+    return {config_.io_aggregators, config_.checkpoint_verify};
+  }
 
   comm::Comm world_;
   cosmology::Cosmology cosmo_;
@@ -380,11 +388,8 @@ class Simulation {
   // them, so one ghost layer holds every CIC cloud.
   mesh::DistGrid rho_;
   std::array<mesh::DistGrid, 3> force_;
-  // The actives' positions density_contrast() deposits, reused per call.
-  std::array<std::vector<float>, 3> active_pos_;
-  /// particles_.ax/ay/az hold the acceleration of the current boundary
-  /// state (see the header comment).
-  bool accel_valid_ = false;
+  /// The boundary state is valid (see the header comment).
+  bool boundary_valid_ = false;
   tree::ShortRangeKernel kernel_;
   tree::ParticleArray particles_;
   float mass_scale_ = 1.0f;

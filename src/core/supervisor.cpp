@@ -1,6 +1,5 @@
 #include "core/supervisor.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -22,28 +21,17 @@ namespace {
 constexpr const char* kCkptPrefix = "ckpt_";
 constexpr const char* kCkptSuffix = ".gio";
 
-/// Durably replace `path` (a file in `dir`) with `body`: write and fsync
-/// `<path>.tmp`, rename it onto `path`, then fsync `dir`. The file's fsync
-/// makes the bytes durable, but the directory entry created by the rename
-/// lives in the directory's own metadata — without the second fsync a
-/// power loss can roll the rename back and leave a stale (or no) file.
-void write_durably(const std::string& dir, const std::string& path,
-                   const std::string& body) {
+/// Durably replace `path` with `body`: write and fsync `<path>.tmp`, then
+/// gio::rename_durably() it onto `path`.
+void write_durably(const std::string& path, const std::string& body) {
   const std::string tmp = path + ".tmp";
-  {
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    HACC_CHECK_MSG(f != nullptr, "cannot write " + tmp);
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fflush(f);
-    ::fsync(fileno(f));
-    std::fclose(f);
-  }
-  HACC_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-                 "cannot publish " + path);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;  // best effort: not all filesystems allow dir opens
-  ::fsync(fd);
-  ::close(fd);
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  HACC_CHECK_MSG(f != nullptr, "cannot write " + tmp);
+  std::fwrite(body.data(), 1, body.size(), f);
+  std::fflush(f);
+  ::fsync(fileno(f));
+  std::fclose(f);
+  gio::rename_durably(tmp, path);
 }
 }  // namespace
 
@@ -62,7 +50,7 @@ std::string CheckpointSet::latest_path() const { return dir_ + "/latest"; }
 void CheckpointSet::publish(int step) {
   // Atomic pointer update: the `latest` file always names a checkpoint
   // that was completely written and verified, never a partial state.
-  write_durably(dir_, latest_path(), std::to_string(step) + "\n");
+  write_durably(latest_path(), std::to_string(step) + "\n");
   // Rotate: drop everything older than the last `keep_` checkpoints,
   // including their audit-verdict sidecars.
   const std::vector<int> steps = existing();
@@ -79,7 +67,7 @@ std::string CheckpointSet::verdict_path_for_step(int step) const {
 }
 
 void CheckpointSet::record_verdict(int step, const std::string& verdict) {
-  write_durably(dir_, verdict_path_for_step(step), verdict + "\n");
+  write_durably(verdict_path_for_step(step), verdict + "\n");
 }
 
 std::string CheckpointSet::verdict(int step) const {

@@ -100,28 +100,25 @@ double sigma_r(const LinearPower& power, double radius) {
   return std::sqrt(s2);
 }
 
-std::vector<PowerBin> measure_power_spectrum(comm::Comm& world,
-                                             mesh::BlockFft& fft,
-                                             const mesh::DistGrid& delta,
-                                             double box_mpch,
-                                             std::size_t bins,
-                                             bool deconvolve_cic) {
+std::vector<PowerBin> measure_power_spectrum(
+    comm::Comm& world, const mesh::BlockFft& fft,
+    std::span<const fft::Complex> spectrum, double box_mpch,
+    std::size_t bins, bool deconvolve_cic) {
   HACC_CHECK(bins >= 2);
   const auto& dims = fft.decomp().grid_dims();
   HACC_CHECK_MSG(dims[0] == dims[1] && dims[1] == dims[2],
                  "P(k) estimator expects a cubic grid");
+  const fft::Box3D& sb = fft.modes();
+  HACC_CHECK_MSG(spectrum.size() == sb.volume(),
+                 "P(k) estimator: the spectrum does not cover fft.modes()");
   const std::size_t n = dims[0];
   const double kf = 2.0 * std::numbers::pi / box_mpch;  // fundamental mode
   const double k_nyq = kf * static_cast<double>(n) / 2.0;
-
-  std::vector<fft::Complex> spec;
-  fft.forward(world, delta, spec);
 
   // Bin |delta(k)|^2 over this rank's half spectrum; each mode also stands
   // for its Hermitian mirror, which has the same |k|, power and window.
   std::vector<double> psum(bins, 0.0), ksum(bins, 0.0);
   std::vector<long long> counts(bins, 0);
-  const fft::Box3D& sb = fft.modes();
   std::size_t idx = 0;
   for (std::size_t mx = sb.x.lo; mx < sb.x.hi; ++mx) {
     const long sx = mesh::signed_mode(mx, n);
@@ -133,7 +130,7 @@ std::vector<PowerBin> measure_power_spectrum(comm::Comm& world,
         const double kmag =
             kf * std::sqrt(static_cast<double>(sx * sx + sy * sy + sz * sz));
         if (kmag > k_nyq) continue;
-        double p = std::norm(spec[idx]);
+        double p = std::norm(spectrum[idx]);
         if (deconvolve_cic) {
           auto w1 = [&](long m) {
             const double u = std::numbers::pi * static_cast<double>(m) /

@@ -6,21 +6,21 @@
 //   * analytic linear P(k) with BBKS or Eisenstein-Hu (no-wiggle) transfer
 //     functions, sigma_8-normalized — used to seed initial conditions and as
 //     the small-k reference;
-//   * a distributed P(k) estimator that bins |delta(k)|^2 over the half
-//     spectrum of a mesh::BlockFft, each mode with its Hermitian
-//     multiplicity (with optional CIC window deconvolution).
+//   * a distributed P(k) estimator that bins |delta(k)|^2 over a given half
+//     spectrum (such as the Poisson solver's kept delta(k)), each mode with
+//     its Hermitian multiplicity (with optional CIC window deconvolution).
 //
 // Wavenumbers at this interface are physical (h/Mpc); box/grid conversions
 // happen internally.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "comm/comm.h"
 #include "cosmology/background.h"
 #include "mesh/block_fft.h"
-#include "mesh/grid.h"
 
 namespace hacc::cosmology {
 
@@ -65,15 +65,14 @@ struct PowerBin {
   std::size_t modes = 0;
 };
 
-/// Measure P(k) from a distributed density-contrast grid, transformed
-/// through `fft` (built on delta's decomposition). Collective.
-/// `box_mpch` is the box side in Mpc/h; `bins` linear-in-k bins reach the
-/// grid Nyquist. If `deconvolve_cic` is set, |W_cic(k)|^2 is divided out.
-std::vector<PowerBin> measure_power_spectrum(comm::Comm& world,
-                                             mesh::BlockFft& fft,
-                                             const mesh::DistGrid& delta,
-                                             double box_mpch,
-                                             std::size_t bins = 32,
-                                             bool deconvolve_cic = true);
+/// Measure P(k) from `spectrum`, this rank's unscaled half spectrum of a
+/// density contrast over `fft.modes()`, as `fft.forward` leaves it; no
+/// transform is made here. Collective. `box_mpch` is the box side in
+/// Mpc/h; `bins` linear-in-k bins reach the grid Nyquist. If
+/// `deconvolve_cic` is set, |W_cic(k)|^2 is divided out.
+std::vector<PowerBin> measure_power_spectrum(
+    comm::Comm& world, const mesh::BlockFft& fft,
+    std::span<const fft::Complex> spectrum, double box_mpch,
+    std::size_t bins = 32, bool deconvolve_cic = true);
 
 }  // namespace hacc::cosmology

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -328,6 +329,18 @@ std::size_t var_type_size(VarType t) {
   throw Error("unknown VarType");
 }
 
+void rename_durably(const std::string& tmp, const std::string& path) {
+  HACC_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
+                 "cannot rename " + tmp + " to " + path);
+  // The new entry lives in the directory's own metadata: without this fsync
+  // a power loss can roll the rename back. Best effort: not every
+  // filesystem lets a directory be opened.
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  const Fd fd(::open(dir.empty() ? "." : dir.c_str(),
+                     O_RDONLY | O_DIRECTORY | O_CLOEXEC));
+  if (fd.get() >= 0) ::fsync(fd.get());
+}
+
 WriteStats write(comm::Comm& comm, const std::string& path,
                  const GlobalMeta& meta, std::uint64_t local_count,
                  std::span<const WriteVar> vars, const GioConfig& cfg) {
@@ -417,13 +430,16 @@ WriteStats write(comm::Comm& comm, const std::string& path,
     // Redundant header + footer, then the atomic publish: the rename only
     // happens once every rank's data is complete, so a crash mid-write
     // leaves `<path>.tmp`, never a truncated `path`.
-    {
-      std::vector<std::byte> tail = serialize_header(lay);
-      wire::put_u64(tail, lay.data_end);  // footer
-      wire::put_u64(tail, kFooterMagic);
-      const Fd f = open_fd(tmp, O_WRONLY);
-      pwrite_all(f.get(), tail.data(), tail.size(), lay.data_end);
-    }
+    std::vector<std::byte> tail = serialize_header(lay);
+    wire::put_u64(tail, lay.data_end);  // footer
+    wire::put_u64(tail, kFooterMagic);
+    const Fd f = open_fd(tmp, O_WRONLY);
+    pwrite_all(f.get(), tail.data(), tail.size(), lay.data_end);
+#if defined(__linux__)
+    // Start the writeback of every writer's blocks now: the read-back below
+    // then overlaps the disk instead of the fsync waiting for all of it.
+    ::sync_file_range(f.get(), 0, 0, SYNC_FILE_RANGE_WRITE);
+#endif
     if (cfg.verify_after_write) {
       // Read the tmp file back, every sub-block through the routine every
       // restore uses, before publishing it. On failure the tmp file stays
@@ -442,8 +458,10 @@ WriteStats write(comm::Comm& comm, const std::string& path,
         throw Error(what);
       }
     }
-    HACC_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-                   "cannot rename " + tmp + " to " + path);
+    // One fsync makes every writer's blocks durable: they are pages of the
+    // same file, all written before the barrier above.
+    HACC_CHECK_MSG(::fsync(f.get()) == 0, "cannot fsync " + tmp);
+    rename_durably(tmp, path);
   }
   comm.barrier();  // the published file is visible to every rank
 

@@ -89,12 +89,16 @@ struct WriteStats {
   double verify_seconds = 0;        ///< read-back verification (rank 0)
 };
 
+/// Rename the fsynced `tmp` onto `path`, then fsync `path`'s directory so
+/// the rename survives a power loss. Throws hacc::Error if the rename fails.
+void rename_durably(const std::string& tmp, const std::string& path);
+
 /// Collective blocked write through M aggregator ranks. The file appears
-/// atomically: data goes to `<path>.tmp` and is renamed onto `path` only
-/// after the completion barrier, so a killed run never leaves a truncated
-/// file that parses as a current checkpoint. Throws hacc::Error on I/O
-/// failure (collective error state is NOT synchronized; callers treat a
-/// throw as fatal).
+/// atomically and durably: data goes to `<path>.tmp`, which rank 0 fsyncs
+/// and rename_durably()s onto `path` after the completion barrier, so
+/// neither a killed run nor a power loss leaves a truncated file that parses
+/// as a current checkpoint. Throws hacc::Error on I/O failure (collective
+/// error state is NOT synchronized; callers treat a throw as fatal).
 WriteStats write(comm::Comm& comm, const std::string& path,
                  const GlobalMeta& meta, std::uint64_t local_count,
                  std::span<const WriteVar> vars, const GioConfig& cfg = {});

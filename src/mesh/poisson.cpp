@@ -37,16 +37,10 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
   // One real-to-complex forward FFT of the density: the input is real, so
   // the z half-spectrum carries all information.
   fft_.forward(world, delta, spectrum_, &kPhases);
+  HACC_CHECK(spectrum_.size() == green_filter_.size());
 
-  // Filter x Green's function, from the table.
-  {
-    obs::PhaseScope scope(kPhaseKernel);
-    HACC_CHECK(spectrum_.size() == green_filter_.size());
-    for (std::size_t idx = 0; idx < spectrum_.size(); ++idx)
-      spectrum_[idx] *= green_filter_[idx];
-  }
-
-  // Per-axis gradient: independent inverse FFT + remap back to blocks.
+  // Per-axis gradient: independent inverse FFT + remap back to blocks. Each
+  // multiply folds in filter x Green's function, so spectrum_ keeps delta(k).
   const fft::Box3D& sb = fft_.modes();
   for (int axis = 0; axis < 3; ++axis) {
     {
@@ -60,15 +54,20 @@ void PoissonSolver::solve(comm::Comm& world, const DistGrid& delta,
       for (std::size_t ix = 0; ix < sb.x.extent(); ++ix)
         for (std::size_t iy = 0; iy < ny; ++iy)
           for (std::size_t iz = 0; iz < nz; ++iz, ++idx)
-            component_[idx] =
-                spectrum_[idx] * g[axis == 0 ? ix : axis == 1 ? iy : iz];
+            component_[idx] = (spectrum_[idx] * green_filter_[idx]) *
+                              g[axis == 0 ? ix : axis == 1 ? iy : iz];
     }
     fft_.inverse(world, component_, forces[static_cast<std::size_t>(axis)],
                  &kPhases);
   }
 
   if (phi != nullptr) {
-    component_ = spectrum_;
+    {
+      obs::PhaseScope scope(kPhaseKernel);
+      component_.resize(spectrum_.size());
+      for (std::size_t idx = 0; idx < spectrum_.size(); ++idx)
+        component_[idx] = spectrum_[idx] * green_filter_[idx];
+    }
     fft_.inverse(world, component_, *phi, &kPhases);
   }
 }

@@ -8,17 +8,17 @@
 // of HACC's mixed-precision scheme), every transform through the solver's
 // one BlockFft (mesh/block_fft.h):
 //   1. forward: remap the density contrast from blocks to z-pencils and run
-//      one real-to-complex pencil FFT (half spectrum),
-//   2. multiply by filter (Eq. 5) x sixth-order influence function,
-//   3. per axis: multiply by the Super-Lanczos gradient kernel, then one
-//      inverse (complex-to-real pencil FFT, remap back to blocks) -> force
-//      component grid,
-//   4. optionally one more inverse for the potential itself.
+//      one real-to-complex pencil FFT (half spectrum delta(k), kept),
+//   2. per axis: multiply by filter (Eq. 5) x sixth-order influence function
+//      x Super-Lanczos gradient kernel, then one inverse (complex-to-real
+//      pencil FFT, remap back to blocks) -> force component grid,
+//   3. optionally one more inverse, without the gradient, for the potential.
 //
-// The multipliers of steps 2 and 3 depend only on the configuration and the
-// rank's spectral box, so the constructor tabulates them once: the composed
-// filter x Green's function per local mode, and the gradient kernel per
-// local mode index along each axis.
+// solve() never overwrites delta(k): density_spectrum() hands it to the
+// P(k) estimator until the next solve. The multipliers depend only on the
+// configuration and the rank's spectral box, so the constructor tabulates
+// them once: the composed filter x Green's function per local mode, and the
+// gradient kernel per local mode index along each axis.
 //
 // Force convention: the returned grids hold f_i = -d(phi)/dx_i, the
 // gravitational acceleration per unit (4 pi G rho_bar a^2 ...) prefactor;
@@ -50,9 +50,15 @@ class PoissonSolver {
   PoissonSolver(comm::Comm& world, const BlockDecomp3D& decomp,
                 SpectralConfig config = {});
 
-  /// The solver's block <-> half-spectrum transform. Other spectral work on
-  /// the same decomposition (the in-situ P(k)) reuses it between solves.
-  BlockFft& fft() noexcept { return fft_; }
+  /// The solver's block <-> half-spectrum transform; its modes() box indexes
+  /// density_spectrum().
+  const BlockFft& fft() const noexcept { return fft_; }
+
+  /// The unscaled half spectrum delta(k) of the density last passed to
+  /// solve(), over fft().modes() (empty before the first solve).
+  const std::vector<fft::Complex>& density_spectrum() const noexcept {
+    return spectrum_;
+  }
 
   /// Solve for the force grids given the density-contrast grid `delta`
   /// (interior must be valid; ghosts ignored). Fills the interiors of

@@ -45,7 +45,7 @@ std::string slice_path(const std::string& dir, int step) {
 
 InSituReport write_catalogs(comm::Comm& comm, const InSituConfig& cfg,
                             int step, const gio::GlobalMeta& meta,
-                            const tree::ParticleArray& local_actives,
+                            const tree::ParticleArray& particles,
                             std::span<const cosmology::PowerBin> spectrum,
                             const gio::GioConfig& gio_cfg) {
   HACC_CHECK_MSG(!cfg.output_dir.empty(),
@@ -62,7 +62,7 @@ InSituReport write_catalogs(comm::Comm& comm, const InSituConfig& cfg,
     // rank-count-invariant in any gather order: the linked pairs depend
     // only on positions, members are summed in id order and a halo's id is
     // its minimum member id.
-    const tree::ParticleArray snap = gio::gather_actives(comm, local_actives);
+    const tree::ParticleArray snap = gio::gather_actives(comm, particles);
     std::uint64_t total = snap.size();
     total = comm.bcast_value(total, 0);
     std::vector<cosmology::Halo> halos;
@@ -148,16 +148,16 @@ InSituReport write_catalogs(comm::Comm& comm, const InSituConfig& cfg,
     const double box = static_cast<double>(meta.grid);
     std::vector<float> x, y, z, vx, vy, vz;
     std::vector<std::uint64_t> id;
-    for (std::size_t i = 0; i < local_actives.size(); ++i) {
-      const double zw = wrap(local_actives.z[i], box);
-      if (zw >= cfg.slice_thickness) continue;
-      x.push_back(local_actives.x[i]);
-      y.push_back(local_actives.y[i]);
-      z.push_back(local_actives.z[i]);
-      vx.push_back(local_actives.vx[i]);
-      vy.push_back(local_actives.vy[i]);
-      vz.push_back(local_actives.vz[i]);
-      id.push_back(local_actives.id[i]);
+    for (std::size_t i = 0; i < particles.size(); ++i) {
+      if (particles.role[i] != tree::Role::kActive) continue;
+      if (wrap(particles.z[i], box) >= cfg.slice_thickness) continue;
+      x.push_back(particles.x[i]);
+      y.push_back(particles.y[i]);
+      z.push_back(particles.z[i]);
+      vx.push_back(particles.vx[i]);
+      vy.push_back(particles.vy[i]);
+      vz.push_back(particles.vz[i]);
+      id.push_back(particles.id[i]);
     }
     const gio::WriteVar vars[] = {
         {"x", gio::VarType::kFloat32, x.data()},

@@ -16,7 +16,7 @@
 //   catalog_<step>.slice.gio     x y z vx vy vz id   (a z-slab cutout)
 //
 // Determinism: the halo catalog is byte-stable across rank and thread
-// counts, whatever order the gather leaves the snapshot in — FOF's linked
+// counts, whatever order the gather leaves the actives in — FOF's linked
 // pairs depend only on positions, halo members are summed in id order, and
 // halos are written sorted by halo id (the minimum member particle id).
 // FOF is timed as the phase `insitu.fof`; Simulation::run_insitu() nests
@@ -72,16 +72,16 @@ struct InSituReport {
 };
 
 /// Run the configured products for one completed step. Collective over
-/// `comm`; `local_actives` holds this rank's ACTIVE particles in grid
-/// units (pass a filtered copy — replicas would double-count). The halo
-/// product gathers the snapshot to rank 0 (the FOF finder is the repo's
-/// single-rank analysis stand-in; the file still goes through the
-/// aggregated collective writer). `spectrum` is the pre-measured P(k) of
-/// the current state, identical on every rank (ignored when the product is
-/// disabled). Every file appears atomically via the gio tmp+rename publish.
+/// `comm`; `particles` is this rank's state in grid units, whose passive
+/// replicas every product skips (they would double-count). The halo product
+/// gathers the actives to rank 0 (the FOF finder is the repo's single-rank
+/// analysis stand-in; the file still goes through the aggregated collective
+/// writer). `spectrum` is the pre-measured P(k) of the current state,
+/// identical on every rank (ignored when the product is disabled). Every
+/// file appears atomically and durably via the gio tmp+rename publish.
 InSituReport write_catalogs(comm::Comm& comm, const InSituConfig& cfg,
                             int step, const gio::GlobalMeta& meta,
-                            const tree::ParticleArray& local_actives,
+                            const tree::ParticleArray& particles,
                             std::span<const cosmology::PowerBin> spectrum,
                             const gio::GioConfig& gio_cfg = {});
 

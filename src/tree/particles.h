@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "util/aligned.h"
@@ -82,26 +83,20 @@ class ParticleArray {
     for_each_array(*this, [w](auto& v) { v.resize(w); });
   }
 
-  /// Sort particles by ascending (id, role, x, y, z). Establishes a
-  /// *canonical order* independent of arrival history, which makes float
-  /// summation order — and therefore the whole run — reproducible across
-  /// restarts (message arrival and the elastic restore otherwise permute
-  /// the array). Ids are unique among actives; the same id can
-  /// carry several passive replicas on one rank (one per periodic image of
-  /// a small topology), whose unwrapped positions differ by exact box-size
-  /// shifts — the position tie-break makes the order total even then.
+  /// Sort particles by ascending id. Establishes a *canonical order*
+  /// independent of arrival history, which makes float summation order —
+  /// and therefore the whole run — reproducible across restarts (message
+  /// arrival and the elastic restore otherwise permute the array). For
+  /// actives only: ids are unique among them, and a repeated id is refused.
   void sort_by_id() {
     std::vector<std::size_t> order(size());
     std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (id[a] != id[b]) return id[a] < id[b];
-      if (role[a] != role[b])
-        return static_cast<std::uint8_t>(role[a]) <
-               static_cast<std::uint8_t>(role[b]);
-      if (x[a] != x[b]) return x[a] < x[b];
-      if (y[a] != y[b]) return y[a] < y[b];
-      return z[a] < z[b];
-    });
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return id[a] < id[b]; });
+    for (std::size_t k = 1; k < order.size(); ++k)
+      HACC_CHECK_MSG(id[order[k - 1]] != id[order[k]],
+                     "sort_by_id: particle id " +
+                         std::to_string(id[order[k]]) + " is not unique");
     permute(order);
   }
 

@@ -1,5 +1,6 @@
 // Tests for the SimMPI runtime: point-to-point semantics, every collective,
-// communicator split, Cartesian topologies, failure propagation.
+// communicator split, Cartesian topologies, failure propagation, the heap
+// release after a run.
 //
 // Collectives are verified across a sweep of rank counts (powers of two and
 // awkward odd sizes) via parameterized tests.
@@ -10,11 +11,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "comm/cart.h"
 #include "comm/comm.h"
@@ -51,6 +56,41 @@ TEST(Machine, SingleRankWorks) {
 
 TEST(Machine, ZeroRanksRejected) {
   EXPECT_THROW(Machine::run(0, [](Comm&) {}), Error);
+}
+
+TEST(Machine, ReturnsTheRanksFreedHeapToTheOs) {
+#if !defined(__GLIBC__) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "checks glibc's own allocator";
+#else
+  // This process's resident set in bytes (0 where /proc is absent).
+  const auto resident_bytes = [] {
+    std::ifstream statm("/proc/self/statm");
+    std::size_t pages = 0, resident = 0;
+    if (!(statm >> pages >> resident)) return std::size_t{0};
+    return resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  };
+  // Each rank fills 15 MiB of 96 KiB blocks (below glibc's mmap threshold,
+  // so arena memory) with a small result behind each one, then frees the
+  // blocks. The results outlive the run, so no freed block can coalesce
+  // into the top of its heap, where glibc would release it unasked.
+  constexpr int kRanks = 2;
+  constexpr std::size_t kBlocks = 160, kBlockBytes = 96 << 10;
+  std::vector<std::vector<std::unique_ptr<int>>> results(kRanks);
+  const std::size_t before = resident_bytes();
+  ASSERT_GT(before, 0u);
+  Machine::run(kRanks, [&](Comm& c) {
+    auto& kept = results[static_cast<std::size_t>(c.rank())];
+    kept.reserve(kBlocks);
+    std::vector<std::unique_ptr<char[]>> blocks(kBlocks);
+    for (std::size_t i = 0; i < kBlocks; ++i) {
+      blocks[i] = std::make_unique<char[]>(kBlockBytes);  // zeroed: resident
+      kept.push_back(std::make_unique<int>(static_cast<int>(i)));
+    }
+  });
+  const std::size_t freed = kRanks * kBlocks * kBlockBytes;
+  EXPECT_LT(resident_bytes(), before + freed / 4);
+#endif
 }
 
 TEST(Machine, RankFailurePropagatesWithoutDeadlock) {

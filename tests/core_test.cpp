@@ -26,6 +26,8 @@
 #include "core/supervisor.h"
 #include "fft/pencil.h"
 #include "gio/gio.h"
+#include "mesh/block_fft.h"
+#include "mesh/cic.h"
 #include "util/rng.h"
 
 namespace hacc::core {
@@ -562,8 +564,10 @@ TEST(Simulation, CheckpointRestartReproducesRun) {
 TEST(Simulation, OneLongRangeSolvePerWarmStep) {
   // A warm step runs exactly one PM solve: the closing half-kick of one
   // step and the opening half-kick of the next share it. Fresh or restored
-  // state pays one extra solve in its first step, because the acceleration
-  // is not part of the state initialize() and read_checkpoint() build.
+  // state pays one extra solve, the boundary rebuild, in its first step (or
+  // its first density product, whichever comes first), because the
+  // acceleration is not part of the state initialize() and read_checkpoint()
+  // build.
   SimulationConfig cfg;
   cfg.grid = 16;
   cfg.particles_per_dim = 12;
@@ -803,10 +807,9 @@ TEST(Simulation, TimersCoverTheExpectedPhases) {
 }
 
 TEST(Simulation, PowerSpectrumReusesTheSolverTransform) {
-  // The in-situ P(k) deposits into the persistent PM grid and transforms
-  // through the Poisson solver's BlockFft: a warm call under the rank's
-  // sinks runs exactly one r2c forward transform, moves exactly that
-  // transform's transpose bytes and times nothing into a poisson.* phase.
+  // Between steps the P(k) bins the Poisson solver's kept delta(k) of the
+  // step's own density: a call under the rank's sinks runs no transform,
+  // moves no transpose bytes and times nothing into a poisson.* phase.
   SimulationConfig cfg;
   cfg.grid = 16;
   cfg.particles_per_dim = 12;
@@ -821,30 +824,15 @@ TEST(Simulation, PowerSpectrumReusesTheSolverTransform) {
     sim.step();
     EXPECT_EQ(&sim.density_contrast(), &sim.density_contrast());
 
-    // The transpose bytes of one forward_r2c on this grid, from a plan of
-    // the same shape.
-    std::uint64_t r2c_bytes = 0;
-    {
-      obs::Counters probe;
-      obs::Binding binding(nullptr, &probe);
-      auto plan = fft::PencilFft3D::balanced(c, cfg.grid, cfg.grid, cfg.grid);
-      const std::vector<double> field(plan.real_box().volume(), 1.0);
-      std::vector<fft::Complex> spectrum;
-      plan.forward_r2c(field, spectrum);
-      r2c_bytes = probe.value(transpose_bytes);
-    }
-    EXPECT_GT(r2c_bytes, 0u);
-
     obs::Binding binding(&sim.tracer(), &sim.counters());
-    (void)sim.power_spectrum(8);  // warm
     const std::vector<obs::Counters::Sample> before =
         sim.counters().snapshot();
     const std::uint64_t transforms0 = sim.counters().value(transforms);
     const std::uint64_t bytes0 = sim.counters().value(transpose_bytes);
     const auto bins = sim.power_spectrum(8);
     EXPECT_FALSE(bins.empty());
-    EXPECT_EQ(sim.counters().value(transforms) - transforms0, 1u);
-    EXPECT_EQ(sim.counters().value(transpose_bytes) - bytes0, r2c_bytes);
+    EXPECT_EQ(sim.counters().value(transforms) - transforms0, 0u);
+    EXPECT_EQ(sim.counters().value(transpose_bytes) - bytes0, 0u);
     for (const obs::Counters::Sample& s : before) {
       if (name_of(s.id).rfind("phase.poisson", 0) != 0) continue;
       EXPECT_EQ(sim.counters().value(s.id), s.value) << name_of(s.id);
@@ -853,6 +841,150 @@ TEST(Simulation, PowerSpectrumReusesTheSolverTransform) {
       if (name_of(s.id).rfind("phase.poisson", 0) == 0) {
         EXPECT_GT(s.value, 0u) << name_of(s.id) << " (timed by the step)";
       }
+    }
+  });
+}
+
+TEST(Simulation, PowerSpectrumAfterStepsIsTheStepsDensity) {
+  // An in-situ step's P(k) adds no deposit and no transform to its step:
+  // k steps run k + 1 deposits and solves (the first step's rebuild
+  // included), each solve one forward and three inverse transforms. After
+  // them power_spectrum() deposits and transforms nothing, and its rows are
+  // bit-equal to a P(k) computed here from a fresh deposit of the actives,
+  // in the order they lead particles().
+  SimulationConfig cfg;
+  cfg.grid = 16;
+  cfg.particles_per_dim = 12;
+  cfg.box_mpch = 32.0;
+  cfg.z_initial = 30.0;
+  cfg.z_final = 10.0;
+  cfg.steps = 2;
+  cfg.subcycles = 2;
+  cfg.overload = 3.0;
+  cfg.insitu.cadence = 1;
+  cfg.insitu.halos = false;
+  cfg.insitu.slice = false;
+  cfg.insitu.output_dir =
+      (std::filesystem::temp_directory_path() / "hacc_pk_insitu").string();
+  cosmology::Cosmology cosmo;
+  const NameId transforms = obs::counter_id("fft.transforms");
+  const NameId transpose_bytes = obs::counter_id("fft.transpose.bytes");
+  for (const int ranks : {1, 2, 4}) {
+    comm::Machine::run(ranks, [&](comm::Comm& c) {
+      SCOPED_TRACE(std::to_string(ranks) + " ranks");
+      Simulation sim(c, cosmo, cfg);
+      sim.initialize();
+      const std::uint64_t ic_transforms = sim.counters().value(transforms);
+      sim.run();
+      const std::size_t solves = static_cast<std::size_t>(cfg.steps) + 1;
+      EXPECT_EQ(sim.timers().count("insitu"), solves - 1);
+      EXPECT_EQ(sim.timers().count("poisson"), solves);
+      EXPECT_EQ(sim.timers().count("cic"), solves);
+      EXPECT_EQ(sim.counters().value(transforms) - ic_transforms, 4 * solves);
+      const std::uint64_t transforms0 = sim.counters().value(transforms);
+      const std::uint64_t bytes0 = sim.counters().value(transpose_bytes);
+      const std::uint64_t cic0 = sim.timers().count("cic");
+      std::vector<cosmology::PowerBin> bins;
+      {
+        obs::Binding binding(&sim.tracer(), &sim.counters());
+        bins = sim.power_spectrum(10);
+      }
+      EXPECT_EQ(sim.counters().value(transforms), transforms0);
+      EXPECT_EQ(sim.counters().value(transpose_bytes), bytes0);
+      EXPECT_EQ(sim.timers().count("cic"), cic0);
+
+      const ParticleArray& p = sim.particles();
+      std::size_t actives = 0;
+      while (actives < p.size() && p.role[actives] == Role::kActive)
+        ++actives;
+      mesh::DistGrid rho(sim.domain().decomp(), c.rank(), 1);
+      rho.fill(0.0);
+      mesh::cic_deposit(rho, std::span(p.x).first(actives),
+                        std::span(p.y).first(actives),
+                        std::span(p.z).first(actives), 1.0f);
+      rho.fold_ghosts(c);
+      mesh::to_density_contrast(rho, c);
+      mesh::BlockFft fft(c, sim.domain().decomp());
+      std::vector<fft::Complex> spectrum;
+      fft.forward(c, rho, spectrum);
+      const auto fresh = cosmology::measure_power_spectrum(
+          c, fft, spectrum, cfg.box_mpch, 10);
+      ASSERT_EQ(bins.size(), fresh.size());
+      for (std::size_t b = 0; b < bins.size(); ++b) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(bins[b].k),
+                  std::bit_cast<std::uint64_t>(fresh[b].k)) << "bin " << b;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(bins[b].power),
+                  std::bit_cast<std::uint64_t>(fresh[b].power))
+            << "bin " << b;
+        EXPECT_EQ(bins[b].modes, fresh[b].modes) << "bin " << b;
+      }
+    });
+  }
+  std::filesystem::remove_all(cfg.insitu.output_dir);
+}
+
+TEST(Simulation, PowerSpectrumOnFreshStateIsTheFirstStepsRebuild) {
+  // A density product on stale state runs the rebuild the next step()
+  // would have run, so that step skips it: two solves either way, the same
+  // state bits, and the SDC window re-opened over the rebuilt state.
+  SimulationConfig cfg;
+  cfg.grid = 16;
+  cfg.particles_per_dim = 12;
+  cfg.box_mpch = 32.0;
+  cfg.z_initial = 30.0;
+  cfg.z_final = 10.0;
+  cfg.steps = 2;
+  cfg.subcycles = 2;
+  cfg.overload = 3.0;
+  cfg.audit.cadence = 1;
+  cosmology::Cosmology cosmo;
+  // Flip a bit of one active's vx on rank 0 (every rank takes the
+  // collective stale mark).
+  const auto corrupt = [](Simulation& sim, comm::Comm& c) {
+    ParticleArray& p = sim.mutable_particles();
+    if (c.rank() == 0)
+      p.vx[0] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(p.vx[0]) ^
+                                     (std::uint32_t{1} << 20));
+  };
+  comm::Machine::run(2, [&](comm::Comm& c) {
+    Simulation plain(c, cosmo, cfg);
+    plain.initialize();
+    plain.step();
+    EXPECT_EQ(plain.timers().count("poisson"), 2u);
+
+    Simulation sim(c, cosmo, cfg);
+    sim.initialize();
+    (void)sim.power_spectrum(8);
+    EXPECT_EQ(sim.timers().count("poisson"), 1u);
+    sim.step();
+    EXPECT_EQ(sim.timers().count("poisson"), 2u);
+    const Simulation::HealthReport h = sim.health_check();
+    EXPECT_TRUE(h.audited);
+    EXPECT_EQ(h.checksum_mismatches, 0u);
+    EXPECT_TRUE(h.sdc_clean(cfg.audit)) << h.describe_sdc(cfg.audit);
+    const ParticleArray& a = plain.particles();
+    const ParticleArray& b = sim.particles();
+    ASSERT_EQ(a.size(), b.size());
+    const auto same = [](const auto& u, const auto& v) {
+      return std::memcmp(u.data(), v.data(), u.size() * sizeof(u[0])) == 0;
+    };
+    EXPECT_TRUE(same(a.x, b.x) && same(a.y, b.y) && same(a.z, b.z));
+    EXPECT_TRUE(same(a.vx, b.vx) && same(a.vy, b.vy) && same(a.vz, b.vz));
+    EXPECT_TRUE(same(a.ax, b.ax) && same(a.ay, b.ay) && same(a.az, b.az));
+    EXPECT_TRUE(same(a.mass, b.mass) && same(a.id, b.id) &&
+                same(a.role, b.role));
+
+    // The window covers the state on both sides of the rebuild: a flip
+    // before the P(k) call or after it is caught at the next gate.
+    for (const bool before : {true, false}) {
+      Simulation hit(c, cosmo, cfg);
+      hit.initialize();
+      if (before) corrupt(hit, c);
+      (void)hit.power_spectrum(8);
+      if (!before) corrupt(hit, c);
+      hit.step();
+      EXPECT_EQ(hit.health_check().checksum_mismatches, 1u)
+          << (before ? "flip before" : "flip after") << " the P(k) call";
     }
   });
 }

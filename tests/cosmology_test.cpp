@@ -192,7 +192,9 @@ TEST(MeasuredPower, RecoversSingleModeAmplitude) {
               amp * std::cos(2.0 * std::numbers::pi * static_cast<double>(x) /
                              static_cast<double>(n));
     mesh::BlockFft fft(c, d);
-    auto bins = measure_power_spectrum(c, fft, delta, box, 8,
+    std::vector<fft::Complex> spectrum;
+    fft.forward(c, delta, spectrum);
+    auto bins = measure_power_spectrum(c, fft, spectrum, box, 8,
                                        /*deconvolve_cic=*/false);
     const double kf = 2.0 * std::numbers::pi / box;
     // All power in the lowest bin; expected P = A^2/4 * V ... per-mode
@@ -303,7 +305,10 @@ TEST_P(MeasureRanks, DecompositionIndependent) {
                        static_cast<std::ptrdiff_t>(z - b.z.lo)) =
                   field[(x * n + y) * n + z];
         mesh::BlockFft fft(c, d);
-        auto bins = measure_power_spectrum(c, fft, delta, box, 12, deconvolve);
+        std::vector<fft::Complex> spectrum;
+        fft.forward(c, delta, spectrum);
+        auto bins =
+            measure_power_spectrum(c, fft, spectrum, box, 12, deconvolve);
         if (c.rank() != 0) return;
         ASSERT_EQ(bins.size(), reference.size()) << "n=" << n;
         for (std::size_t i = 0; i < bins.size(); ++i) {
@@ -389,7 +394,9 @@ TEST(InitialConditions, MeasuredPowerMatchesLinearInput) {
     rho.fold_ghosts(c);
     mesh::to_density_contrast(rho, c);
     mesh::BlockFft fft(c, d);
-    auto bins = measure_power_spectrum(c, fft, rho, cfg.box_mpch, 12);
+    std::vector<fft::Complex> spectrum;
+    fft.forward(c, rho, spectrum);
+    auto bins = measure_power_spectrum(c, fft, spectrum, cfg.box_mpch, 12);
     const double z = cfg.z_init;
     // Compare in the intermediate-k range (low k: few modes; high k near
     // Nyquist: lattice/window artifacts).
